@@ -6,11 +6,20 @@ on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
 floats appear only when distances are compared against epsilon.
 
-The growth rate of the minimal cardinality of sets whose Bowen-metric balls
-cover the torus is bracketed greedily: a scan-order cover gives the upper
-counts, a 2*epsilon-separated greedy packing gives the lower counts, and the
-entropy estimate is the fitted log-growth of the upper counts over the last
-half of the time range.
+For a group endomorphism A the Bowen metric is translation invariant, so
+every Bowen ball is a translate of one difference set
+
+    D_n(r) = {v : max_i circle|A^k v|_i <= r for 0 <= k < n},
+
+a closed box of radius r cells in every coordinate at every time step, and
+minimal spanning and maximal separated sets are bracketed by grid volume
+alone (Bowen, "Entropy for group endomorphisms and homogeneous spaces",
+Trans. AMS 153 (1971)):
+
+    R^d / |D_n(2e)| <= span_n(2e) <= sep_n(2e) <= R^d / |D_n(e)|,
+
+with e = floor(epsilon * R) cells.  The estimate is the fitted log-growth of
+the upper volume count over the last half of the time range.
 """
 
 from __future__ import annotations
@@ -27,7 +36,6 @@ from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_GRID_CELLS = 1 << 24
 _MAX_BALL_CELLS = 5 * 10**7
-_SCAN_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -58,8 +66,8 @@ class GridDynamics:
 @dataclass(frozen=True)
 class SpanningEstimate:
     n_values: tuple[int, ...]
-    spanning_counts: tuple[int, ...]    # greedy cover at epsilon (upper)
-    separated_counts: tuple[int, ...]   # greedy 2*epsilon-separated packing (lower)
+    spanning_counts: tuple[int, ...]    # floor(R^d / |D_n(e)|): upper bracket
+    separated_counts: tuple[int, ...]   # ceil(R^d / |D_n(2e)|): lower bracket
     epsilon: float
     resolution: int
     slope: float
@@ -82,59 +90,19 @@ def _initial_ball(dim: int, resolution: int, eps_cells: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1) % resolution
 
 
-def _flat_indices(center: np.ndarray, offsets: np.ndarray, resolution: int) -> np.ndarray:
-    shifted = (center[None, :] + offsets) % resolution
-    flat = shifted[:, 0]
-    for k in range(1, shifted.shape[1]):
-        flat = flat * resolution + shifted[:, k]
-    return flat
-
-
-def _next_unset(mask: np.ndarray, start: int) -> int:
-    i = start
-    size = mask.size
-    while i < size:
-        j = min(i + _SCAN_CHUNK, size)
-        block = mask[i:j]
-        k = int(np.argmin(block))
-        if not block[k]:
-            return i + k
-        i = j
-    return size
-
-
-def _unflatten(flat: int, dim: int, resolution: int) -> np.ndarray:
-    coords = []
-    for _ in range(dim):
-        coords.append(flat % resolution)
-        flat //= resolution
-    return np.array(list(reversed(coords)), dtype=np.int64)
-
-
-def _greedy_count(dim: int, resolution: int, offsets: np.ndarray) -> int:
-    """Greedy cover of the grid by translates of the offset set, scanning in
-    lexicographic order.  The same loop is the greedy packing count when the
-    offsets describe the 2*epsilon ball."""
-    total = resolution**dim
-    covered = np.zeros(total, dtype=bool)
-    count = 0
-    ptr = 0
-    while True:
-        ptr = _next_unset(covered, ptr)
-        if ptr >= total:
-            return count
-        center = _unflatten(ptr, dim, resolution)
-        covered[_flat_indices(center, offsets, resolution)] = True
-        count += 1
-
-
 def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float,
                               resolution: int) -> SpanningEstimate:
     """Bracket the spanning-set growth of the dynamics under the Bowen metric.
 
     `resolution` is the number of grid points per axis and must be finer
-    than epsilon/4.  The fitted slope uses the upper counts over the last
-    half of the time range; the band is two standard errors of the fit.
+    than epsilon/4.  With e = floor(epsilon * resolution) cells, the counts
+    come from the sizes of the difference sets D_n(e) and D_n(min(2e, R//2)),
+    closed boxes in the circle distance measured in cells (Bowen 1971):
+    spanning_counts[n] = floor(R^d / |D_n(e)|) and separated_counts[n] =
+    ceil(R^d / |D_n(2e)|).  Every greedy 2e cover, being also a
+    2e-separated set, lies between the two, and both are nondecreasing in n.
+    The fitted slope uses the upper counts over the last half of the time
+    range; the band is two standard errors of the fit.
     """
     if n_max < 2:
         raise ParameterError("n_max must be at least 2")
@@ -149,23 +117,23 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
         raise ParameterError("matrix entries too large for exact int64 grid arithmetic")
     eps_cells = int(epsilon * resolution)
     matrix = np.array(dynamics.matrix, dtype=np.int64)
+    cells = resolution**dynamics.dim
 
-    # Bowen balls as difference sets, refined one time step at a time.
-    ball = _initial_ball(dynamics.dim, resolution, eps_cells)
-    ball2 = _initial_ball(dynamics.dim, resolution, min(2 * eps_cells, resolution // 2))
-    image, image2 = ball.copy(), ball2.copy()
+    # Bowen balls as difference sets, refined one time step at a time: the
+    # rows of `image` are A^(n-1) v for the v still in D_n(eps_cells).
+    eps2_cells = min(2 * eps_cells, resolution // 2)
+    image = _initial_ball(dynamics.dim, resolution, eps_cells)
+    image2 = _initial_ball(dynamics.dim, resolution, eps2_cells)
     n_values, upper, lower = [], [], []
     for n in range(1, n_max + 1):
         if n > 1:
             image = (image @ matrix.T) % resolution
-            keep = _circle_distance_ok(image, resolution, eps_cells)
-            ball, image = ball[keep], image[keep]
+            image = image[_circle_distance_ok(image, resolution, eps_cells)]
             image2 = (image2 @ matrix.T) % resolution
-            keep2 = _circle_distance_ok(image2, resolution, 2 * eps_cells)
-            ball2, image2 = ball2[keep2], image2[keep2]
+            image2 = image2[_circle_distance_ok(image2, resolution, eps2_cells)]
         n_values.append(n)
-        upper.append(_greedy_count(dynamics.dim, resolution, ball))
-        lower.append(_greedy_count(dynamics.dim, resolution, ball2))
+        upper.append(cells // len(image))
+        lower.append(-(-cells // len(image2)))
     slope, stderr = _fit_log_growth(n_values, upper)
     return SpanningEstimate(
         tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution,

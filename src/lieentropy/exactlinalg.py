@@ -62,15 +62,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     ]
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    c = Fraction(c)
-    return [[x * c for x in row] for row in a]
-
-
 def mat_pow(m: Mat, k: int) -> Mat:
     if len(m) != (len(m[0]) if m else 0):
         raise DimensionError("matrix power needs a square matrix")
@@ -88,17 +79,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
 
 def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def is_integer_matrix(m) -> bool:
-    return all(Fraction(x).denominator == 1 for row in m for x in row)
-
-
-def mat_equal(a, b) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(Fraction(x) == Fraction(y) for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
 
 
 def rref(rows) -> tuple[Mat, list[int]]:

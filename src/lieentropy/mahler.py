@@ -317,6 +317,8 @@ def _certified_moduli(coeffs) -> list[tuple[float, float]]:
             w = poly_eval(monic, z) / den
             zs[k] = z - w
             moved = max(moved, abs(w))
+        if not all(map(cmath.isfinite, zs)):
+            break  # the double-precision iteration overflowed
         if moved > 1e-13 and sweep < _MAX_NEWTON_SWEEPS - 1:
             continue
         radii = _weierstrass_radii(coeffs, zs)

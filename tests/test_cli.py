@@ -150,6 +150,22 @@ def test_cli_pipeline_abort_exit_code(tmp_path):
     assert "abort" in result.stderr
 
 
+def test_cli_root_certifier_overflow_exit_code(tmp_path):
+    # companion matrix of t^5 + 10^160 t^2 + 1: root certification overflows
+    # double precision, which is a pipeline abort (exit 2), not bad input
+    coeffs = [1, 0, 10**160, 0, 0]
+    companion = [["1" if j == i - 1 else "0" for j in range(4)] + [str(-coeffs[i])]
+                 for i in range(5)]
+    doc = {"algebra": {"dim": 5, "brackets": []},
+           "lattice": [["1" if j == i else "0" for j in range(5)] for i in range(5)],
+           "endomorphism": companion}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("entropy", "--input", str(path))
+    assert result.returncode == 2
+    assert "pipeline abort" in result.stderr
+
+
 def test_cli_estimate_csv(tmp_path):
     out = tmp_path / "est.csv"
     result = run_cli("estimate", "--catalog", "cstar-squaring",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from lieentropy.errors import DomainError, ParameterError
@@ -58,6 +59,65 @@ def test_shear_slope_near_zero():
                                     n_max=40, epsilon=0.05, resolution=1024)
     check_count_invariants(est)
     assert est.slope <= 0.05
+
+
+def grid_orbits(rows, resolution, n):
+    """Orbit segments A^k x mod resolution, 0 <= k < n, of every grid point x
+    in lexicographic order (the origin first), shaped (n, points, dim)."""
+    matrix = np.array(rows, dtype=np.int64)
+    line = np.arange(resolution, dtype=np.int64)
+    grids = np.meshgrid(*([line] * len(rows)), indexing="ij")
+    orbit = [np.stack([g.ravel() for g in grids], axis=1)]
+    for _ in range(n - 1):
+        orbit.append((orbit[-1] @ matrix.T) % resolution)
+    return np.stack(orbit)
+
+
+def bowen_distances(orbit, i, resolution):
+    """Bowen distance in cells, max_k max_i circle|A^k (y - x)|_i, from grid
+    point number i to every grid point."""
+    diff = (orbit - orbit[:, i:i + 1, :]) % resolution
+    return np.minimum(diff, resolution - diff).max(axis=(0, 2))
+
+
+def greedy_cover(orbit, resolution, radius_cells):
+    """Reference count: scan the grid in lexicographic order and make every
+    point not yet covered a center of a closed Bowen ball of radius_cells.
+    The centers form a cover and a radius_cells-separated set."""
+    covered = np.zeros(orbit.shape[1], dtype=bool)
+    count = 0
+    for i in range(orbit.shape[1]):
+        if not covered[i]:
+            count += 1
+            covered |= bowen_distances(orbit, i, resolution) <= radius_cells
+    return count
+
+
+@pytest.mark.parametrize("rows, resolution, epsilon, n_max", [
+    ([[2]], 256, 0.05, 6),
+    ([[3]], 243, 0.05, 5),
+    ([[2, 1], [1, 1]], 64, 0.1, 5),
+    ([[1, 1], [0, 1]], 64, 0.1, 6),
+    ([[0, -1], [1, 0]], 64, 0.1, 4),
+    ([[2, 0], [0, 2]], 64, 0.1, 4),
+    ([[-1]], 100, 0.05, 4),
+])
+def test_volume_counts_bracket_greedy_cover(rows, resolution, epsilon, n_max):
+    # Bowen's volume bracket: with D_n(r) the closed Bowen ball of radius r
+    # cells around the origin, a greedy 2*eps cover lies between
+    # ceil(R^d / |D_n(2 eps)|) and floor(R^d / |D_n(eps)|)
+    est = spanning_entropy_estimate(GridDynamics.from_rows(rows), n_max=n_max,
+                                    epsilon=epsilon, resolution=resolution)
+    check_count_invariants(est)
+    cells = resolution ** len(rows)
+    radius = int(epsilon * resolution)
+    radius2 = min(2 * radius, resolution // 2)
+    for n, lower, upper in zip(est.n_values, est.separated_counts, est.spanning_counts):
+        orbit = grid_orbits(rows, resolution, n)
+        from_origin = bowen_distances(orbit, 0, resolution)
+        assert upper == cells // int((from_origin <= radius).sum())
+        assert lower == -(-cells // int((from_origin <= radius2).sum()))
+        assert lower <= greedy_cover(orbit, resolution, radius2) <= upper
 
 
 def test_counts_nonincreasing_in_epsilon():

@@ -171,3 +171,11 @@ def test_log_mahler_matches_lapack_roots():
         reference = float(sum(math.log(abs(z)) for z in roots if abs(z) > 1.0))
         assert abs(log_mahler(p).value - reference) <= 1e-6
         checked += 1
+
+
+def test_log_mahler_overflow_aborts_as_arithmetic_error():
+    # the double-precision Durand-Kerner iterates overflow to NaN on these;
+    # that is non-convergence of the certifier, not a malformed input
+    for p in ([1, 0, 10**160, 0, 0, 1], [1, 10**20] + [0] * 29 + [1]):
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            log_mahler(p)
