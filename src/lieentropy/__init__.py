@@ -7,10 +7,10 @@ over exact rational arithmetic and pairs it with a numerical spanning-set
 estimator that can falsify (never certify) the exact pipeline.
 """
 
-from .exactlinalg import Lattice, Subspace, char_poly, hnf_lattice, lattice_intersect_subspace, min_poly
+from .exactlinalg import Lattice, Subspace, char_poly, lattice_intersect_subspace, min_poly
 from .mahler import EntropyValue, cyclotomic_part, log_mahler
 from .liealgebra import LieAlgebra, center, killing_form, nilradical, solvable_radical, validate_algebra
-from .torus import TorusEndo, entropy, finite_order, is_ergodic, li_yorke_verdict, restrict_to_sublattice
+from .torus import TorusEndo, entropy, finite_order, li_yorke_verdict
 from .groups import (
     AnalysisReport,
     GroupEndomorphism,
@@ -51,8 +51,6 @@ __all__ = [
     "entropy",
     "eventual_image",
     "finite_order",
-    "hnf_lattice",
-    "is_ergodic",
     "killing_form",
     "lattice_intersect_subspace",
     "li_yorke_report",
@@ -62,7 +60,6 @@ __all__ = [
     "min_poly",
     "nilradical",
     "quotient_by_torus",
-    "restrict_to_sublattice",
     "solvable_radical",
     "spanning_entropy_estimate",
     "topological_entropy",

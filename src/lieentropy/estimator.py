@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError
 from .torus import TorusEndo, entropy as exact_entropy
 
-_MAX_GRID_CELLS = 1 << 24
 _MAX_BALL_CELLS = 5 * 10**7
 
 
@@ -110,8 +109,6 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
         raise ParameterError("epsilon must lie in (0, 1/2)")
     if resolution <= 4 / epsilon:
         raise ParameterError("resolution too coarse: need resolution > 4/epsilon")
-    if resolution**dynamics.dim > _MAX_GRID_CELLS:
-        raise ParameterError("grid does not fit in memory at this resolution")
     largest = max(abs(x) for row in dynamics.matrix for x in row)
     if largest * resolution * dynamics.dim >= 1 << 62:
         raise ParameterError("matrix entries too large for exact int64 grid arithmetic")

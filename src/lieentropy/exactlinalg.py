@@ -295,14 +295,6 @@ class Subspace:
                 v = [x - f * y for x, y in zip(v, row)]
         return tuple(v)
 
-    def coordinates(self, v) -> Vec | None:
-        """Coefficients of v in the stored basis, or None if outside."""
-        if not self.contains(v):
-            return None
-        if not self.basis:
-            return tuple()
-        return solve(transpose(list(self.basis)), v)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
@@ -439,16 +431,6 @@ class Lattice:
 
     def contains(self, v) -> bool:
         return self.integer_coordinates(v) is not None
-
-
-def hnf_lattice(generators, ambient_dim=None) -> Lattice:
-    """Canonical lattice from integer (or rational) generators."""
-    generators = list(generators)
-    if ambient_dim is None:
-        if not generators:
-            raise DimensionError("ambient dimension required for empty generator set")
-        ambient_dim = len(generators[0])
-    return Lattice.from_generators(ambient_dim, generators)
 
 
 def lattice_intersect_subspace(lattice: Lattice, subspace: Subspace) -> Lattice:

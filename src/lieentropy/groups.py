@@ -69,7 +69,6 @@ from .torus import (
     SOME_POWER_LI_YORKE_FREE,
     TorusEndo,
     entropy as torus_entropy,
-    entropy_is_positive,
     finite_order,
     restrict_matrix_to_lattice,
 )
@@ -420,14 +419,8 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
     if endo.group != group:
         raise ValidationError("endomorphism was validated against a different presentation")
     g_phi = eventual_image(group, endo)
-    try:
-        l_phi = lattice_intersect_subspace(group.lattice(), g_phi)
-    except Exception as exc:  # dimension errors signal inconsistent input
-        raise PipelineError("lattice_in_image", str(exc)) from exc
-    try:
-        z_phi = centralizer_in(group.algebra, g_phi)
-    except Exception as exc:
-        raise PipelineError("center_of_image", str(exc)) from exc
+    l_phi = lattice_intersect_subspace(group.lattice(), g_phi)
+    z_phi = centralizer_in(group.algebra, g_phi)
     lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
         action = restrict_matrix_to_lattice(endo.d_phi_matrix(), lam_phi)
@@ -443,12 +436,15 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
 
     The report also carries the eigenvalue-sum upper bound computed from the
     whole derivative, which is strict whenever expansion happens outside the
-    central torus of the eventual image.
+    central torus of the eventual image.  When that torus is the whole group
+    the two share one characteristic polynomial, so the entropy is the bound.
     """
     g_phi, l_phi, z_phi, torus = _central_torus_action(group, endo)
     ent = torus_entropy(torus.action, tol)
-    bowen_cert = poly_primitive_int(char_poly(endo.d_phi_matrix()))
-    bowen = log_mahler(bowen_cert, tol)
+    if torus.dim == group.dim:
+        bowen = ent
+    else:
+        bowen = log_mahler(poly_primitive_int(char_poly(endo.d_phi_matrix())), tol)
     validations = (
         "presentation invariants assumed validated",
         "eventual image verified invariant and bracket-closed",
@@ -468,19 +464,21 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
     )
 
 
-def li_yorke_report(group: PresentedGroup, endo: GroupEndomorphism) -> LiYorkeChain:
-    """Existence/nonexistence chain for Li-Yorke pairs of the endomorphism.
+def li_yorke_report(endo: GroupEndomorphism, report: AnalysisReport) -> LiYorkeChain:
+    """Existence/nonexistence chain for Li-Yorke pairs of the endomorphism,
+    read off its entropy report.
 
     Requires surjectivity on the identity component.  Positive entropy on
-    the central torus of the eventual image yields pairs for every power;
+    the central torus of the eventual image (`report.entropy`, decided
+    exactly by its `exact_zero` flag) yields pairs for every power;
     otherwise the reduction through the torus quotient shows some power has
     none, and each link of that reduction is recorded.
     """
     if not endo.surjective_on_identity_component:
         raise ValidationError(
             "hypothesis not met: endomorphism is not surjective on the identity component")
-    _, _, _, torus = _central_torus_action(group, endo)
-    if torus.action.dim and entropy_is_positive(torus.action):
+    torus = report.torus
+    if not report.entropy.exact_zero:
         links = (
             (ENTROPY_ON_CENTRAL_TORUS,
              "the entropy of the endomorphism equals the entropy of its action on the "
@@ -515,20 +513,23 @@ def check_toral_induced_finite_order(group: PresentedGroup,
     """Order of the endomorphism induced on the maximal torus of R/N.
 
     Preconditions: solvable algebra, surjective endomorphism, and a
-    simply-connected nilradical (certified by the lattice missing the
-    nilradical).  Under these the induced toral map must have finite order;
+    simply-connected nilradical, certified by a trivial central torus T(G)
+    and checked before the nilradical is computed.  The lattice meets the
+    nilradical exactly when T(G) is nontrivial: the center lies in the
+    nilradical (ad z = 0 gives kappa(z, .) = 0), and a lattice point in the
+    nilradical has a semisimple, nilpotent adjoint, hence is central.
+    Under these preconditions the induced toral map must have finite order;
     an infinite answer is a theorem violation, not a result.
     """
     if not is_solvable(group.algebra):
         raise ValidationError("precondition failed: the algebra is not solvable")
     if not endo.surjective_on_identity_component:
         raise ValidationError("precondition failed: the endomorphism is not surjective")
-    nil = nilradical(group.algebra)
-    meet = lattice_intersect_subspace(group.lattice(), nil.space)
-    if not meet.is_empty():
+    if not toral_lattice(group).lattice.is_empty():
         raise ValidationError(
             "precondition failed: nilradical is not simply-connected "
             "(the lattice meets the nilradical)")
+    nil = nilradical(group.algebra)
     d = endo.d_phi_matrix()
     for v in nil.space.basis:
         if not nil.space.contains(mat_vec(d, v)):
@@ -585,17 +586,18 @@ def quotient_by_torus(group: PresentedGroup) -> PresentedGroup:
 
 def analyze(group: PresentedGroup, endo: GroupEndomorphism,
             tol: float = DEFAULT_TOL) -> AnalysisReport:
-    """Entropy report extended with the Li-Yorke chain and, when the group
-    is solvable with simply-connected nilradical and the endomorphism is
-    surjective, the induced toral order check."""
+    """Entropy report extended, for an endomorphism surjective on the
+    identity component, with the Li-Yorke chain read off that report and,
+    when the group is solvable with trivial central torus, the induced
+    toral order check."""
     report = topological_entropy(group, endo, tol)
-    li = li_yorke_report(group, endo) if endo.surjective_on_identity_component else None
-    toral = None
-    if endo.surjective_on_identity_component and is_solvable(group.algebra):
+    li = toral = None
+    if endo.surjective_on_identity_component:
+        li = li_yorke_report(endo, report)
         try:
             toral = check_toral_induced_finite_order(group, endo)
         except ValidationError:
-            toral = None  # preconditions not met; the check simply does not apply
+            pass  # preconditions not met; the check simply does not apply
     citations = report.citations
     if li is not None:
         citations = citations + tuple(t for t in li.citations if t not in citations)

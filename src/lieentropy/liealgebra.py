@@ -235,26 +235,8 @@ def derived_series(algebra: LieAlgebra) -> list[Subspace]:
     return chain
 
 
-def lower_central_series(algebra: LieAlgebra) -> list[Subspace]:
-    """g >= [g,g] >= [g,[g,g]] >= ... until stabilization."""
-    whole = Subspace.full(algebra.dim)
-    current = whole
-    chain = [current]
-    while True:
-        nxt = bracket_span(algebra, whole, current)
-        if nxt.dim == current.dim:
-            break
-        chain.append(nxt)
-        current = nxt
-    return chain
-
-
 def is_solvable(algebra: LieAlgebra) -> bool:
     return derived_series(algebra)[-1].dim == 0
-
-
-def is_nilpotent_algebra(algebra: LieAlgebra) -> bool:
-    return lower_central_series(algebra)[-1].dim == 0
 
 
 def _series_terminates_at_zero(algebra: LieAlgebra, space: Subspace) -> bool:
@@ -283,8 +265,12 @@ def solvable_radical(algebra: LieAlgebra) -> Ideal:
     Post-verified: the result is solvable and the quotient Killing form is
     nondegenerate (semisimple quotient).
     """
+    return _solvable_radical(algebra, killing_form(algebra))
+
+
+def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
+    """solvable_radical given the Killing form of the algebra."""
     n = algebra.dim
-    form = killing_form(algebra)
     derived = bracket_span(algebra, Subspace.full(n), Subspace.full(n))
     conditions = []
     for d in derived.basis:
@@ -312,8 +298,8 @@ def nilradical(algebra: LieAlgebra) -> Ideal:
     r' <= n <= r.  Inputs where the kappa-orthogonal overshoots the true
     nilradical fail the ad-nilpotency check and raise.
     """
-    radical = solvable_radical(algebra)
     form = killing_form(algebra)
+    radical = _solvable_radical(algebra, form)
     kernel = Subspace.from_vectors(algebra.dim, kernel_basis(form))
     space = radical.space.intersect(kernel)
     ideal = Ideal(algebra, space, "nilradical")

@@ -93,18 +93,6 @@ def poly_divmod(p, q):
     return poly_trim(quot), poly_trim(rem)
 
 
-def poly_divides(q, p) -> bool:
-    _, rem = poly_divmod(p, q)
-    return not rem
-
-
-def poly_exact_div(p, q):
-    quot, rem = poly_divmod(p, q)
-    if rem:
-        raise DomainError("polynomial division is not exact")
-    return _intify(quot)
-
-
 def poly_gcd(p, q):
     """Monic gcd over Q."""
     a = [Fraction(x) for x in poly_trim(p)]
@@ -217,8 +205,11 @@ def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
             continue
         phi_m = list(cyclotomic(m))
         mult = 0
-        while poly_degree(rest) >= poly_degree(phi_m) and poly_divides(phi_m, rest):
-            rest = poly_exact_div(rest, phi_m)
+        while poly_degree(rest) >= poly_degree(phi_m):
+            quot, rem = poly_divmod(rest, phi_m)
+            if rem:
+                break
+            rest = _intify(quot)
             mult += 1
         if mult:
             found.append((m, mult))
@@ -234,6 +225,20 @@ def cyclotomic_part(p) -> tuple[list, list]:
         for _ in range(mult):
             cyclo = poly_mul(cyclo, list(cyclotomic(m)))
     return cyclo, rest
+
+
+def noncyclotomic_part(p):
+    """p with its powers of t and its cyclotomic factors divided out exactly.
+
+    Both kinds of factor contribute nothing to the log-Mahler sum.  For a
+    monic p a remainder of positive degree has a root off the unit circle
+    (Kronecker), so this one reduction decides positivity exactly.
+    """
+    work = poly_trim(p)
+    while work and work[0] == 0:
+        work = work[1:]
+    _, rest = cyclotomic_part(work)
+    return rest
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +384,7 @@ def log_mahler(p, tol: float = DEFAULT_TOL) -> EntropyValue:
         raise DomainError("tolerance must be positive")
     certificate = tuple(int(a) for a in p)
 
-    work = list(certificate)
-    while work and work[0] == 0:  # powers of t contribute log|0->inside| = 0
-        work = work[1:]
-    _, rest = cyclotomic_part(work)
+    rest = noncyclotomic_part(certificate)
     if poly_degree(rest) < 1:
         return EntropyValue(0.0, certificate, 0, 0.0, True, False)
 

@@ -2,8 +2,8 @@
 
 A torus endomorphism is the action of an integer matrix on R^n/Z^n through
 its lattice of periods.  Entropy is the log-Mahler sum of the characteristic
-polynomial; finite order, ergodicity, and the Li-Yorke dichotomy are decided
-symbolically through cyclotomic factors, never by float comparison.
+polynomial; finite order and the Li-Yorke dichotomy are decided symbolically
+through cyclotomic factors, never by float comparison.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .mahler import (
     EntropyValue,
     cyclotomic_factors,
     log_mahler,
+    noncyclotomic_part,
     poly_degree,
     poly_gcd,
-    poly_trim,
 )
 
 
@@ -60,10 +60,6 @@ class TorusEndo:
     def is_surjective(self) -> bool:
         return self.determinant != 0
 
-    @property
-    def is_automorphism(self) -> bool:
-        return abs(self.determinant) == 1
-
     def power(self, k: int) -> "TorusEndo":
         rows = mat_pow([list(r) for r in self.matrix], k)
         return TorusEndo.from_rows(rows)
@@ -82,12 +78,7 @@ def entropy_is_positive(endo: TorusEndo) -> bool:
     from the (monic) characteristic polynomial, any nonconstant remainder
     carries a root off the unit circle (Kronecker), hence positive entropy.
     """
-    coeffs = endo.char_poly()
-    work = poly_trim(coeffs)
-    while work and work[0] == 0:
-        work = work[1:]
-    _, rest = cyclotomic_factors(work)
-    return poly_degree(rest) >= 1
+    return poly_degree(noncyclotomic_part(endo.char_poly())) >= 1
 
 
 def finite_order(endo: TorusEndo) -> int | None:
@@ -119,14 +110,6 @@ def finite_order(endo: TorusEndo) -> int | None:
     return order
 
 
-def is_ergodic(endo: TorusEndo) -> bool:
-    """True iff no eigenvalue is a root of unity (requires surjectivity)."""
-    if not endo.is_surjective:
-        raise DomainError("ergodicity requires a surjective torus endomorphism")
-    indices, _ = cyclotomic_factors(endo.char_poly())
-    return not indices
-
-
 LI_YORKE_ALL_POWERS = "li_yorke_all_powers"
 SOME_POWER_LI_YORKE_FREE = "some_power_li_yorke_free"
 
@@ -150,20 +133,14 @@ def li_yorke_verdict(endo: TorusEndo) -> TorusLiYorkeVerdict:
     return TorusLiYorkeVerdict(verdict, positive, tuple(endo.char_poly()))
 
 
-def restrict_to_sublattice(endo: TorusEndo, sub: Lattice) -> TorusEndo:
-    """Action matrix in the basis of an invariant sublattice.
+def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:
+    """Action matrix in the basis of a rational lattice the rational matrix
+    preserves.
 
     The image of each basis vector must be an integer combination of the
-    basis, otherwise the sublattice is not invariant and the restriction is
+    basis, otherwise the lattice is not invariant and the restriction is
     undefined.
     """
-    if sub.ambient_dim != endo.dim:
-        raise DimensionError("sublattice has wrong ambient dimension")
-    return restrict_matrix_to_lattice([list(r) for r in endo.matrix], sub)
-
-
-def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:
-    """Restriction of a rational matrix to a rational lattice it preserves."""
     if sub.is_empty():
         return TorusEndo(0, tuple())
     columns = []

@@ -130,6 +130,19 @@ def test_counts_nonincreasing_in_epsilon():
         assert all(a >= b for a, b in zip(narrow.spanning_counts, wide.spanning_counts))
 
 
+def test_fine_grid_is_bounded_by_the_ball_not_the_grid():
+    # 8192^2 = 2^26 grid points, but only the 17x17 and 33x33 Bowen boxes
+    # are held in memory
+    est = spanning_entropy_estimate(GridDynamics.from_rows([[2, 0], [0, 2]]),
+                                    n_max=6, epsilon=0.001, resolution=8192)
+    check_count_invariants(est)
+    assert est.spanning_counts[0] == 8192**2 // 17**2
+    assert est.separated_counts[0] == -(-8192**2 // 33**2)
+    with pytest.raises(ParameterError, match="epsilon ball does not fit"):
+        spanning_entropy_estimate(GridDynamics.from_rows([[2]]),
+                                  n_max=6, epsilon=0.25, resolution=1 << 27)
+
+
 def test_parameter_errors():
     g = GridDynamics.from_rows([[2]])
     with pytest.raises(ParameterError, match="resolution too coarse"):

@@ -11,7 +11,6 @@ from lieentropy.exactlinalg import (
     char_poly,
     companion_matrix,
     det,
-    hnf_lattice,
     kernel_basis,
     lattice_intersect_subspace,
     mat_mul,
@@ -87,10 +86,10 @@ def test_min_poly_divides_char_poly_and_annihilates():
 # --- hermite normal form ---------------------------------------------------
 
 def test_hnf_examples():
-    assert hnf_lattice([(2, 0), (0, 2), (1, 1)]).basis == (
+    assert Lattice.from_generators(2, [(2, 0), (0, 2), (1, 1)]).basis == (
         (F(1), F(1)), (F(0), F(2)))
-    assert hnf_lattice([(1, 0)]).basis == ((F(1), F(0)),)
-    assert hnf_lattice([], ambient_dim=3).basis == ()
+    assert Lattice.from_generators(2, [(1, 0)]).basis == ((F(1), F(0)),)
+    assert Lattice.from_generators(3, []).basis == ()
 
 
 def test_hnf_canonical_under_generating_set_changes():
@@ -98,24 +97,24 @@ def test_hnf_canonical_under_generating_set_changes():
     for _ in range(30):
         n = rng.randint(1, 4)
         gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, 5))]
-        base = hnf_lattice(gens, ambient_dim=n)
+        base = Lattice.from_generators(n, gens)
         # same module, different presentation: shuffled, padded with sums
         shuffled = [list(g) for g in gens]
         rng.shuffle(shuffled)
         if len(shuffled) >= 2:
             shuffled.append([a + b for a, b in zip(shuffled[0], shuffled[1])])
         shuffled.append([0] * n)
-        assert hnf_lattice(shuffled, ambient_dim=n).basis == base.basis
+        assert Lattice.from_generators(n, shuffled).basis == base.basis
 
 
 def test_hnf_pivots_normalized():
-    basis = hnf_lattice([(4, 7), (0, 3)]).basis
+    basis = Lattice.from_generators(2, [(4, 7), (0, 3)]).basis
     # pivots positive, entry above the second pivot reduced into [0, pivot)
     assert basis == ((F(4), F(1)), (F(0), F(3)))
 
 
 def test_lattice_membership():
-    lat = hnf_lattice([(2, 0), (0, 2)])
+    lat = Lattice.from_generators(2, [(2, 0), (0, 2)])
     assert lat.contains((4, -2))
     assert not lat.contains((1, 0))
     assert lat.integer_coordinates((4, -2)) == (2, -1)
@@ -154,7 +153,7 @@ def test_intersect_saturated_brute_force():
     cases = [
         (Lattice.standard(2), Subspace.from_vectors(2, [(1, 1)])),
         (Lattice.standard(3), Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 1)])),
-        (hnf_lattice([(2, 0), (0, 3)]), Subspace.from_vectors(2, [(1, 1)])),
+        (Lattice.from_generators(2, [(2, 0), (0, 3)]), Subspace.from_vectors(2, [(1, 1)])),
         (Lattice.from_generators(3, [(F("1/2"), 0, 0), (0, 1, 0), (0, 0, 1)]),
          Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])),
     ]

@@ -1,14 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lieentropy.groups
+from lieentropy.catalog import get_entry
 from lieentropy.errors import (
     InvariantViolationError,
     ValidationError,
 )
 from lieentropy.exactlinalg import Subspace
+from lieentropy.formats import build_group
 from lieentropy.liealgebra import LieAlgebra, centralizer_in, nilradical, solvable_radical
 from lieentropy.groups import (
     ENTROPY_ON_CENTRAL_TORUS,
@@ -384,17 +388,18 @@ def test_quotient_by_torus_randomized_triviality():
 def test_li_yorke_report_examples():
     t2 = abelian_group(2, [(1, 0), (0, 1)], "T2")
     squaring = validate_endomorphism(t2, [[2, 0], [0, 2]])
-    chain = li_yorke_report(t2, squaring)
+    chain = li_yorke_report(squaring, topological_entropy(t2, squaring, TOL))
     assert chain.verdict == LI_YORKE_ALL_POWERS
     assert POSITIVE_TORUS_ENTROPY_LI_YORKE in chain.citations
 
     e2 = e2_group()
-    chain = li_yorke_report(e2, e2_endo(e2, 1, 3, 4))
+    rotation = e2_endo(e2, 1, 3, 4)
+    chain = li_yorke_report(rotation, topological_entropy(e2, rotation, TOL))
     assert chain.verdict == SOME_POWER_LI_YORKE_FREE
     assert chain.citations == (TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,)
 
     shear = validate_endomorphism(t2, [[1, 1], [0, 1]])
-    chain = li_yorke_report(t2, shear)
+    chain = li_yorke_report(shear, topological_entropy(t2, shear, TOL))
     assert chain.verdict == SOME_POWER_LI_YORKE_FREE
     assert ZERO_ENTROPY_TORUS_SOME_POWER_FREE in chain.citations
     assert QUOTIENT_TORUS_TRIVIAL in chain.citations
@@ -404,7 +409,7 @@ def test_li_yorke_report_requires_surjectivity():
     t2 = abelian_group(2, [(1, 0), (0, 1)], "T2")
     degenerate = validate_endomorphism(t2, [[0, 0], [0, 0]])
     with pytest.raises(ValidationError, match="surjective"):
-        li_yorke_report(t2, degenerate)
+        li_yorke_report(degenerate, topological_entropy(t2, degenerate, TOL))
 
 
 def test_analyze_combines_everything():
@@ -427,3 +432,48 @@ def test_analyze_aborts_on_unverifiable_nilradical():
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(InvariantViolationError):
         analyze(group, endo, TOL)
+
+
+def test_analyze_skips_toral_check_when_central_torus_is_nontrivial():
+    # the same trap plus a central circle W doubled by the endomorphism: the
+    # toral-order check does not apply, so the nilradical it would abort on
+    # is never computed and the entropy sits on the circle
+    trap_w = LieAlgebra.from_brackets(
+        4, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, -1), (0, 2, 2, 1)], ["H", "X", "Y", "W"])
+    group = PresentedGroup.build(trap_w, [(0, 0, 0, 1)], "TrapW")
+    assert validate_presentation(group).valid
+    endo = validate_endomorphism(
+        group, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
+    report = analyze(group, endo, TOL)
+    assert abs(report.entropy.value - math.log(2)) <= TOL
+    assert report.li_yorke.verdict == LI_YORKE_ALL_POWERS
+    assert report.toral_order is None
+
+
+def test_analyze_runs_each_stage_once(monkeypatch):
+    calls = Counter()
+    for name in ("eventual_image", "nilradical", "log_mahler", "char_poly"):
+        original = getattr(lieentropy.groups, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lieentropy.groups, name, counted)
+    # nilradical: calls to the toral-order check's nilradical; log_mahler and
+    # char_poly: calls for the eigenvalue-sum bound
+    expected = {
+        "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
+        "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
+        "torus2-squaring": {"nilradical": 0, "log_mahler": 0, "char_poly": 0},
+        "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
+    }
+    for entry_name, counts in expected.items():
+        group, derivative = build_group(get_entry(entry_name).input_document())
+        endo = validate_endomorphism(group, derivative)
+        calls.clear()
+        report = analyze(group, endo, TOL)
+        assert report.li_yorke is not None
+        assert calls["eventual_image"] == 1, entry_name
+        for name, count in counts.items():
+            assert calls[name] == count, (entry_name, name)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieentropy.liealgebra
 from lieentropy.errors import DomainError, InvariantViolationError
 from lieentropy.exactlinalg import Subspace, identity_matrix, mat_mul
 from lieentropy.liealgebra import (
@@ -14,10 +15,8 @@ from lieentropy.liealgebra import (
     derived_series,
     is_ad_nilpotent,
     is_ideal,
-    is_nilpotent_algebra,
     is_solvable,
     killing_form,
-    lower_central_series,
     nilradical,
     quotient_algebra,
     solvable_radical,
@@ -146,8 +145,7 @@ def test_center_equals_centralizer_of_whole():
 def test_series_examples():
     h = heisenberg()
     assert [s.dim for s in derived_series(h)] == [3, 1, 0]
-    assert [s.dim for s in lower_central_series(h)] == [3, 1, 0]
-    assert is_solvable(h) and is_nilpotent_algebra(h)
+    assert is_solvable(h)
     assert [s.dim for s in derived_series(sl2())] == [3]
     assert not is_solvable(sl2())
     ab = LieAlgebra.abelian(3)
@@ -167,6 +165,23 @@ def test_nilradical_examples():
     assert nilradical(e2()).space == Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
     assert nilradical(heisenberg()).space.dim == 3
     assert nilradical(affine_line()).space == Subspace.from_vectors(2, [(0, 1)])
+
+
+def test_nilradical_computes_killing_form_once(monkeypatch):
+    calls = []
+    original = lieentropy.liealgebra.killing_form
+
+    def counted(algebra):
+        calls.append(algebra)
+        return original(algebra)
+
+    monkeypatch.setattr(lieentropy.liealgebra, "killing_form", counted)
+    # solvable algebras: the quotient by the radical is zero, so its Killing
+    # form is never needed and the algebra's own is the only one computed
+    for make in (e2, heisenberg, affine_line):
+        calls.clear()
+        nilradical(make())
+        assert len(calls) == 1
 
 
 def test_radical_chain_and_ideal_property():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lieentropy.errors import DomainError, ValidationError
-from lieentropy.exactlinalg import companion_matrix, hnf_lattice, mat_mul
+from lieentropy.exactlinalg import Lattice, companion_matrix, mat_mul
 from lieentropy.mahler import cyclotomic, poly_mul
 from lieentropy.torus import (
     LI_YORKE_ALL_POWERS,
@@ -13,9 +13,8 @@ from lieentropy.torus import (
     entropy,
     entropy_is_positive,
     finite_order,
-    is_ergodic,
     li_yorke_verdict,
-    restrict_to_sublattice,
+    restrict_matrix_to_lattice,
 )
 
 TOL = 1e-9
@@ -116,26 +115,6 @@ def test_finite_order_is_least_power():
     del rng
 
 
-# --- ergodicity ---------------------------------------------------------------
-
-def test_is_ergodic_examples():
-    assert is_ergodic(T([[2, 1], [1, 1]]))
-    assert not is_ergodic(T([[1, 1], [0, 1]]))
-    assert is_ergodic(T([[2]]))
-
-
-def test_is_ergodic_rejects_non_surjective():
-    with pytest.raises(DomainError):
-        is_ergodic(T([[0]]))
-
-
-def test_finite_order_implies_not_ergodic():
-    for rows in ([[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, -1], [1, -1]]):
-        e = T(rows)
-        assert finite_order(e) is not None
-        assert not is_ergodic(e)
-
-
 # --- Li-Yorke dichotomy ---------------------------------------------------------
 
 def test_li_yorke_verdict_examples():
@@ -185,21 +164,21 @@ def test_positivity_matches_numeric_value():
 # --- restriction ------------------------------------------------------------
 
 def test_restrict_examples():
-    diag = T([[2, 0], [0, 3]])
-    sub = hnf_lattice([(1, 0)])
-    assert restrict_to_sublattice(diag, sub).matrix == ((2,),)
-    cat = T([[2, 1], [1, 1]])
-    assert restrict_to_sublattice(cat, hnf_lattice([(1, 0), (0, 1)])).matrix == cat.matrix
-    double = T([[2, 0], [0, 2]])
-    assert restrict_to_sublattice(double, hnf_lattice([(1, 1)])).matrix == ((2,),)
+    sub = Lattice.from_generators(2, [(1, 0)])
+    assert restrict_matrix_to_lattice([[2, 0], [0, 3]], sub).matrix == ((2,),)
+    cat = [[2, 1], [1, 1]]
+    full = Lattice.from_generators(2, [(1, 0), (0, 1)])
+    assert restrict_matrix_to_lattice(cat, full).matrix == T(cat).matrix
+    diagonal = Lattice.from_generators(2, [(1, 1)])
+    assert restrict_matrix_to_lattice([[2, 0], [0, 2]], diagonal).matrix == ((2,),)
 
 
 def test_restrict_rejects_non_invariant():
     with pytest.raises(ValidationError):
-        restrict_to_sublattice(T([[2, 1], [1, 1]]), hnf_lattice([(1, 0)]))
+        restrict_matrix_to_lattice([[2, 1], [1, 1]], Lattice.from_generators(2, [(1, 0)]))
 
 
 def test_restrict_empty_lattice():
-    e = restrict_to_sublattice(T([[2]]), hnf_lattice([], ambient_dim=1))
+    e = restrict_matrix_to_lattice([[2]], Lattice.from_generators(1, []))
     assert e.dim == 0
     assert entropy(e).exact_zero
