@@ -120,36 +120,33 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if presentation.valid and endo_error is None else EXIT_INVALID
 
 
-def _validated(document):
+def _validated(args):
+    """The document, its validated group and endomorphism, and the entropy
+    tolerance: the document's `options.tol`, else `--tol`."""
+    document = _load_document(args)
     group, derivative = build_group(document)
     presentation = validate_presentation(group)
     if not presentation.valid:
         raise ValidationError("invalid presentation: " + presentation.describe())
-    return group, validate_endomorphism(group, derivative)
+    endo = validate_endomorphism(group, derivative)
+    return document, group, endo, document.options.get("tol", args.tol)
 
 
 def _cmd_entropy(args) -> int:
-    document = _load_document(args)
-    group, endo = _validated(document)
-    tol = document.options.get("tol", args.tol)
-    report = topological_entropy(group, endo, tol)
-    _emit(report_to_dict(report, document), args)
+    document, group, endo, tol = _validated(args)
+    _emit(report_to_dict(topological_entropy(group, endo, tol), document), args)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    document = _load_document(args)
-    group, endo = _validated(document)
-    tol = document.options.get("tol", args.tol)
-    report = analyze(group, endo, tol)
-    _emit(report_to_dict(report, document), args)
+    document, group, endo, tol = _validated(args)
+    _emit(report_to_dict(analyze(group, endo, tol), document), args)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    document = _load_document(args)
-    group, endo = _validated(document)
-    report = topological_entropy(group, endo, args.tol)
+    _, group, endo, tol = _validated(args)
+    report = topological_entropy(group, endo, tol)
     action = report.torus.action
     if action.dim == 0:
         raise ValidationError("the central torus is trivial; nothing to estimate")

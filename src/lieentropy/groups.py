@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DimensionError,
@@ -110,6 +111,12 @@ class PresentedGroup:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def nilradical(self):
+        """Nilradical of the algebra, computed once per presentation; the
+        conjugation certificate and the toral-order check both need it."""
+        return nilradical(self.algebra)
 
 
 @dataclass(frozen=True)
@@ -303,7 +310,7 @@ def _coords_up_to_conjugation(group: PresentedGroup, image):
     conjugation, or None when no certificate is found."""
     algebra = group.algebra
     try:
-        nil = nilradical(algebra)
+        nil = group.nilradical
     except (InvariantViolationError, ValueError):
         return None
     logs = group.lattice_logs
@@ -329,16 +336,18 @@ def _coords_up_to_conjugation(group: PresentedGroup, image):
 
 def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     """Stabilized image of the derivative: the algebra of the maximal
-    connected subgroup mapped onto itself."""
-    n = group.algebra.dim
-    power = mat_pow(endo.d_phi_matrix(), n) if n else []
-    columns = transpose(power)
-    image = Subspace.from_vectors(n, columns)
-    mapped = Subspace.from_vectors(
-        n, [mat_vec(endo.d_phi_matrix(), v) for v in image.basis])
-    if mapped.dim != image.dim:
-        raise InvariantViolationError(
-            "eventual_image", "derivative does not map its stabilized image onto itself")
+    connected subgroup mapped onto itself.
+
+    The images d^k(g) shrink, so the first one whose image under d has the
+    same dimension is mapped onto itself and is the stabilized image.
+    """
+    d = endo.d_phi_matrix()
+    image = Subspace.full(group.algebra.dim)
+    while True:
+        mapped = Subspace.from_vectors(image.ambient_dim, [mat_vec(d, v) for v in image.basis])
+        if mapped.dim == image.dim:
+            break
+        image = mapped
     for u in image.basis:
         for v in image.basis:
             if not image.contains(group.algebra.bracket(u, v)):
@@ -529,15 +538,14 @@ def check_toral_induced_finite_order(group: PresentedGroup,
         raise ValidationError(
             "precondition failed: nilradical is not simply-connected "
             "(the lattice meets the nilradical)")
-    nil = nilradical(group.algebra)
+    nil = group.nilradical
     d = endo.d_phi_matrix()
     for v in nil.space.basis:
         if not nil.space.contains(mat_vec(d, v)):
             raise InvariantViolationError(
                 "toral_order", "derivative does not preserve the nilradical")
     quotient, projection = quotient_algebra(group.algebra, nil)
-    if any(any(x != 0 for x in quotient.table[i][j])
-           for i in range(quotient.dim) for j in range(quotient.dim)):
+    if quotient.constants:
         raise InvariantViolationError("toral_order", "quotient by the nilradical is not abelian")
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in nil.space.basis]
     complement = [c for c in range(group.algebra.dim) if c not in pivots]

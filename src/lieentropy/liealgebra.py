@@ -1,10 +1,13 @@
 """Structure-constant Lie algebras over exact rationals.
 
-An algebra is a bracket table: table[i][j] is the coordinate vector of
-[e_i, e_j].  All constructions here (center, radicals, series, quotients)
-reduce to exact rational linear algebra, and the two radical computations
-are post-verified against the structural facts the rest of the pipeline
-relies on, erring out rather than returning an unverified answer.
+An algebra is kept as the input's sparse structure constants: the sorted
+nonzero (i, j, k, c) meaning [e_i, e_j] has coefficient c on e_k.  Brackets,
+adjoints, the validity check and the Killing form read them directly, so
+their cost follows the number of nonzero constants, not dim^3.  All
+constructions here (center, radicals, series, quotients) reduce to exact
+rational linear algebra, and the two radical computations are post-verified
+against the structural facts the rest of the pipeline relies on, erring out
+rather than returning an unverified answer.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .exactlinalg import (
     to_fraction_matrix,
     to_fraction_vector,
     transpose,
-    zero_vector,
 )
 
 Vec = tuple[Fraction, ...]
@@ -33,16 +35,17 @@ Vec = tuple[Fraction, ...]
 class LieAlgebra:
     dim: int
     basis_names: tuple[str, ...]
-    table: tuple[tuple[Vec, ...], ...]  # table[i][j] = [e_i, e_j]
+    # sorted nonzero (i, j, k, c): [e_i, e_j] has coefficient c on e_k
+    constants: tuple[tuple[int, int, int, Fraction], ...]
 
     @staticmethod
     def from_brackets(dim: int, brackets, basis_names=None) -> "LieAlgebra":
         """Build from sparse triples (i, j, k, value) meaning [e_i,e_j] has
-        coefficient `value` on e_k.
+        coefficient `value` on e_k; repeated triples add up.
 
         The mirror entry (j, i, k) defaults to the antisymmetric completion
         unless the triples set it explicitly, so deliberately inconsistent
-        tables are representable and caught by validate().
+        tables are representable and caught by validate_algebra().
         """
         if basis_names is None:
             basis_names = tuple(f"e{i}" for i in range(dim))
@@ -54,16 +57,10 @@ class LieAlgebra:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionError(f"bracket index ({i},{j},{k}) out of range")
             explicit[(i, j, k)] = explicit.get((i, j, k), Fraction(0)) + Fraction(value)
-        table = [[list(zero_vector(dim)) for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k), value in explicit.items():
-            table[i][j][k] = value
-            if (j, i, k) not in explicit:
-                table[j][i][k] = -value
-        return LieAlgebra(
-            dim,
-            basis_names,
-            tuple(tuple(tuple(v) for v in row) for row in table),
-        )
+        entries = {(j, i, k): -value for (i, j, k), value in explicit.items()}
+        entries.update(explicit)
+        constants = tuple(sorted((*key, c) for key, c in entries.items() if c != 0))
+        return LieAlgebra(dim, basis_names, constants)
 
     @staticmethod
     def abelian(dim: int, basis_names=None) -> "LieAlgebra":
@@ -75,15 +72,9 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("bracket arguments have wrong length")
         out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in enumerate(self.table[i][j]):
-                    if c != 0:
-                        out[k] += xi * yj * c
+        for i, j, k, c in self.constants:
+            if x[i] and y[j]:
+                out[k] += x[i] * y[j] * c
         return tuple(out)
 
     def adjoint_matrix(self, x) -> list[list[Fraction]]:
@@ -91,8 +82,10 @@ class LieAlgebra:
         x = to_fraction_vector(x)
         if len(x) != self.dim:
             raise DimensionError("adjoint argument has wrong length")
-        cols = [self.bracket(x, e) for e in identity_matrix(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        ad = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, j, k, c in self.constants:
+            ad[k][j] += x[i] * c
+        return ad
 
     def basis_vector(self, i: int) -> Vec:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
@@ -113,31 +106,31 @@ class AlgebraValidation:
 
 
 def validate_algebra(algebra: LieAlgebra) -> AlgebraValidation:
-    """Exact antisymmetry and Jacobi check; reports every violating triple."""
-    violations = []
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i, n):
-            forward = algebra.table[i][j]
-            backward = algebra.table[j][i]
-            if any(a != -b for a, b in zip(forward, backward)):
-                violations.append((
-                    "antisymmetry",
-                    (algebra.basis_names[i], algebra.basis_names[j]),
-                    f"[{algebra.basis_names[i]},{algebra.basis_names[j]}] != "
-                    f"-[{algebra.basis_names[j]},{algebra.basis_names[i]}]",
-                ))
-    basis = identity_matrix(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = [Fraction(0)] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = algebra.bracket(algebra.bracket(basis[a], basis[b]), basis[c])
-                    total = [t + s for t, s in zip(total, term)]
-                if any(t != 0 for t in total):
-                    names = (algebra.basis_names[i], algebra.basis_names[j], algebra.basis_names[k])
-                    violations.append(("jacobi", names, "Jacobi identity fails"))
+    """Exact antisymmetry and Jacobi check; reports every violating pair,
+    then every violating triple, in index order."""
+    names = algebra.basis_names
+    value = {(i, j, k): c for i, j, k, c in algebra.constants}
+    skew = sorted({(min(i, j), max(i, j)) for (i, j, k), c in value.items()
+                   if value.get((j, i, k), 0) != -c})
+    violations = [
+        ("antisymmetry", (names[i], names[j]),
+         f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]")
+        for i, j in skew
+    ]
+    by_first: dict[int, list] = {}
+    for i, j, k, c in algebra.constants:
+        by_first.setdefault(i, []).append((j, k, c))
+    # coordinates of [[e_a,e_b],e_c] + [[e_b,e_c],e_a] + [[e_c,e_a],e_b],
+    # keyed by the sorted triple and the coordinate
+    jacobi: dict[tuple[int, int, int, int], Fraction] = {}
+    for a, b, m, c1 in algebra.constants:
+        for c, l, c2 in by_first.get(m, ()):
+            if (a < b) + (b < c) + (c < a) == 2:  # an even permutation of distinct indices
+                key = (*sorted((a, b, c)), l)
+                jacobi[key] = jacobi.get(key, 0) + c1 * c2
+    failing = sorted({key[:3] for key, total in jacobi.items() if total != 0})
+    violations += [("jacobi", tuple(names[t] for t in triple), "Jacobi identity fails")
+                   for triple in failing]
     return AlgebraValidation(not violations, tuple(violations))
 
 
@@ -173,28 +166,22 @@ def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
 # classical constructions
 
 def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
-    """kappa(e_i, e_j) = trace(ad e_i . ad e_j), exact and symmetric."""
-    ads = [algebra.adjoint_matrix(e) for e in identity_matrix(algebra.dim)]
+    """kappa(e_i, e_j) = trace(ad e_i . ad e_j) = sum of c_il^k c_jk^l over
+    the nonzero constants; exact and symmetric."""
     n = algebra.dim
+    by_tail: dict[tuple[int, int], list] = {}
+    for j, k, l, c in algebra.constants:
+        by_tail.setdefault((k, l), []).append((j, c))
     form = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = mat_mul(ads[i], ads[j])
-            tr = sum((prod[k][k] for k in range(n)), Fraction(0))
-            form[i][j] = tr
-            form[j][i] = tr
+    for i, l, k, c in algebra.constants:
+        for j, d in by_tail.get((k, l), ()):
+            form[i][j] += c * d
     return form
 
 
 def center(algebra: LieAlgebra) -> Ideal:
-    """Solution space of ad(x) = 0."""
-    n = algebra.dim
-    conditions = []
-    for j in range(n):
-        for k in range(n):
-            conditions.append([algebra.table[i][j][k] for i in range(n)])
-    space = Subspace.from_vectors(n, kernel_basis(conditions))
-    return Ideal(algebra, space, "center")
+    """The centralizer of the whole algebra."""
+    return Ideal(algebra, centralizer_in(algebra, Subspace.full(algebra.dim)), "center")
 
 
 def centralizer_in(algebra: LieAlgebra, sub: Subspace) -> Subspace:
@@ -207,8 +194,8 @@ def centralizer_in(algebra: LieAlgebra, sub: Subspace) -> Subspace:
         return sub
     conditions = []
     for y in sub.basis:
-        for k in range(algebra.dim):
-            conditions.append([algebra.bracket(b, y)[k] for b in sub.basis])
+        images = [algebra.bracket(b, y) for b in sub.basis]
+        conditions += [[image[k] for image in images] for k in range(algebra.dim)]
     vectors = []
     for combo in kernel_basis(conditions):
         x = [sum((combo[i] * sub.basis[i][j] for i in range(sub.dim)), Fraction(0))

@@ -198,6 +198,18 @@ def test_cli_estimate_auto_resolution():
     assert payload["resolution"] > 4 / 0.05
 
 
+def test_cli_commands_read_the_document_tolerance(tmp_path):
+    # no root certification reaches 1e-300, so every command that computes
+    # the entropy aborts once it reads the document's tolerance
+    document = dict(get_entry("cat-map").document, options={"tol": 1e-300})
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(document))
+    for command in ("entropy", "analyze", "estimate"):
+        result = run_cli(command, "--input", str(path))
+        assert result.returncode == 2, command
+        assert "pipeline abort" in result.stderr
+
+
 def test_cli_estimate_trivial_torus_rejected():
     result = run_cli("estimate", "--catalog", "plane-doubling")
     assert result.returncode == 1

@@ -142,6 +142,11 @@ def test_eventual_image_examples():
     assert eventual_image(plane, inv) == Subspace.full(2)
     nil = validate_endomorphism(plane, [[0, 1], [0, 0]])
     assert eventual_image(plane, nil).dim == 0
+    # J_3(0) + (2): the image shrinks for three steps before it stabilizes
+    space = abelian_group(4, [])
+    jordan = validate_endomorphism(
+        space, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 2]])
+    assert eventual_image(space, jordan) == Subspace.from_vectors(4, [(0, 0, 0, 1)])
 
 
 def test_eventual_image_stabilizes():
@@ -460,20 +465,28 @@ def test_analyze_runs_each_stage_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(lieentropy.groups, name, counted)
-    # nilradical: calls to the toral-order check's nilradical; log_mahler and
+    # counted over validation and analysis.  nilradical: calls for the
+    # conjugation certificate and the toral-order check; log_mahler and
     # char_poly: calls for the eigenvalue-sum bound
     expected = {
         "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
         "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
         "torus2-squaring": {"nilradical": 0, "log_mahler": 0, "char_poly": 0},
         "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
+        "e2-shifted": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
     }
-    for entry_name, counts in expected.items():
-        group, derivative = build_group(get_entry(entry_name).input_document())
-        endo = validate_endomorphism(group, derivative)
+    cases = {name: build_group(get_entry(name).input_document())
+             for name in expected if name != "e2-shifted"}
+    # d(H) = H + X + 3Y leaves the lattice span, so validation certifies a
+    # conjugation through the nilradical, which the toral-order check reuses
+    cases["e2-shifted"] = (e2_group(), [[1, 0, 0], [1, 2, -1], [3, 1, 2]])
+    for case, counts in expected.items():
+        group, derivative = cases[case]
         calls.clear()
+        endo = validate_endomorphism(group, derivative)
         report = analyze(group, endo, TOL)
         assert report.li_yorke is not None
-        assert calls["eventual_image"] == 1, entry_name
+        assert calls["eventual_image"] == 1, case
         for name, count in counts.items():
-            assert calls[name] == count, (entry_name, name)
+            assert calls[name] == count, (case, name)
+    assert report.toral_order is not None  # e2-shifted ran both consumers

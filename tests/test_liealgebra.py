@@ -6,7 +6,7 @@ import pytest
 
 import lieentropy.liealgebra
 from lieentropy.errors import DomainError, InvariantViolationError
-from lieentropy.exactlinalg import Subspace, identity_matrix, mat_mul
+from lieentropy.exactlinalg import Subspace, identity_matrix, kernel_basis, mat_mul
 from lieentropy.liealgebra import (
     LieAlgebra,
     bracket_span,
@@ -134,6 +134,22 @@ def test_centralizer_requires_subalgebra():
         centralizer_in(sl2(), Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)]))
 
 
+def test_centralizer_computes_each_bracket_once(monkeypatch):
+    a = sl2_plus_line()
+    full = Subspace.full(a.dim)
+    calls = []
+    original = LieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    assert centralizer_in(a, full) == Subspace.from_vectors(4, [(0, 0, 0, 1)])
+    # dim(sub)^2 brackets for the closure check and as many for the conditions
+    assert len(calls) <= 2 * full.dim ** 2
+
+
 def test_center_equals_centralizer_of_whole():
     for make in CATALOG:
         a = make()
@@ -242,16 +258,16 @@ def test_quotient_examples():
     a = e2()
     quotient, projection = quotient_algebra(a, nilradical(a))
     assert quotient.dim == 1
-    assert all(x == 0 for x in quotient.table[0][0])
+    assert quotient.constants == ()
     assert projection == [[F(1), F(0), F(0)]]
 
     h = heisenberg()
     quotient, _ = quotient_algebra(h, center(h))
     assert quotient.dim == 2
-    assert all(x == 0 for i in range(2) for j in range(2) for x in quotient.table[i][j])
+    assert quotient.constants == ()
 
     same, proj = quotient_algebra(a, Subspace.from_vectors(3, []))
-    assert same.table == a.table
+    assert same.constants == a.constants
     assert proj == identity_matrix(3)
 
 
@@ -278,3 +294,103 @@ def test_random_brackets_obey_ideal_property():
         rad = solvable_radical(a)
         nil = nilradical(a)
         assert is_ideal(a, rad.space) and is_ideal(a, nil.space)
+
+
+# --- sparse constants against the dense table -------------------------------
+
+def dense_table(dim, brackets):
+    """table[i][j][k] = coefficient of e_k in [e_i, e_j], by the rule of
+    from_brackets: repeated triples add up, and the antisymmetric mirror is
+    filled in unless given explicitly."""
+    explicit = {}
+    for i, j, k, value in brackets:
+        explicit[(i, j, k)] = explicit.get((i, j, k), F(0)) + F(value)
+    table = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), value in explicit.items():
+        table[i][j][k] = value
+        if (j, i, k) not in explicit:
+            table[j][i][k] = -value
+    return table
+
+
+def dense_bracket(table, x, y):
+    n = len(table)
+    return tuple(sum((x[i] * y[j] * table[i][j][k] for i in range(n) for j in range(n)), F(0))
+                 for k in range(n))
+
+
+def dense_adjoint(table, x):
+    n = len(table)
+    return [[sum((x[i] * table[i][j][k] for i in range(n)), F(0)) for j in range(n)]
+            for k in range(n)]
+
+
+def dense_violations(table, names):
+    """Every antisymmetry pair, then every Jacobi triple, in index order."""
+    n = len(table)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            if any(a != -b for a, b in zip(table[i][j], table[j][i])):
+                out.append(("antisymmetry", (names[i], names[j]),
+                            f"[{names[i]},{names[j]}] != -[{names[j]},{names[i]}]"))
+    for i, j, k in itertools.combinations(range(n), 3):
+        # coordinate l of [[e_a,e_b],e_c], summed over the cyclic orders
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        total = [sum((table[a][b][m] * table[m][c][l] for a, b, c in cyclic for m in range(n)),
+                     F(0)) for l in range(n)]
+        if any(total):
+            out.append(("jacobi", (names[i], names[j], names[k]), "Jacobi identity fails"))
+    return tuple(out)
+
+
+def oracle_cases():
+    # the fixtures (as their own constants), seeded random sparse tables,
+    # and tampered ones: explicit mirrors, an explicit zero facing a nonzero
+    # mirror, duplicates that cancel, diagonal entries
+    cases = [(a.dim, a.constants) for a in (make() for make in CATALOG)]
+    cases += [
+        (3, [(0, 1, 2, 1), (1, 0, 2, -1)]),
+        (3, [(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 0, 1), (2, 0, 0, 1)]),
+        (3, [(0, 1, 2, 0), (1, 0, 2, 1)]),
+        (3, [(0, 1, 2, 1), (0, 1, 2, -1)]),
+        (3, [(0, 1, 2, 1), (0, 1, 2, -1), (1, 0, 2, 3), (0, 0, 1, 2)]),
+        (4, [(0, 1, 2, 1), (2, 3, 0, "1/2"), (3, 2, 0, "1/2"), (1, 1, 3, -1)]),
+    ]
+    rng = random.Random(7)
+    for _ in range(30):
+        dim = rng.randint(2, 6)
+        triples = [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim),
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                   for _ in range(rng.randint(0, 2 * dim))]
+        if rng.random() < 0.5:  # keep an antisymmetric, mirror-filled table
+            triples = [t for t in triples if t[0] < t[1]]
+        cases.append((dim, triples))
+    return cases
+
+
+def test_sparse_constants_match_dense_table():
+    rng = random.Random(3)
+    for dim, triples in oracle_cases():
+        a = LieAlgebra.from_brackets(dim, triples)
+        table = dense_table(dim, triples)
+        assert a.constants == tuple(
+            (i, j, k, table[i][j][k]) for i, j, k in itertools.product(range(dim), repeat=3)
+            if table[i][j][k] != 0)
+        for _ in range(4):
+            x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+            y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+            assert a.bracket(x, y) == dense_bracket(table, x, y)
+            assert a.adjoint_matrix(x) == dense_adjoint(table, x)
+        ads = [dense_adjoint(table, e) for e in identity_matrix(dim)]
+        assert killing_form(a) == [
+            [sum((row[k] for k, row in enumerate(mat_mul(ads[i], ads[j]))), F(0))
+             for j in range(dim)] for i in range(dim)]
+        # x is central when ad(x) = sum_i x_i ad(e_i) vanishes entry by entry
+        stacked = [[ads[i][k][j] for i in range(dim)] for k in range(dim) for j in range(dim)]
+        reference = Subspace.from_vectors(dim, kernel_basis(stacked))
+        assert centralizer_in(a, Subspace.full(dim)) == reference
+        assert validate_algebra(a).violations == dense_violations(table, a.basis_names)
+        if all(table[i][j][k] == -table[j][i][k]
+               for i, j, k in itertools.product(range(dim), repeat=3)):
+            assert center(a).space == reference
