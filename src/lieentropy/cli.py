@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog as catalog_mod
@@ -186,6 +187,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 < args.tol < math.inf:
+            parser.error(f"argument --tol: must be finite and positive, got {args.tol!r}")
         handler = {
             "validate": _cmd_validate,
             "entropy": _cmd_entropy,

@@ -2,8 +2,11 @@
 
 Everything in this module is computed over arbitrary-precision rationals
 (`fractions.Fraction`) or integers; no floating point ever enters.  Matrices
-are lists of row lists, vectors are sequences of Fractions or ints.  The two
-canonical containers are:
+are lists of row lists, vectors are sequences of Fractions or ints.  The
+elimination kernels (`rref`, `det`, `char_poly`) clear denominators once and
+then run fraction-free over Z: Bareiss elimination (Math. Comp. 22 (1968))
+and Berkowitz's division-free recurrence (IPL 18 (1984)), so no gcd is taken
+until the rational result is formed.  The two canonical containers are:
 
 * `Subspace` - a rational subspace stored in reduced row echelon form, so
   two subspaces are equal iff their stored entries are equal.
@@ -81,30 +84,63 @@ def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
 
 
+def _integer_rows(mat: Mat) -> tuple[list[list[int]], int]:
+    """Each row times the lcm s_i of its denominators, and the product of
+    the s_i: integer rows with the same row space."""
+    rows, scale = [], 1
+    for row in mat:
+        s = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    return rows, scale
+
+
+def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    With pivot p in row r and previous pivot prev, every other row becomes
+    (p*row - a*row_r) // prev, an exact division (Bareiss): the entries stay
+    integer minors of the input.  Returns the pivot columns, the last pivot
+    and the sign of the row swaps.  The pivot rows come first, each with the
+    last pivot on its own pivot column and zeros on the others; for a square
+    matrix of full rank the last pivot is the determinant up to that sign.
+    """
+    pivots: list[int] = []
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, prev, sign
+
+
 def rref(rows) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The rows are scaled to integers and eliminated fraction-free
+    (`_bareiss`); dividing the pivot rows by the last pivot gives the RREF,
+    which is unique.
+    """
     mat = to_fraction_matrix(rows)
     if not mat:
         return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [row for row in mat[:r]], pivots
+    ints = [row for row in _integer_rows(mat)[0] if any(row)]
+    pivots, last, _ = _bareiss(ints, len(mat[0]))
+    return [[Fraction(x, last) for x in row] for row in ints[:len(pivots)]], pivots
 
 
 def rank(rows) -> int:
@@ -154,26 +190,18 @@ def solve(m, rhs) -> Vec | None:
 
 
 def det(m) -> Fraction:
+    """Determinant by Bareiss elimination over Z.
+
+    Row i is scaled by s_i to integers, giving B; the last pivot is det(B)
+    up to the sign of the row swaps, and det(m) = det(B) / prod s_i.
+    """
     mat = to_fraction_matrix(m)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionError("determinant needs a square matrix")
-    sign = Fraction(1)
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
-            sign = -sign
-        result *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return sign * result
+    ints, scale = _integer_rows(mat)
+    pivots, last, sign = _bareiss(ints, n)
+    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,27 +210,35 @@ def det(m) -> Fraction:
 def char_poly(m) -> list:
     """Monic characteristic polynomial det(tI - m), ascending coefficients.
 
-    Computed by the Faddeev-LeVerrier recurrence, which stays in exact
-    rational arithmetic.  Integer output coefficients are returned as ints.
+    Denominators are cleared once, m = B/s with B integral.  Berkowitz's
+    division-free recurrence gives det(tI - B) over Z: with B_k the leading
+    k x k block, B_{k+1} = [[B_k, col], [row, a]], the coefficients of
+    det(tI - B_{k+1}) are those of det(tI - B_k) convolved with the column
+    1, -a, -row.col, -row.B_k.col, ..., -row.B_k^(k-1).col.  The coefficient
+    of t^k for m is then c_k(B) / s^(n-k).  Integer output coefficients are
+    returned as ints.
     """
     mat = to_fraction_matrix(m)
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise DimensionError("characteristic polynomial needs a square matrix")
-    if n == 0:
-        return [1]
-    coeffs = [Fraction(1)]  # descending: t^n, t^{n-1}, ...
-    mk = [row[:] for row in mat]
-    for k in range(1, n + 1):
-        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
-        coeffs.append(ck)
-        if k < n:
-            shifted = [
-                [mk[i][j] + (ck if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            mk = mat_mul(mat, shifted)
-    ascending = list(reversed(coeffs))
+    s = lcm(*(x.denominator for row in mat for x in row))
+    b = [[x.numerator * (s // x.denominator) for x in row] for row in mat]
+    poly = [1]  # descending coefficients of det(tI - B_k)
+    for k in range(n):
+        block = [row[:k] for row in b[:k]]
+        row = b[k][:k]
+        col = [b[i][k] for i in range(k)]
+        toeplitz = [1, -b[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(r, col)) for r in block]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
+                for i in range(k + 2)]
+    ascending = poly[::-1]
+    if s == 1:
+        return ascending
+    ascending = [Fraction(c, s ** (n - k)) for k, c in enumerate(ascending)]
     if all(c.denominator == 1 for c in ascending):
         return [int(c) for c in ascending]
     return ascending
@@ -212,7 +248,8 @@ def min_poly(m) -> list:
     """Monic minimal polynomial, ascending coefficients (ints when integral).
 
     Found as the first linear dependence among I, m, m^2, ... (Krylov on the
-    flattened powers), so it divides char_poly(m) by construction.
+    flattened powers), so it divides char_poly(m) by construction.  The
+    sequence starts at m itself, so a zero matrix costs no product.
     """
     mat = to_fraction_matrix(m)
     n = len(mat)
@@ -231,7 +268,7 @@ def min_poly(m) -> list:
             if all(c.denominator == 1 for c in ascending):
                 return [int(c) for c in ascending]
             return ascending
-        power = mat_mul(power, mat)
+        power = mat if d == 0 else mat_mul(power, mat)
     raise AssertionError("Cayley-Hamilton violated; unreachable")
 
 

@@ -11,6 +11,7 @@ reproducible from itself.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,8 +144,8 @@ def document_from_dict(raw) -> InputDocument:
     _require_keys(options, {"tol", "mode"}, set(), "options")
     if "tol" in options:
         tol = options["tol"]
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-            raise InputError("tol must be a positive number", "options.tol")
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
+            raise InputError("tol must be a finite positive number", "options.tol")
     if "mode" in options and options["mode"] not in {"validate", "entropy", "analyze", "estimate"}:
         raise InputError("mode must be one of validate/entropy/analyze/estimate", "options.mode")
 

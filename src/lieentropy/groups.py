@@ -267,12 +267,18 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
     n = group.algebra.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise DimensionError(f"derivative must be {n}x{n}")
-    basis = [group.algebra.basis_vector(i) for i in range(n)]
+    columns = transpose(d)  # column i is d(e_i)
+    terms: dict[tuple[int, int], list] = {}
+    for i, j, k, c in group.algebra.constants:
+        terms.setdefault((i, j), []).append((k, c))
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = mat_vec(d, group.algebra.bracket(basis[i], basis[j]))
-            rhs = group.algebra.bracket(mat_vec(d, basis[i]), mat_vec(d, basis[j]))
-            if lhs != rhs:
+            # d[e_i, e_j] = sum_k c_ij^k d(e_k), read off the nonzero constants
+            lhs = [Fraction(0)] * n
+            for k, c in terms.get((i, j), ()):
+                lhs = [x + c * y for x, y in zip(lhs, columns[k])]
+            rhs = group.algebra.bracket(columns[i], columns[j])
+            if tuple(lhs) != rhs:
                 raise ValidationError(
                     "not a Lie algebra endomorphism: bracket compatibility fails at "
                     f"({group.algebra.basis_names[i]}, {group.algebra.basis_names[j]})"

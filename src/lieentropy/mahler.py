@@ -6,8 +6,9 @@ and both are detected symbolically: powers of t are stripped exactly and
 every cyclotomic factor is removed by trial division before any floating
 point enters.  Only the strictly expanding/contracting moduli of the
 remaining factor are bounded numerically, by a simultaneous root iteration
-whose output is certified with Weierstrass-correction disks evaluated in
-exact rational arithmetic.
+whose output is certified with Weierstrass-correction disks.  Their
+numerators are exact: a float approximation z is the dyadic point
+(x + iy)/2^e, so p(z) is evaluated by integer Horner scaled by 2^(e*deg p).
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -244,20 +245,30 @@ def noncyclotomic_part(p):
 # ---------------------------------------------------------------------------
 # certified root moduli
 
-def _exact_abs_upper(coeffs, z: complex) -> float:
-    """Upper bound on |p(z)| with p evaluated in exact rational arithmetic.
+_SQUARE_LIMIT = 10**600  # |p(z)|^2 at or above this counts as infinite
 
-    The float z is converted to an exact rational point, so the only slack is
-    the final square root, inflated by one part in 1e12.
+
+def _exact_abs_upper(coeffs, z: complex) -> float:
+    """Upper bound on |p(z)| with p evaluated exactly.
+
+    The float z is exactly (x + iy)/D with integers x, y and D a power of
+    two, so integer Horner gives D^n p(z), n = deg p, and |p(z)|^2 is the
+    exact rational (re^2 + im^2)/D^(2n).  The only slack is the final square
+    root, inflated by one part in 1e12.
     """
-    zr, zi = Fraction(z.real), Fraction(z.imag)
-    re, im = Fraction(0), Fraction(0)
+    x, dx = z.real.as_integer_ratio()
+    y, dy = z.imag.as_integer_ratio()
+    denom = max(dx, dy)  # both are powers of two
+    x, y = x * (denom // dx), y * (denom // dy)
+    re, im, scale = 0, 0, 1
     for a in reversed(coeffs):
-        re, im = re * zr - im * zi + a, re * zi + im * zr
+        re, im = re * x - im * y + a * scale, re * y + im * x
+        scale *= denom
     sq = re * re + im * im
     if sq == 0:
         return 0.0
-    val = math.sqrt(float(sq)) if sq < Fraction(10) ** 600 else float("inf")
+    den = (scale // denom) ** 2
+    val = math.sqrt(sq / den) if sq < _SQUARE_LIMIT * den else float("inf")
     return val * (1.0 + 1e-12)
 
 
@@ -380,8 +391,8 @@ def log_mahler(p, tol: float = DEFAULT_TOL) -> EntropyValue:
         raise DomainError("log-Mahler sum of the zero polynomial")
     if any(Fraction(a).denominator != 1 for a in p):
         raise DomainError("log-Mahler sum needs integer coefficients")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError("tolerance must be finite and positive")
     certificate = tuple(int(a) for a in p)
 
     rest = noncyclotomic_part(certificate)

@@ -210,6 +210,22 @@ def test_cli_commands_read_the_document_tolerance(tmp_path):
         assert "pipeline abort" in result.stderr
 
 
+def test_cli_rejects_non_finite_tolerances(tmp_path):
+    for value in ("nan", "inf"):
+        result = run_cli("entropy", "--catalog", "cat-map", "--tol", value)
+        assert result.returncode == 1, value
+        assert result.stdout == "" and "--tol" in result.stderr
+    result = run_cli("catalog", "--run-all", "--tol", "nan")
+    assert result.returncode == 1
+    assert "passed" not in result.stdout
+    for value in (float("nan"), float("inf")):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(dict(get_entry("cat-map").document, options={"tol": value})))
+        result = run_cli("entropy", "--input", str(path))
+        assert result.returncode == 1, value
+        assert "options.tol" in result.stderr
+
+
 def test_cli_estimate_trivial_torus_rejected():
     result = run_cli("estimate", "--catalog", "plane-doubling")
     assert result.returncode == 1

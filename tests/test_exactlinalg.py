@@ -210,3 +210,131 @@ def test_companion_matrix_has_right_char_poly():
     poly = [2, -3, 0, 1]  # t^3 - 3t + 2
     comp = companion_matrix(poly)
     assert char_poly(comp) == poly
+
+
+# --- fraction-free kernels against the Fraction references ---------------
+
+def _rref_reference(rows):
+    """Gauss-Jordan over Fraction, row by row."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots, r = [], 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _det_reference(m):
+    """Gaussian elimination over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in m]
+    n, sign, result = len(mat), 1, Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            mat[c], mat[pivot_row] = mat[pivot_row], mat[c]
+            sign = -sign
+        result *= mat[c][c]
+        for i in range(c + 1, n):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return sign * result
+
+
+def _char_poly_reference(m):
+    """Faddeev-LeVerrier over Fraction; ints when every coefficient is integral."""
+    mat = [[Fraction(x) for x in row] for row in m]
+    n = len(mat)
+    coeffs = [Fraction(1)]  # descending
+    mk = [row[:] for row in mat]
+    for k in range(1, n + 1):
+        ck = -sum((mk[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs.append(ck)
+        shifted = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        mk = mat_mul(mat, shifted)
+    ascending = coeffs[::-1]
+    if all(c.denominator == 1 for c in ascending):
+        return [int(c) for c in ascending]
+    return ascending
+
+
+def _oracle_matrices():
+    """Seeded rational matrices of every shape 0-8 x 0-8: sparse, with a zero
+    row, with a repeated (scaled) row, and of lower rank (a product through
+    a narrower inner dimension)."""
+    rng = random.Random(2024)
+
+    def entry():
+        if rng.random() < 0.35:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7)))
+
+    for r in range(9):
+        for c in range(9):
+            for kind in range(4):
+                m = [[entry() for _ in range(c)] for _ in range(r)]
+                if kind == 1 and r:
+                    m[rng.randrange(r)] = [Fraction(0)] * c
+                elif kind == 2 and r > 1:
+                    m[rng.randrange(1, r)] = [Fraction(rng.randint(-3, 3), 2) * x for x in m[0]]
+                elif kind == 3 and r and c:
+                    k = rng.randint(0, min(r, c) - 1)
+                    left = [[entry() for _ in range(k)] for _ in range(r)]
+                    right = [[entry() for _ in range(c)] for _ in range(k)]
+                    m = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+                          for j in range(c)] for i in range(r)]
+                yield m
+
+
+def test_fraction_free_kernels_match_fraction_references():
+    for m in _oracle_matrices():
+        red, pivots = rref(m)
+        assert (red, pivots) == _rref_reference(m), m
+        assert all(type(x) is Fraction for row in red for x in row)
+        if len(m) == (len(m[0]) if m else 0):
+            value = det(m)
+            assert type(value) is Fraction and value == _det_reference(m), m
+            poly, reference = char_poly(m), _char_poly_reference(m)
+            assert poly == reference, m
+            assert [type(c) for c in poly] == [type(c) for c in reference], m
+
+
+def test_char_poly_integer_matrices_match_reference():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 9, 12):
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        poly = char_poly(m)
+        assert poly == _char_poly_reference(m)
+        assert all(type(c) is int for c in poly)
+
+
+def test_min_poly_starts_the_krylov_sequence_at_m(monkeypatch):
+    import lieentropy.exactlinalg as exactlinalg
+
+    calls = []
+    original = exactlinalg.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(exactlinalg, "mat_mul", counted)
+    assert exactlinalg.min_poly([[0] * 12 for _ in range(12)]) == [0, 1]
+    assert len(calls) == 0
+    assert exactlinalg.min_poly([[1, 1], [0, 1]]) == [1, -2, 1]
+    assert len(calls) == 1

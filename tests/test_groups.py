@@ -11,7 +11,7 @@ from lieentropy.errors import (
     InvariantViolationError,
     ValidationError,
 )
-from lieentropy.exactlinalg import Subspace
+from lieentropy.exactlinalg import Subspace, mat_vec
 from lieentropy.formats import build_group
 from lieentropy.liealgebra import LieAlgebra, centralizer_in, nilradical, solvable_radical
 from lieentropy.groups import (
@@ -123,6 +123,71 @@ def test_validate_endomorphism_examples():
 def test_validate_endomorphism_bracket_compat():
     with pytest.raises(ValidationError, match="bracket compatibility"):
         validate_endomorphism(e2_group(), [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _first_bracket_failure(algebra, d):
+    """Reference check: d[e_i, e_j] against [d e_i, d e_j] with d applied to
+    every basis vector; the first failing pair in (i, j) order, or None."""
+    n = algebra.dim
+    basis = [algebra.basis_vector(i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = mat_vec(d, algebra.bracket(basis[i], basis[j]))
+            if lhs != algebra.bracket(mat_vec(d, basis[i]), mat_vec(d, basis[j])):
+                names = algebra.basis_names
+                return f"at ({names[i]}, {names[j]})"
+    return None
+
+
+def test_bracket_check_reports_the_reference_first_failing_pair():
+    rng = random.Random(31)
+    algebras = [
+        e2_algebra(),
+        LieAlgebra.from_brackets(3, [(0, 1, 2, 1)], ["X", "Y", "Z"]),
+        LieAlgebra.from_brackets(4, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)]),
+        # inconsistent on purpose: the mirror of (0, 1) is given explicitly
+        LieAlgebra.from_brackets(3, [(0, 1, 2, 1), (1, 0, 2, 1), (1, 2, 0, F("1/2"))]),
+        LieAlgebra.abelian(5),
+    ]
+    checked = Counter()
+    for algebra in algebras:
+        n = algebra.dim
+        candidates = [[[F(0)] * n for _ in range(n)],
+                      [[F(int(i == j)) for j in range(n)] for i in range(n)]]
+        for _ in range(40):
+            candidates.append([[Fraction(rng.choice((-1, 0, 0, 1, 2)), rng.choice((1, 2)))
+                                for _ in range(n)] for _ in range(n)])
+        group = PresentedGroup.build(algebra, [])
+        for d in candidates:
+            expected = _first_bracket_failure(algebra, d)
+            try:
+                validate_endomorphism(group, d)
+                found = None
+            except ValidationError as exc:
+                assert str(exc).startswith("not a Lie algebra endomorphism: bracket "
+                                           "compatibility fails ")
+                found = str(exc)[str(exc).index("at ("):]
+            assert found == expected, (algebra.constants, d)
+            checked[found is None] += 1
+    assert checked[True] >= 10 and checked[False] >= 10
+
+
+def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
+    # the first n = 12 torus of the seed-1 torus-entropy benchmark workload
+    rng = random.Random("torus-entropy/1")
+    matrix = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+    group = abelian_group(12, [[int(i == j) for j in range(12)] for i in range(12)])
+    calls = []
+    original = lieentropy.groups.mat_vec
+
+    def counted(m, v):
+        calls.append(1)
+        return original(m, v)
+
+    monkeypatch.setattr(lieentropy.groups, "mat_vec", counted)
+    endo = validate_endomorphism(group, matrix)
+    assert endo.lattice_action == tuple(tuple(row) for row in matrix)
+    assert len(calls) <= 12  # one per lattice generator
 
 
 def test_endomorphism_respects_brackets_for_valid_family():

@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from lieentropy.errors import DomainError
 from lieentropy.exactlinalg import char_poly
 from lieentropy.mahler import (
+    _exact_abs_upper,
     cyclotomic,
     cyclotomic_part,
     euler_phi,
@@ -179,3 +181,46 @@ def test_log_mahler_overflow_aborts_as_arithmetic_error():
     for p in ([1, 0, 10**160, 0, 0, 1], [1, 10**20] + [0] * 29 + [1]):
         with pytest.raises(ArithmeticError, match="failed to converge"):
             log_mahler(p)
+
+
+def test_log_mahler_rejects_non_finite_tolerance():
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            log_mahler([1, -3, 1], tol=tol)
+
+
+def _exact_abs_upper_reference(coeffs, z):
+    """|p(z)| bound by Horner over Fraction at the rational point z."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(0), Fraction(0)
+    for a in reversed(coeffs):
+        re, im = re * zr - im * zi + a, re * zi + im * zr
+    sq = re * re + im * im
+    if sq == 0:
+        return 0.0
+    val = math.sqrt(float(sq)) if sq < Fraction(10) ** 600 else float("inf")
+    return val * (1.0 + 1e-12)
+
+
+def test_exact_abs_upper_matches_fraction_horner():
+    rng = random.Random(600)
+    points = [0j, 1 + 0j, -1 + 0j, 2.5 + 0j, 1e-300 + 0j, 1e-300j, -1e-300 - 1e-300j,
+              1e150 + 1e150j, -1e150 + 0.75j, 0.1 + 1e-17j, -2.5e-200 + 3e10j,
+              complex(5e-324, -1.5), 1.5 - 0.25j, -0.5 - 3j]
+    for _ in range(40):
+        def part():
+            return rng.choice((0.0, rng.uniform(-4, 4) * 10.0 ** rng.randint(-300, 150)))
+        points.append(complex(part(), part()))
+    polys = [[1, -3, 1], [-2, 40, -200] + [0] * 13 + [1], [1, 0, 10**160, 0, 0, 1],
+             [7], [0, 0, 1], [3, 0, 0, -7, 2]]
+    polys += [[rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 21))]
+              for _ in range(6)]
+    for p in polys:
+        for z in points:
+            try:
+                expected = _exact_abs_upper_reference(p, z)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _exact_abs_upper(p, z)
+                continue
+            assert _exact_abs_upper(p, z) == expected, (p, z)
