@@ -47,7 +47,7 @@ def _build_parser() -> _Parser:
                      description="topological entropy of Lie group endomorphisms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p, need_input=True):
+    def add_source(p):
         p.add_argument("--input", metavar="PATH", help="input JSON document")
         p.add_argument("--catalog", metavar="NAME", help="built-in catalog entry name")
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,

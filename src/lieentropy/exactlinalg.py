@@ -2,7 +2,13 @@
 
 Everything in this module is computed over arbitrary-precision rationals
 (`fractions.Fraction`) or integers; no floating point ever enters.  Matrices
-are lists of row lists, vectors are sequences of Fractions or ints.  The
+are sequences of row sequences, vectors are sequences.  The number rule:
+every entry is an `int` or a `Fraction`, made exact once where outside data
+enters the program; nothing here converts or copies entries on the way in.
+The kernels and the `Subspace` and `Lattice` constructors give an int entry
+the same result, of the same type, as the equal Fraction.
+Products of matrices and vectors, row combinations included
+(`mat_vec(transpose(rows), c)`), go through `mat_vec` and `mat_mul`.  The
 elimination kernels (`rref`, `det`, `char_poly`) clear denominators once and
 then run fraction-free over Z: Bareiss elimination (Math. Comp. 22 (1968))
 and Berkowitz's division-free recurrence (IPL 18 (1984)), so no gcd is taken
@@ -29,21 +35,6 @@ Mat = list[list[Fraction]]
 
 # ---------------------------------------------------------------------------
 # vectors and matrices
-
-def to_fraction_vector(entries) -> Vec:
-    return tuple(Fraction(x) for x in entries)
-
-
-def to_fraction_matrix(rows) -> Mat:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if mat and any(len(row) != len(mat[0]) for row in mat):
-        raise DimensionError("ragged matrix rows")
-    return mat
-
-
-def zero_vector(n) -> Vec:
-    return tuple([Fraction(0)] * n)
-
 
 def identity_matrix(n) -> Mat:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -135,11 +126,12 @@ def rref(rows) -> tuple[Mat, list[int]]:
     (`_bareiss`); dividing the pivot rows by the last pivot gives the RREF,
     which is unique.
     """
-    mat = to_fraction_matrix(rows)
-    if not mat:
+    if not rows:
         return [], []
-    ints = [row for row in _integer_rows(mat)[0] if any(row)]
-    pivots, last, _ = _bareiss(ints, len(mat[0]))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionError("ragged matrix rows")
+    ints = [row for row in _integer_rows(rows)[0] if any(row)]
+    pivots, last, _ = _bareiss(ints, len(rows[0]))
     return [[Fraction(x, last) for x in row] for row in ints[:len(pivots)]], pivots
 
 
@@ -149,11 +141,10 @@ def rank(rows) -> int:
 
 def kernel_basis(m) -> list[Vec]:
     """Basis of {x : m x = 0} over Q, from the reduced echelon form of m."""
-    mat = to_fraction_matrix(m)
-    if not mat:
+    if not m:
         return []
-    ncols = len(mat[0])
-    red, pivots = rref(mat)
+    ncols = len(m[0])
+    red, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -171,12 +162,10 @@ def solve(m, rhs) -> Vec | None:
     When the kernel is nontrivial an arbitrary representative is returned;
     callers needing uniqueness should check rank first.
     """
-    mat = to_fraction_matrix(m)
-    b = to_fraction_vector(rhs)
-    if len(mat) != len(b):
+    if len(m) != len(rhs):
         raise DimensionError("right-hand side length mismatch")
-    ncols = len(mat[0]) if mat else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(mat)]
+    ncols = len(m[0]) if m else 0
+    aug = [[*row, b] for row, b in zip(m, rhs)]
     red, pivots = rref(aug)
     for row in red:
         if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
@@ -195,11 +184,10 @@ def det(m) -> Fraction:
     Row i is scaled by s_i to integers, giving B; the last pivot is det(B)
     up to the sign of the row swaps, and det(m) = det(B) / prod s_i.
     """
-    mat = to_fraction_matrix(m)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionError("determinant needs a square matrix")
-    ints, scale = _integer_rows(mat)
+    ints, scale = _integer_rows(m)
     pivots, last, sign = _bareiss(ints, n)
     return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
 
@@ -218,12 +206,11 @@ def char_poly(m) -> list:
     of t^k for m is then c_k(B) / s^(n-k).  Integer output coefficients are
     returned as ints.
     """
-    mat = to_fraction_matrix(m)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionError("characteristic polynomial needs a square matrix")
-    s = lcm(*(x.denominator for row in mat for x in row))
-    b = [[x.numerator * (s // x.denominator) for x in row] for row in mat]
+    s = lcm(*(x.denominator for row in m for x in row))
+    b = [[x.numerator * (s // x.denominator) for x in row] for row in m]
     poly = [1]  # descending coefficients of det(tI - B_k)
     for k in range(n):
         block = [row[:k] for row in b[:k]]
@@ -251,9 +238,8 @@ def min_poly(m) -> list:
     flattened powers), so it divides char_poly(m) by construction.  The
     sequence starts at m itself, so a zero matrix costs no product.
     """
-    mat = to_fraction_matrix(m)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise DimensionError("minimal polynomial needs a square matrix")
     if n == 0:
         return [1]
@@ -268,7 +254,7 @@ def min_poly(m) -> list:
             if all(c.denominator == 1 for c in ascending):
                 return [int(c) for c in ascending]
             return ascending
-        power = mat if d == 0 else mat_mul(power, mat)
+        power = m if d == 0 else mat_mul(power, m)
     raise AssertionError("Cayley-Hamilton violated; unreachable")
 
 
@@ -300,7 +286,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vectors = [to_fraction_vector(v) for v in vectors]
+        vectors = list(vectors)
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionError("subspace vector has wrong length")
@@ -316,7 +302,6 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v) -> bool:
-        v = to_fraction_vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionError("vector has wrong length")
         residue = self.reduce(v)
@@ -324,7 +309,7 @@ class Subspace:
 
     def reduce(self, v) -> Vec:
         """Residue of v after eliminating the pivot coordinates of the basis."""
-        v = list(to_fraction_vector(v))
+        v = list(v)
         for row in self.basis:
             p = next(i for i, x in enumerate(row) if x != 0)
             if v[p] != 0:
@@ -340,12 +325,9 @@ class Subspace:
         # x = sum u_i a_i = sum w_j b_j; solve the stacked kernel, keep the u part.
         stacked = [list(row) for row in self.basis]
         stacked += [[-x for x in row] for row in other.basis]
-        vectors = []
-        for combo in kernel_basis(transpose(stacked)):
-            u = combo[: self.dim]
-            x = [sum((u[i] * self.basis[i][j] for i in range(self.dim)), Fraction(0))
-                 for j in range(self.ambient_dim)]
-            vectors.append(x)
+        columns = transpose(list(self.basis))
+        vectors = [mat_vec(columns, combo[: self.dim])
+                   for combo in kernel_basis(transpose(stacked))]
         return Subspace.from_vectors(self.ambient_dim, vectors)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -421,7 +403,7 @@ class Lattice:
 
     @staticmethod
     def from_generators(ambient_dim: int, generators) -> "Lattice":
-        gens = [to_fraction_vector(g) for g in generators]
+        gens = list(generators)
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionError("lattice generator has wrong length")
@@ -450,19 +432,15 @@ class Lattice:
 
     def integer_coordinates(self, v) -> tuple[int, ...] | None:
         """Coordinates of v in the basis when v lies in the lattice."""
-        v = to_fraction_vector(v)
         if len(v) != self.ambient_dim:
             raise DimensionError("vector has wrong length")
         if not self.basis:
             return tuple() if all(x == 0 for x in v) else None
-        coords = solve(transpose(list(self.basis)), v)
+        columns = transpose(list(self.basis))
+        coords = solve(columns, v)
         if coords is None or any(c.denominator != 1 for c in coords):
             return None
-        residual = [
-            v[j] - sum((coords[i] * self.basis[i][j] for i in range(self.rank)), Fraction(0))
-            for j in range(self.ambient_dim)
-        ]
-        if any(x != 0 for x in residual):
+        if any(x != y for x, y in zip(mat_vec(columns, coords), v)):
             return None
         return tuple(int(c) for c in coords)
 
@@ -486,10 +464,6 @@ def lattice_intersect_subspace(lattice: Lattice, subspace: Subspace) -> Lattice:
     # condition matrix rows: one per generator, columns per ambient coordinate
     scale = lcm(*[x.denominator for row in residues for x in row] or [1])
     int_rows = [[int(x * scale) for x in row] for row in residues]
-    kernel = _int_left_kernel(int_rows)
-    vectors = []
-    for combo in kernel:
-        v = [sum((combo[i] * lattice.basis[i][j] for i in range(lattice.rank)), Fraction(0))
-             for j in range(n)]
-        vectors.append(v)
+    columns = transpose(list(lattice.basis))
+    vectors = [mat_vec(columns, combo) for combo in _int_left_kernel(int_rows)]
     return Lattice.from_generators(n, vectors)

@@ -141,13 +141,11 @@ def document_from_dict(raw) -> InputDocument:
     options = raw.get("options", {})
     if not isinstance(options, dict):
         raise InputError("options must be an object", "options")
-    _require_keys(options, {"tol", "mode"}, set(), "options")
+    _require_keys(options, {"tol"}, set(), "options")
     if "tol" in options:
         tol = options["tol"]
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < math.inf:
             raise InputError("tol must be a finite positive number", "options.tol")
-    if "mode" in options and options["mode"] not in {"validate", "entropy", "analyze", "estimate"}:
-        raise InputError("mode must be one of validate/entropy/analyze/estimate", "options.mode")
 
     return InputDocument(
         name=name,
@@ -166,10 +164,6 @@ def build_group(document: InputDocument) -> tuple[PresentedGroup, list[list[Frac
     group = PresentedGroup.build(algebra, document.lattice, document.name)
     derivative = [list(row) for row in document.endomorphism]
     return group, derivative
-
-
-def document_to_dict(document: InputDocument) -> dict:
-    return document.raw
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +242,7 @@ def report_to_dict(report: AnalysisReport, document: InputDocument | None = None
     if report.toral_order is not None:
         out["toral_order"] = toral_order_to_dict(report.toral_order)
     if document is not None:
-        out["input"] = document_to_dict(document)
+        out["input"] = document.raw
     return out
 
 

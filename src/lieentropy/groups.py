@@ -39,13 +39,12 @@ from .exactlinalg import (
     char_poly,
     det,
     lattice_intersect_subspace,
+    mat_mul,
     mat_pow,
     mat_vec,
     min_poly,
     rank,
     solve,
-    to_fraction_matrix,
-    to_fraction_vector,
     transpose,
 )
 from .liealgebra import (
@@ -53,6 +52,7 @@ from .liealgebra import (
     center,
     centralizer_in,
     is_solvable,
+    is_subalgebra,
     nilradical,
     quotient_algebra,
     validate_algebra,
@@ -99,7 +99,7 @@ class PresentedGroup:
 
     @staticmethod
     def build(algebra: LieAlgebra, lattice_logs, name: str = "G") -> "PresentedGroup":
-        logs = tuple(to_fraction_vector(v) for v in lattice_logs)
+        logs = tuple(tuple(Fraction(x) for x in v) for v in lattice_logs)
         for v in logs:
             if len(v) != algebra.dim:
                 raise DimensionError("lattice log-generator has wrong length")
@@ -135,7 +135,7 @@ def _compact_spectrum_certificate(minimal) -> str | None:
     Such a minimal polynomial certifies that the adjoint is semisimple with
     spectrum in iZ, so the corresponding one-parameter group is bounded.
     """
-    p = [Fraction(c) for c in poly_trim(minimal)]
+    p = poly_trim(minimal)
     if not p:
         return "zero minimal polynomial"
     if p[0] == 0:
@@ -149,8 +149,7 @@ def _compact_spectrum_certificate(minimal) -> str | None:
     while len(nu) > 1:
         if m * m > abs(nu[0]):
             return "minimal polynomial has a factor other than t^2 + m^2"
-        divisor = [Fraction(m * m), Fraction(1)]
-        quot, rem = poly_divmod(nu, divisor)
+        quot, rem = poly_divmod(nu, [m * m, 1])
         if not rem:
             nu = quot
         m += 1
@@ -206,7 +205,7 @@ class GroupEndomorphism:
 
 def _exp_ad(algebra, u, v):
     """Finite exponential sum exp(ad u)(v) for ad-nilpotent u, exact."""
-    result = list(to_fraction_vector(v))
+    result = list(v)
     term = list(v)
     factorial = 1
     for k in range(1, algebra.dim + 1):
@@ -231,21 +230,18 @@ def _conjugate_correction(algebra, nil_space, v, target):
     nil_basis = [list(b) for b in nil_space.basis]
     if not nil_basis:
         return None
-    columns = [algebra.bracket(b, v) for b in nil_basis]
-    matrix = [[columns[j][i] for j in range(len(nil_basis))] for i in range(dim)]
+    matrix = transpose([algebra.bracket(b, v) for b in nil_basis])
+    nil_columns = transpose(nil_basis)
     u = [Fraction(0)] * dim
     for _ in range(dim + 1):
         current = _exp_ad(algebra, u, v)
-        residual = [t - c for t, c in zip(to_fraction_vector(target), current)]
+        residual = [t - c for t, c in zip(target, current)]
         if all(x == 0 for x in residual):
             return tuple(u)
         coeffs = solve(matrix, residual)
         if coeffs is None:
             return None
-        du = [
-            sum((coeffs[j] * nil_basis[j][i] for j in range(len(nil_basis))), Fraction(0))
-            for i in range(dim)
-        ]
+        du = mat_vec(nil_columns, coeffs)
         if all(x == 0 for x in du):
             return None
         u = [a + b for a, b in zip(u, du)]
@@ -263,7 +259,7 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
     and verified exactly, which makes exp of the image an inner conjugate
     of the central element exp(2 pi v_i) and hence again a lattice element.
     """
-    d = to_fraction_matrix(derivative)
+    d = [[Fraction(x) for x in row] for row in derivative]
     n = group.algebra.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise DimensionError(f"derivative must be {n}x{n}")
@@ -283,30 +279,23 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
                     "not a Lie algebra endomorphism: bracket compatibility fails at "
                     f"({group.algebra.basis_names[i]}, {group.algebra.basis_names[j]})"
                 )
-    logs = group.lattice_logs
-    if logs:
-        log_columns = transpose([list(v) for v in logs])
-        action_columns = []
-        for i, w in enumerate(logs):
-            image = mat_vec(d, w)
-            coords = solve(log_columns, image)
+    log_columns = transpose(list(group.lattice_logs))
+    action_columns = []
+    for i, w in enumerate(group.lattice_logs):
+        image = mat_vec(d, w)
+        coords = solve(log_columns, image)
+        if coords is None:
+            coords = _coords_up_to_conjugation(group, image)
             if coords is None:
-                coords = _coords_up_to_conjugation(group, image)
-                if coords is None:
-                    raise ValidationError(
-                        f"lattice not preserved: image of generator {i} leaves the "
-                        "lattice span and admits no certified conjugation back into it")
-            if any(c.denominator != 1 for c in coords):
                 raise ValidationError(
-                    f"lattice not preserved: image of generator {i} has non-integer "
-                    f"coordinates {tuple(str(c) for c in coords)}")
-            action_columns.append([int(c) for c in coords])
-        action = tuple(
-            tuple(action_columns[j][i] for j in range(len(logs)))
-            for i in range(len(logs))
-        )
-    else:
-        action = tuple()
+                    f"lattice not preserved: image of generator {i} leaves the "
+                    "lattice span and admits no certified conjugation back into it")
+        if any(c.denominator != 1 for c in coords):
+            raise ValidationError(
+                f"lattice not preserved: image of generator {i} has non-integer "
+                f"coordinates {tuple(str(c) for c in coords)}")
+        action_columns.append([int(c) for c in coords])
+    action = tuple(map(tuple, transpose(action_columns)))
     surjective = det(d) != 0 if n else True
     return GroupEndomorphism(group, tuple(tuple(row) for row in d), action, surjective)
 
@@ -328,11 +317,8 @@ def _coords_up_to_conjugation(group: PresentedGroup, image):
     coeffs = solve(transpose(combined), image)
     if coeffs is None:
         return None
-    v = [
-        sum((coeffs[j] * logs[j][i] for j in range(len(logs))), Fraction(0))
-        for i in range(algebra.dim)
-    ]
-    if _conjugate_correction(algebra, nil.space, tuple(v), tuple(image)) is None:
+    v = mat_vec(transpose(list(logs)), coeffs[: len(logs)])
+    if _conjugate_correction(algebra, nil.space, v, tuple(image)) is None:
         return None
     return tuple(coeffs[: len(logs)])
 
@@ -354,11 +340,9 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
         if mapped.dim == image.dim:
             break
         image = mapped
-    for u in image.basis:
-        for v in image.basis:
-            if not image.contains(group.algebra.bracket(u, v)):
-                raise InvariantViolationError(
-                    "eventual_image", "stabilized image is not closed under the bracket")
+    if not is_subalgebra(group.algebra, image):
+        raise InvariantViolationError(
+            "eventual_image", "stabilized image is not closed under the bracket")
     return image
 
 
@@ -555,12 +539,7 @@ def check_toral_induced_finite_order(group: PresentedGroup,
         raise InvariantViolationError("toral_order", "quotient by the nilradical is not abelian")
     pivots = [next(i for i, x in enumerate(row) if x != 0) for row in nil.space.basis]
     complement = [c for c in range(group.algebra.dim) if c not in pivots]
-    induced = [
-        [sum((projection[r][i] * d[i][complement[c]] for i in range(group.algebra.dim)),
-             Fraction(0))
-         for c in range(quotient.dim)]
-        for r in range(quotient.dim)
-    ]
+    induced = mat_mul(projection, [[row[c] for c in complement] for row in d])
     projected_logs = [mat_vec(projection, w) for w in group.lattice_logs]
     lattice_a = Lattice.from_generators(quotient.dim, projected_logs)
     try:

@@ -21,10 +21,9 @@ from .exactlinalg import (
     identity_matrix,
     kernel_basis,
     mat_mul,
+    mat_vec,
     rank,
     rref,
-    to_fraction_matrix,
-    to_fraction_vector,
     transpose,
 )
 
@@ -67,8 +66,6 @@ class LieAlgebra:
         return LieAlgebra.from_brackets(dim, [], basis_names)
 
     def bracket(self, x, y) -> Vec:
-        x = to_fraction_vector(x)
-        y = to_fraction_vector(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("bracket arguments have wrong length")
         out = [Fraction(0)] * self.dim
@@ -79,7 +76,6 @@ class LieAlgebra:
 
     def adjoint_matrix(self, x) -> list[list[Fraction]]:
         """Matrix of y -> [x, y] in the defining basis."""
-        x = to_fraction_vector(x)
         if len(x) != self.dim:
             raise DimensionError("adjoint argument has wrong length")
         ad = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -196,11 +192,8 @@ def centralizer_in(algebra: LieAlgebra, sub: Subspace) -> Subspace:
     for y in sub.basis:
         images = [algebra.bracket(b, y) for b in sub.basis]
         conditions += [[image[k] for image in images] for k in range(algebra.dim)]
-    vectors = []
-    for combo in kernel_basis(conditions):
-        x = [sum((combo[i] * sub.basis[i][j] for i in range(sub.dim)), Fraction(0))
-             for j in range(algebra.dim)]
-        vectors.append(x)
+    columns = transpose(list(sub.basis))
+    vectors = [mat_vec(columns, combo) for combo in kernel_basis(conditions)]
     return Subspace.from_vectors(algebra.dim, vectors)
 
 
@@ -259,11 +252,7 @@ def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
     """solvable_radical given the Killing form of the algebra."""
     n = algebra.dim
     derived = bracket_span(algebra, Subspace.full(n), Subspace.full(n))
-    conditions = []
-    for d in derived.basis:
-        conditions.append([
-            sum((form[i][j] * d[j] for j in range(n)), Fraction(0)) for i in range(n)
-        ])
+    conditions = [mat_vec(form, d) for d in derived.basis]
     space = Subspace.from_vectors(n, kernel_basis(conditions) if conditions else identity_matrix(n))
     radical = Ideal(algebra, space, "radical")
     if not _series_terminates_at_zero(algebra, space) and space.dim > 0:
@@ -327,11 +316,7 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Ideal | Subspace):
         for b in range(k):
             ea = algebra.basis_vector(complement[a])
             eb = algebra.basis_vector(complement[b])
-            image = algebra.bracket(ea, eb)
-            coords = [
-                sum((projection[r][j] * image[j] for j in range(n)), Fraction(0))
-                for r in range(k)
-            ]
+            coords = mat_vec(projection, algebra.bracket(ea, eb))
             for r, c in enumerate(coords):
                 if c != 0:
                     brackets.append((a, b, r, c))
@@ -344,8 +329,7 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Ideal | Subspace):
 
 def _invert(matrix):
     n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(to_fraction_matrix(matrix))]
+    aug = [[*row, *unit] for row, unit in zip(matrix, identity_matrix(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise DomainError("matrix is singular")

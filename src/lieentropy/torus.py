@@ -18,8 +18,8 @@ from .exactlinalg import (
     char_poly,
     det,
     mat_pow,
+    mat_vec,
     min_poly,
-    solve,
     transpose,
 )
 from .mahler import (
@@ -141,18 +141,10 @@ def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:
     basis, otherwise the lattice is not invariant and the restriction is
     undefined.
     """
-    if sub.is_empty():
-        return TorusEndo(0, tuple())
     columns = []
-    basis_cols = transpose([list(v) for v in sub.basis])
     for g in sub.basis:
-        image = [
-            sum((Fraction(matrix[i][j]) * g[j] for j in range(sub.ambient_dim)), Fraction(0))
-            for i in range(sub.ambient_dim)
-        ]
-        coords = solve(basis_cols, image)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = sub.integer_coordinates(mat_vec(matrix, g))
+        if coords is None:
             raise ValidationError("sublattice not invariant under the endomorphism")
-        columns.append([int(c) for c in coords])
-    rows = [[columns[j][i] for j in range(sub.rank)] for i in range(sub.rank)]
-    return TorusEndo.from_rows(rows)
+        columns.append(coords)
+    return TorusEndo.from_rows(transpose(columns))

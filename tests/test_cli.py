@@ -42,13 +42,23 @@ def test_parse_rejects_non_square_endomorphism():
         parse_input(json.dumps(doc))
 
 
-def test_parse_rejects_unknown_fields_and_bad_json():
+def test_parse_rejects_unknown_fields_and_bad_json(tmp_path):
     doc = {"algebra": {"dim": 1, "brackets": []}, "lattice": [],
            "endomorphism": [["1"]], "extra": True}
     with pytest.raises(InputError, match="unknown fields"):
         parse_input(json.dumps(doc))
     with pytest.raises(InputError, match="line 1"):
         parse_input("{not json")
+    # options carries only tol; there is no mode option
+    doc = {"algebra": {"dim": 1, "brackets": []}, "lattice": [],
+           "endomorphism": [["1"]], "options": {"mode": "entropy"}}
+    with pytest.raises(InputError, match=r"unknown fields \['mode'\]"):
+        parse_input(json.dumps(doc))
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("entropy", "--input", str(path))
+    assert result.returncode == 1
+    assert "unknown fields ['mode']" in result.stderr
 
 
 def test_parse_error_positions_name_fields():

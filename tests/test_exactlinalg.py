@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -301,17 +302,42 @@ def _oracle_matrices():
                 yield m
 
 
+def _typed(value):
+    """The value with the type of every entry and container attached."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(x) for x in value]
+    return type(value), value
+
+
 def test_fraction_free_kernels_match_fraction_references():
     for m in _oracle_matrices():
         red, pivots = rref(m)
         assert (red, pivots) == _rref_reference(m), m
         assert all(type(x) is Fraction for row in red for x in row)
-        if len(m) == (len(m[0]) if m else 0):
+        square = len(m) == (len(m[0]) if m else 0)
+        if square:
             value = det(m)
             assert type(value) is Fraction and value == _det_reference(m), m
             poly, reference = char_poly(m), _char_poly_reference(m)
             assert poly == reference, m
             assert [type(c) for c in poly] == [type(c) for c in reference], m
+        # the same integral matrix with int entries and with Fraction entries
+        # gives equal results of equal types
+        scale = lcm(*(x.denominator for row in m for x in row))
+        ints = [[int(x * scale) for x in row] for row in m]
+        fractions = [[Fraction(x) for x in row] for row in ints]
+        ncols = len(m[0]) if m else 0
+        kernels = [
+            rref,
+            kernel_basis,
+            lambda a: solve(a, [sum(row) for row in a]),
+            lambda a: Subspace.from_vectors(ncols, a).basis,
+            lambda a: Lattice.from_generators(ncols, a).basis,
+        ]
+        if square:
+            kernels += [det, char_poly, min_poly]
+        for kernel in kernels:
+            assert _typed(kernel(ints)) == _typed(kernel(fractions)), (kernel, m)
 
 
 def test_char_poly_integer_matrices_match_reference():
