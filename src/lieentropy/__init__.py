@@ -10,7 +10,7 @@ estimator that can falsify (never certify) the exact pipeline.
 from .exactlinalg import Lattice, Subspace, char_poly, lattice_intersect_subspace, min_poly
 from .mahler import EntropyValue, cyclotomic_part, log_mahler
 from .liealgebra import LieAlgebra, center, killing_form, nilradical, solvable_radical, validate_algebra
-from .torus import TorusEndo, entropy, finite_order, li_yorke_verdict
+from .torus import TorusEndo, entropy, finite_order
 from .groups import (
     AnalysisReport,
     GroupEndomorphism,
@@ -55,7 +55,6 @@ __all__ = [
     "lattice_intersect_subspace",
     "li_yorke_report",
     "li_yorke_search",
-    "li_yorke_verdict",
     "log_mahler",
     "min_poly",
     "nilradical",

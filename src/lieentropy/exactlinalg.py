@@ -19,12 +19,17 @@ until the rational result is formed.  The two canonical containers are:
 * `Lattice`  - a finitely generated subgroup of Q^n stored in row-style
   Hermite normal form (scaled HNF when generators are non-integral), again
   canonical entry-for-entry.
+
+The echelon rule: both keep their pivots, found once, and eliminate a vector
+along them top row first; the coefficients are its coordinates and a zero
+residue is membership, so no question about a vector solves a new system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import DimensionError, DomainError
@@ -275,11 +280,36 @@ def companion_matrix(coeffs) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# subspaces of Q^n
+# echelon containers
+
+class _Echelon:
+    """Pivots (first nonzero columns, increasing down the rows) and
+    elimination, shared by `Subspace` and `Lattice`.  Each row clears its own
+    pivot entry, top row first, and the rows below are zero there; so the
+    residue vanishes on every pivot, and is zero iff v lies in the span.
+    Basis entries are `Fraction`s, so every division is exact."""
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
+
+    def _eliminate(self, v) -> tuple[list[Fraction], Vec]:
+        """Coefficients c and residue v - sum c_i basis_i."""
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector has wrong length")
+        v = list(v)
+        coeffs = []
+        for row, p in zip(self.basis, self.pivots):
+            f = v[p] / row[p]
+            if f:
+                v[p:] = [x - f * y for x, y in zip(v[p:], row[p:])]
+            coeffs.append(f)
+        return coeffs, tuple(v)
+
 
 @dataclass(frozen=True)
-class Subspace:
-    """Rational subspace in reduced row echelon form (canonical)."""
+class Subspace(_Echelon):
+    """Rational subspace in canonical RREF, eliminating along its pivots."""
 
     ambient_dim: int
     basis: tuple[Vec, ...]
@@ -295,39 +325,32 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.from_vectors(ambient_dim, identity_matrix(ambient_dim))
+        return Subspace(ambient_dim, tuple(tuple(row) for row in identity_matrix(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def complement(self) -> tuple[int, ...]:
+        """The non-pivot columns; their unit vectors span a complement."""
+        pivots = set(self.pivots)
+        return tuple(c for c in range(self.ambient_dim) if c not in pivots)
+
     def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector has wrong length")
-        residue = self.reduce(v)
-        return all(x == 0 for x in residue)
+        return not any(self.reduce(v))
 
     def reduce(self, v) -> Vec:
         """Residue of v after eliminating the pivot coordinates of the basis."""
-        v = list(v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+        return self._eliminate(v)[1]
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Combinations of this basis whose residue mod `other` vanishes."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        if not self.basis or not other.basis:
-            return Subspace.from_vectors(self.ambient_dim, [])
-        # x = sum u_i a_i = sum w_j b_j; solve the stacked kernel, keep the u part.
-        stacked = [list(row) for row in self.basis]
-        stacked += [[-x for x in row] for row in other.basis]
+        residues = [other.reduce(v) for v in self.basis]
         columns = transpose(list(self.basis))
-        vectors = [mat_vec(columns, combo[: self.dim])
-                   for combo in kernel_basis(transpose(stacked))]
+        vectors = [mat_vec(columns, combo) for combo in kernel_basis(transpose(residues))]
         return Subspace.from_vectors(self.ambient_dim, vectors)
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -395,8 +418,8 @@ def _int_left_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Discrete subgroup of Q^n with a canonical (scaled HNF) basis."""
+class Lattice(_Echelon):
+    """Discrete subgroup of Q^n in canonical scaled HNF, eliminating along its pivots."""
 
     ambient_dim: int
     basis: tuple[Vec, ...]
@@ -431,18 +454,12 @@ class Lattice:
         return Subspace.from_vectors(self.ambient_dim, list(self.basis))
 
     def integer_coordinates(self, v) -> tuple[int, ...] | None:
-        """Coordinates of v in the basis when v lies in the lattice."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector has wrong length")
-        if not self.basis:
-            return tuple() if all(x == 0 for x in v) else None
-        columns = transpose(list(self.basis))
-        coords = solve(columns, v)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        """Coordinates of v in the basis when v lies in the lattice: integral
+        elimination coefficients with a zero residue."""
+        coeffs, residue = self._eliminate(v)
+        if any(residue) or any(c.denominator != 1 for c in coeffs):
             return None
-        if any(x != y for x, y in zip(mat_vec(columns, coords), v)):
-            return None
-        return tuple(int(c) for c in coords)
+        return tuple(int(c) for c in coeffs)
 
     def contains(self, v) -> bool:
         return self.integer_coordinates(v) is not None

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 
 from .errors import (
     DimensionError,
@@ -62,6 +63,7 @@ from .mahler import (
     EntropyValue,
     log_mahler,
     poly_divmod,
+    poly_eval,
     poly_primitive_int,
     poly_trim,
 )
@@ -134,6 +136,14 @@ def _compact_spectrum_certificate(minimal) -> str | None:
 
     Such a minimal polynomial certifies that the adjoint is semisimple with
     spectrum in iZ, so the corresponding one-parameter group is bounded.
+    With s = t^2 the roots of q(r) = nu(-r) must be distinct squares m^2,
+    peeled off largest first by Newton on q from the Cauchy bound B.  Above
+    the largest root of a real-rooted q of degree k, q/q' lies in [e/k, e],
+    e the distance to that root, so a step floored and kept >= 1 never passes
+    an integer root; it shrinks e by a factor 1 - 1/(2k) while e >= 2k, then
+    by >= 1, so 2 deg(nu)^2 (bits(B) + 1) steps in all is a cap no valid
+    input reaches.  isqrt confirms each root and an exact division removes
+    it; acceptance rests on those divisions alone.
     """
     p = poly_trim(minimal)
     if not p:
@@ -144,19 +154,28 @@ def _compact_spectrum_certificate(minimal) -> str | None:
             return "minimal polynomial divisible by t^2 (adjoint not semisimple)"
     if any(c != 0 for c in p[1::2]):
         return "minimal polynomial has odd-degree terms (spectrum not purely imaginary)"
+    other = "minimal polynomial has a factor other than t^2 + m^2"
     nu = p[::2]  # polynomial in s = t^2, roots must be -m^2
-    m = 1
+    r = 1 + max((-(-abs(c) // abs(nu[-1])) for c in nu[:-1]), default=0)  # Cauchy
+    steps = 2 * (len(nu) - 1) ** 2 * (r.bit_length() + 1)
     while len(nu) > 1:
-        if m * m > abs(nu[0]):
-            return "minimal polynomial has a factor other than t^2 + m^2"
-        quot, rem = poly_divmod(nu, [m * m, 1])
-        if not rem:
-            nu = quot
-        m += 1
+        if r < 1 or steps == 0:
+            return other
+        value = slope = 0  # nu(-r) and nu'(-r); q(r) = value, q'(r) = -slope
+        for c in reversed(nu):
+            slope = slope * -r + value
+            value = value * -r + c
+        if value == 0:
+            nu, _ = poly_divmod(nu, [r, 1])
+            if isqrt(r) ** 2 != r or poly_eval(nu, -r) == 0:
+                return other  # not a square, or a repeated root
+        elif value * slope >= 0:
+            return other
+        else:
+            r, steps = r - max(1, -value // slope), steps - 1
     if nu and nu[0] != 1:
         return "minimal polynomial is not monic after factoring"
     return None
-
 
 
 def validate_presentation(group: PresentedGroup) -> PresentationReport:
@@ -537,9 +556,7 @@ def check_toral_induced_finite_order(group: PresentedGroup,
     quotient, projection = quotient_algebra(group.algebra, nil)
     if quotient.constants:
         raise InvariantViolationError("toral_order", "quotient by the nilradical is not abelian")
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in nil.space.basis]
-    complement = [c for c in range(group.algebra.dim) if c not in pivots]
-    induced = mat_mul(projection, [[row[c] for c in complement] for row in d])
+    induced = mat_mul(projection, [[row[c] for c in nil.space.complement] for row in d])
     projected_logs = [mat_vec(projection, w) for w in group.lattice_logs]
     lattice_a = Lattice.from_generators(quotient.dim, projected_logs)
     try:

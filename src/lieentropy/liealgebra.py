@@ -23,7 +23,6 @@ from .exactlinalg import (
     mat_mul,
     mat_vec,
     rank,
-    rref,
     transpose,
 )
 
@@ -293,44 +292,28 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Ideal | Subspace):
     """Structure constants of g/ideal on the lexicographically first echelon
     complement; returns (quotient, projection matrix).
 
-    The projection matrix sends x to its complement coordinates mod the
-    ideal; the Jacobi identity of the quotient is re-validated.
+    The projection sends x to the complement entries of its residue mod the
+    ideal; the quotient constants are the projected constants of complement
+    pairs.  The Jacobi identity of the quotient is re-validated.
     """
     space = ideal.space if isinstance(ideal, Ideal) else ideal
     if not is_ideal(algebra, space):
         raise DomainError("quotient by a subspace that is not an ideal")
-    n = algebra.dim
-    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in space.basis]
-    complement = [c for c in range(n) if c not in pivots]
-    k = len(complement)
-    # change of basis: columns are ideal basis then complement unit vectors
-    cols = [list(v) for v in space.basis] + [
-        [Fraction(1) if r == c else Fraction(0) for r in range(n)] for c in complement
-    ]
-    basis_matrix = transpose(cols)
-    inverse = _invert(basis_matrix)
-    projection = inverse[space.dim:]
+    complement = space.complement
+    position = {c: a for a, c in enumerate(complement)}
+    columns = [[space.reduce(algebra.basis_vector(k))[c] for c in complement]
+               for k in range(algebra.dim)]
+    totals: dict[tuple[int, int, int], Fraction] = {}
+    for i, j, k, c in algebra.constants:
+        if i in position and j in position:
+            for r, p in enumerate(columns[k]):
+                if p:
+                    key = (position[i], position[j], r)
+                    totals[key] = totals.get(key, 0) + c * p
+    brackets = [(*key, c) for key, c in totals.items() if c]
     names = tuple(algebra.basis_names[c] for c in complement)
-    brackets = []
-    for a in range(k):
-        for b in range(k):
-            ea = algebra.basis_vector(complement[a])
-            eb = algebra.basis_vector(complement[b])
-            coords = mat_vec(projection, algebra.bracket(ea, eb))
-            for r, c in enumerate(coords):
-                if c != 0:
-                    brackets.append((a, b, r, c))
-    quotient = LieAlgebra.from_brackets(k, brackets, names)
+    quotient = LieAlgebra.from_brackets(len(complement), brackets, names)
     report = validate_algebra(quotient)
     if not report.valid:
         raise InvariantViolationError("quotient_algebra", report.describe())
-    return quotient, projection
-
-
-def _invert(matrix):
-    n = len(matrix)
-    aug = [[*row, *unit] for row, unit in zip(matrix, identity_matrix(n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise DomainError("matrix is singular")
-    return [row[n:] for row in red]
+    return quotient, transpose(columns)

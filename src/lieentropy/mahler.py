@@ -75,48 +75,33 @@ def poly_derivative(p):
 
 
 def poly_divmod(p, q):
-    """Quotient and remainder over Q (exact)."""
-    p = [Fraction(a) for a in poly_trim(p)]
-    q = [Fraction(a) for a in poly_trim(q)]
+    """Quotient and remainder over Q (exact).  A monic divisor needs no
+    division, so integer input gives integer output."""
+    p, q = poly_trim(p), poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    rem = p[:]
-    while len(rem) >= len(q) and any(rem):
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
+    quot = [0] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
+        shift = len(p) - len(q)
+        factor = p[-1] if q[-1] == 1 else Fraction(p[-1], q[-1])
         quot[shift] = factor
         for i, b in enumerate(q):
-            rem[shift + i] -= factor * b
-        rem = poly_trim(rem)
-        if not rem:
-            break
-    return poly_trim(quot), poly_trim(rem)
+            p[shift + i] -= factor * b
+        p = poly_trim(p)
+    return poly_trim(quot), p
 
 
 def poly_gcd(p, q):
     """Monic gcd over Q."""
-    a = [Fraction(x) for x in poly_trim(p)]
-    b = [Fraction(x) for x in poly_trim(q)]
+    a, b = poly_trim(p), poly_trim(q)
     while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _intify(p):
-    p = poly_trim(p)
-    if all(Fraction(a).denominator == 1 for a in p):
-        return [int(a) for a in p]
-    return p
+        a, b = b, poly_divmod(a, b)[1]
+    return [Fraction(x, a[-1]) for x in a]
 
 
 def poly_primitive_int(p):
     """Integer polynomial with the same roots: denominators cleared, content removed."""
-    p = [Fraction(a) for a in poly_trim(p)]
+    p = poly_trim(p)
     if not p:
         return []
     scale = math.lcm(*[a.denominator for a in p])
@@ -179,12 +164,12 @@ def cyclotomic(m: int) -> tuple[int, ...]:
     """m-th cyclotomic polynomial, ascending integer coefficients."""
     if m < 1:
         raise DomainError("cyclotomic index must be positive")
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]  # t^m - 1
+    poly = [-1] + [0] * (m - 1) + [1]  # t^m - 1
     for d in range(1, m):
         if m % d == 0:
             poly, rem = poly_divmod(poly, list(cyclotomic(d)))
             assert not rem
-    return tuple(int(a) for a in poly)
+    return tuple(poly)
 
 
 def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
@@ -210,12 +195,12 @@ def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
             quot, rem = poly_divmod(rest, phi_m)
             if rem:
                 break
-            rest = _intify(quot)
+            rest = quot
             mult += 1
         if mult:
             found.append((m, mult))
             deg = poly_degree(rest)
-    return found, _intify(rest)
+    return found, rest
 
 
 def cyclotomic_part(p) -> tuple[list, list]:

@@ -2,8 +2,9 @@
 
 A torus endomorphism is the action of an integer matrix on R^n/Z^n through
 its lattice of periods.  Entropy is the log-Mahler sum of the characteristic
-polynomial; finite order and the Li-Yorke dichotomy are decided symbolically
-through cyclotomic factors, never by float comparison.
+polynomial; finite order and positivity of the entropy are decided
+symbolically through cyclotomic factors, never by float comparison.  The
+Li-Yorke verdict built on positivity is `groups.li_yorke_report`'s.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionError, DomainError, ValidationError
+from .errors import DimensionError, ValidationError
 from .exactlinalg import (
     Lattice,
     char_poly,
@@ -112,25 +113,6 @@ def finite_order(endo: TorusEndo) -> int | None:
 
 LI_YORKE_ALL_POWERS = "li_yorke_all_powers"
 SOME_POWER_LI_YORKE_FREE = "some_power_li_yorke_free"
-
-
-@dataclass(frozen=True)
-class TorusLiYorkeVerdict:
-    verdict: str
-    entropy_positive: bool
-    certificate: tuple[int, ...]
-
-
-def li_yorke_verdict(endo: TorusEndo) -> TorusLiYorkeVerdict:
-    """Dichotomy for surjective torus endomorphisms: positive entropy means
-    every power admits a Li-Yorke pair, zero entropy means some power has
-    none.  Decided exactly through entropy_is_positive.
-    """
-    if not endo.is_surjective:
-        raise DomainError("the Li-Yorke dichotomy assumes a surjective endomorphism")
-    positive = entropy_is_positive(endo)
-    verdict = LI_YORKE_ALL_POWERS if positive else SOME_POWER_LI_YORKE_FREE
-    return TorusLiYorkeVerdict(verdict, positive, tuple(endo.char_poly()))
 
 
 def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:

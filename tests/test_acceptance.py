@@ -17,13 +17,14 @@ from lieentropy.estimator import (
     bundle_inequality_check,
     spanning_entropy_estimate,
 )
-from lieentropy.exactlinalg import lattice_intersect_subspace, mat_mul
+from lieentropy.exactlinalg import identity_matrix, lattice_intersect_subspace, mat_mul, solve
 from lieentropy.formats import build_group
 from lieentropy.groups import (
     TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,
     PresentedGroup,
     analyze,
     check_toral_induced_finite_order,
+    li_yorke_report,
     quotient_by_torus,
     topological_entropy,
     toral_lattice,
@@ -36,7 +37,6 @@ from lieentropy.torus import (
     TorusEndo,
     entropy,
     entropy_is_positive,
-    li_yorke_verdict,
 )
 
 TOL = 1e-9
@@ -143,9 +143,11 @@ def test_criterion_6_kronecker_li_yorke_dichotomy():
         if not endo.is_surjective:
             continue
         positive = entropy_is_positive(endo)
-        verdict = li_yorke_verdict(endo)
+        torus = PresentedGroup.build(LieAlgebra.abelian(n), identity_matrix(n), "T")
+        group_endo = validate_endomorphism(torus, rows)
+        chain = li_yorke_report(group_endo, topological_entropy(torus, group_endo, TOL))
         value = entropy(endo, TOL).value
-        assert positive == (verdict.verdict == LI_YORKE_ALL_POWERS)
+        assert positive == (chain.verdict == LI_YORKE_ALL_POWERS)
         assert positive == (value > 1e-6)
         checked += 1
     _passed(6, "entropy > 0 iff Li-Yorke verdict for all powers, on 50 random "
@@ -179,9 +181,8 @@ def test_criterion_7_property_suite():
             c = rng.randint(-2, 2)
             for col in range(n):
                 p[i][col] += c * p[j][col]
-        from lieentropy.liealgebra import _invert
-
-        p_inv = [[int(x) for x in row] for row in _invert(p)]
+        columns = [solve(p, e) for e in identity_matrix(n)]
+        p_inv = [[int(col[i]) for col in columns] for i in range(n)]
         conj = [[int(x) for x in row] for row in mat_mul(mat_mul(p, m), p_inv)]
         e1, e2 = TorusEndo.from_rows(m), TorusEndo.from_rows(conj)
         assert e1.char_poly() == e2.char_poly()

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from lieentropy import cli
 from lieentropy.catalog import builtin_catalog, get_entry
 from lieentropy.errors import InputError
 from lieentropy.formats import build_group, parse_input, report_to_dict
@@ -143,6 +147,27 @@ def test_cli_invalid_presentation_exit_code():
         assert result.returncode == 1
     finally:
         os.unlink(path)
+
+
+def test_cli_validate_circle_generator_scales(tmp_path):
+    # E2 with lattice generator c*H: valid iff c is a nonzero integer, and the
+    # spectrum certificate costs no more for c = 10^12 than for c = 1
+    for scale, code, issues in (
+            ("1000000000000", 0, []),
+            ("1/2", 1, ["lattice generator 0: minimal polynomial has a factor "
+                        "other than t^2 + m^2"])):
+        doc = {"algebra": {"dim": 3, "basis": ["H", "X", "Y"],
+                           "brackets": [[0, 1, 2, "1"], [0, 2, 1, "-1"]]},
+               "lattice": [[scale, "0", "0"]],
+               "endomorphism": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+        path = tmp_path / "e2.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["validate", "--input", str(path)]) == code
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(out.getvalue())["presentation_issues"] == issues
 
 
 def test_cli_pipeline_abort_exit_code(tmp_path):

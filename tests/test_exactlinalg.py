@@ -16,10 +16,12 @@ from lieentropy.exactlinalg import (
     lattice_intersect_subspace,
     mat_mul,
     mat_pow,
+    mat_vec,
     min_poly,
     rank,
     rref,
     solve,
+    transpose,
 )
 
 
@@ -274,6 +276,30 @@ def _char_poly_reference(m):
     return ascending
 
 
+def _integer_coordinates_reference(lattice, v):
+    """One rational solution of B^T c = v, kept when integral and when it
+    reproduces v."""
+    if not lattice.basis:
+        return tuple() if all(x == 0 for x in v) else None
+    columns = transpose(list(lattice.basis))
+    coords = solve(columns, v)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        return None
+    if any(x != y for x, y in zip(mat_vec(columns, coords), v)):
+        return None
+    return tuple(int(c) for c in coords)
+
+
+def _intersect_reference(a, b):
+    """x = sum u_i a_i = sum w_j b_j from the stacked kernel of [A; -B]."""
+    if not a.basis or not b.basis:
+        return Subspace.from_vectors(a.ambient_dim, [])
+    stacked = [list(row) for row in a.basis] + [[-x for x in row] for row in b.basis]
+    columns = transpose(list(a.basis))
+    vectors = [mat_vec(columns, combo[:a.dim]) for combo in kernel_basis(transpose(stacked))]
+    return Subspace.from_vectors(a.ambient_dim, vectors)
+
+
 def _oracle_matrices():
     """Seeded rational matrices of every shape 0-8 x 0-8: sparse, with a zero
     row, with a repeated (scaled) row, and of lower rank (a product through
@@ -310,6 +336,7 @@ def _typed(value):
 
 
 def test_fraction_free_kernels_match_fraction_references():
+    rng = random.Random(2025)
     for m in _oracle_matrices():
         red, pivots = rref(m)
         assert (red, pivots) == _rref_reference(m), m
@@ -338,6 +365,26 @@ def test_fraction_free_kernels_match_fraction_references():
             kernels += [det, char_poly, min_poly]
         for kernel in kernels:
             assert _typed(kernel(ints)) == _typed(kernel(fractions)), (kernel, m)
+        # lattice coordinates of a lattice point, of a point of the span off
+        # the lattice (a half-integer combination) and of a random point
+        lattice = Lattice.from_generators(ncols, m)
+        columns = transpose(list(lattice.basis))
+        coeffs = [rng.randint(-3, 3) for _ in lattice.basis]
+        inside = mat_vec(columns, coeffs) if columns else (Fraction(0),) * ncols
+        assert lattice.integer_coordinates(inside) == tuple(coeffs), m
+        vectors = [inside, [rng.randint(-3, 3) for _ in range(ncols)]]
+        if lattice.basis:
+            half = mat_vec(columns, [c + Fraction(rng.choice((-1, 1)), 2) for c in coeffs])
+            assert lattice.integer_coordinates(half) is None, m
+            vectors.append(half)
+        for v in vectors:
+            assert lattice.integer_coordinates(v) == _integer_coordinates_reference(lattice, v), m
+        # intersection with a random subspace sharing a row with this one
+        space = Subspace.from_vectors(ncols, m)
+        other = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(rng.randint(0, ncols))]
+        other = Subspace.from_vectors(ncols, other + m[:1])
+        assert space.intersect(other) == _intersect_reference(space, other), m
+        assert other.intersect(space) == _intersect_reference(other, space), m
 
 
 def test_char_poly_integer_matrices_match_reference():

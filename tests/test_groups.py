@@ -14,6 +14,7 @@ from lieentropy.errors import (
 from lieentropy.exactlinalg import Subspace, mat_vec
 from lieentropy.formats import build_group
 from lieentropy.liealgebra import LieAlgebra, centralizer_in, nilradical, solvable_radical
+from lieentropy.mahler import poly_mul
 from lieentropy.groups import (
     ENTROPY_ON_CENTRAL_TORUS,
     POSITIVE_TORUS_ENTROPY_LI_YORKE,
@@ -21,6 +22,7 @@ from lieentropy.groups import (
     TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,
     ZERO_ENTROPY_TORUS_SOME_POWER_FREE,
     PresentedGroup,
+    _compact_spectrum_certificate,
     analyze,
     check_toral_induced_finite_order,
     eventual_image,
@@ -103,6 +105,31 @@ def test_validate_presentation_spectrum_not_integral():
     affine = LieAlgebra.from_brackets(2, [(0, 1, 1, 1)], ["H", "X"])
     report = validate_presentation(PresentedGroup.build(affine, [(1, 0)]))
     assert not report.valid
+
+
+def test_compact_spectrum_certificate_peels_distinct_squares():
+    # t^e * prod (t^2 + m^2) over distinct m >= 1 is accepted for e <= 1, up
+    # to m ~ 10^12; a repeated factor, a non-square root, a non-real root or
+    # a changed constant term is rejected with the one reason
+    other = "minimal polynomial has a factor other than t^2 + m^2"
+
+    def in_t(nu):  # nu(s) -> nu(t^2), ascending
+        p = []
+        for c in nu:
+            p += [c, 0]
+        return p[:-1]
+
+    rng = random.Random(149)
+    for _ in range(100):
+        ms = rng.sample(range(2, rng.choice([30, 10**12])), rng.randint(1, 4))
+        nu = [1]
+        for m in ms:
+            nu = poly_mul(nu, [m * m, 1])
+        assert _compact_spectrum_certificate(in_t(nu)) is None
+        assert _compact_spectrum_certificate([0] + in_t(nu)) is None
+        for bad in (poly_mul(nu, [ms[0] ** 2, 1]), poly_mul(nu, [3, 1]),
+                    poly_mul(nu, [1, 1, 1]), [nu[0] + 1] + nu[1:], [nu[0] - 1] + nu[1:]):
+            assert _compact_spectrum_certificate(in_t(bad)) == other, (ms, bad)
 
 
 # --- endomorphism validation ---------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import lieentropy.liealgebra
 from lieentropy.errors import DomainError, InvariantViolationError
-from lieentropy.exactlinalg import Subspace, identity_matrix, kernel_basis, mat_mul
+from lieentropy.exactlinalg import Subspace, identity_matrix, kernel_basis, mat_mul, rref, solve
 from lieentropy.liealgebra import (
     LieAlgebra,
     bracket_span,
@@ -276,6 +276,30 @@ def test_quotient_rejects_non_ideal():
         quotient_algebra(sl2(), Subspace.from_vectors(3, [(0, 1, 0)]))
 
 
+def _quotient_reference(algebra, space):
+    """g/space through the change of basis whose columns are the ideal basis
+    and the non-pivot unit vectors: the projection is the complement block
+    of its inverse (one `solve` per column), applied to every dense bracket
+    of two complement basis vectors."""
+    n = algebra.dim
+    _, pivots = rref(list(space.basis))
+    complement = [c for c in range(n) if c not in pivots]
+    cols = [list(v) for v in space.basis] + [list(algebra.basis_vector(c)) for c in complement]
+    change = [list(row) for row in zip(*cols)]
+    inverse = [solve(change, algebra.basis_vector(j)) for j in range(n)]  # columns
+    projection = [[inverse[j][space.dim + r] for j in range(n)] for r in range(len(complement))]
+    brackets = []
+    for a, ca in enumerate(complement):
+        for b, cb in enumerate(complement):
+            image = algebra.bracket(algebra.basis_vector(ca), algebra.basis_vector(cb))
+            for r, row in enumerate(projection):
+                c = sum((x * y for x, y in zip(row, image)), Fraction(0))
+                if c != 0:
+                    brackets.append((a, b, r, c))
+    names = tuple(algebra.basis_names[c] for c in complement)
+    return LieAlgebra.from_brackets(len(complement), brackets, names), projection
+
+
 def test_random_brackets_obey_ideal_property():
     rng = random.Random(5)
     for _ in range(10):
@@ -294,6 +318,8 @@ def test_random_brackets_obey_ideal_property():
         rad = solvable_radical(a)
         nil = nilradical(a)
         assert is_ideal(a, rad.space) and is_ideal(a, nil.space)
+        for ideal in (rad, nil, center(a)):
+            assert quotient_algebra(a, ideal) == _quotient_reference(a, ideal.space)
 
 
 # --- sparse constants against the dense table -------------------------------
@@ -356,6 +382,10 @@ def oracle_cases():
         (3, [(0, 1, 2, 1), (0, 1, 2, -1)]),
         (3, [(0, 1, 2, 1), (0, 1, 2, -1), (1, 0, 2, 3), (0, 0, 1, 2)]),
         (4, [(0, 1, 2, 1), (2, 3, 0, "1/2"), (3, 2, 0, "1/2"), (1, 1, 3, -1)]),
+        # sl2 + R in the basis H + W, E, F, H - W: the center is spanned by
+        # e0 - e3, and [E, F] projects onto e3 from both of its coordinates
+        (4, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 3, 1, -2), (2, 3, 2, 2),
+             (1, 2, 0, "1/2"), (1, 2, 3, "1/2")]),
     ]
     rng = random.Random(7)
     for _ in range(30):
@@ -394,3 +424,7 @@ def test_sparse_constants_match_dense_table():
         if all(table[i][j][k] == -table[j][i][k]
                for i, j, k in itertools.product(range(dim), repeat=3)):
             assert center(a).space == reference
+        if validate_algebra(a).valid:
+            derived = bracket_span(a, Subspace.full(dim), Subspace.full(dim))
+            for ideal in (reference, derived):
+                assert quotient_algebra(a, ideal) == _quotient_reference(a, ideal)

@@ -3,17 +3,14 @@ import random
 
 import pytest
 
-from lieentropy.errors import DomainError, ValidationError
-from lieentropy.exactlinalg import Lattice, companion_matrix, mat_mul
+from lieentropy.errors import ValidationError
+from lieentropy.exactlinalg import Lattice, companion_matrix, identity_matrix, mat_mul, solve
 from lieentropy.mahler import cyclotomic, poly_mul
 from lieentropy.torus import (
-    LI_YORKE_ALL_POWERS,
-    SOME_POWER_LI_YORKE_FREE,
     TorusEndo,
     entropy,
     entropy_is_positive,
     finite_order,
-    li_yorke_verdict,
     restrict_matrix_to_lattice,
 )
 
@@ -82,9 +79,10 @@ def test_entropy_conjugation_invariance_exact():
 
 
 def _int_inverse(p):
-    from lieentropy.liealgebra import _invert
-
-    return [[int(x) for x in row] for row in _invert(p)]
+    """Inverse of a unimodular matrix, one `solve` per column."""
+    n = len(p)
+    columns = [solve(p, e) for e in identity_matrix(n)]
+    return [[int(col[i]) for col in columns] for i in range(n)]
 
 
 # --- finite order ----------------------------------------------------------
@@ -117,15 +115,10 @@ def test_finite_order_is_least_power():
 
 # --- Li-Yorke dichotomy ---------------------------------------------------------
 
-def test_li_yorke_verdict_examples():
-    assert li_yorke_verdict(T([[2]])).verdict == LI_YORKE_ALL_POWERS
-    assert li_yorke_verdict(T([[0, -1], [1, 0]])).verdict == SOME_POWER_LI_YORKE_FREE
-    assert li_yorke_verdict(T([[1, 1], [0, 1]])).verdict == SOME_POWER_LI_YORKE_FREE
-
-
-def test_li_yorke_verdict_rejects_non_surjective():
-    with pytest.raises(DomainError):
-        li_yorke_verdict(T([[0, 0], [0, 1]]))
+def test_entropy_positivity_examples():
+    assert entropy_is_positive(T([[2]]))
+    assert not entropy_is_positive(T([[0, -1], [1, 0]]))
+    assert not entropy_is_positive(T([[1, 1], [0, 1]]))
 
 
 def test_kronecker_dichotomy_on_cyclotomic_products():
@@ -148,7 +141,7 @@ def test_kronecker_dichotomy_on_cyclotomic_products():
         assert abs(e.determinant) == 1
         ev = entropy(e)
         assert ev.exact_zero and ev.value == 0.0
-        assert li_yorke_verdict(e).verdict == SOME_POWER_LI_YORKE_FREE
+        assert not entropy_is_positive(e)
 
 
 def test_positivity_matches_numeric_value():
