@@ -8,11 +8,13 @@ enters the program; nothing here converts or copies entries on the way in.
 The kernels and the `Subspace` and `Lattice` constructors give an int entry
 the same result, of the same type, as the equal Fraction.
 Products of matrices and vectors, row combinations included
-(`mat_vec(transpose(rows), c)`), go through `mat_vec` and `mat_mul`.  The
-elimination kernels (`rref`, `det`, `char_poly`) clear denominators once and
-then run fraction-free over Z: Bareiss elimination (Math. Comp. 22 (1968))
-and Berkowitz's division-free recurrence (IPL 18 (1984)), so no gcd is taken
-until the rational result is formed.  The two canonical containers are:
+(`mat_vec(transpose(rows), c)`), go through `mat_vec` and `mat_mul`, which
+multiply only the nonzero entries of the vector and of the left matrix and
+start every sum from the int 0.  The elimination kernels (`rref`, `det`,
+`char_poly`) clear denominators once and then run fraction-free over Z:
+Bareiss elimination (Math. Comp. 22 (1968)) and Berkowitz's division-free
+recurrence (IPL 18 (1984)), so no gcd is taken until the rational result is
+formed.  The two canonical containers are:
 
 * `Subspace` - a rational subspace stored in reduced row echelon form, so
   two subspaces are equal iff their stored entries are equal.
@@ -23,6 +25,10 @@ until the rational result is formed.  The two canonical containers are:
 The echelon rule: both keep their pivots, found once, and eliminate a vector
 along them top row first; the coefficients are its coordinates and a zero
 residue is membership, so no question about a vector solves a new system.
+The kernel rule: every subset cut out of a container by linear conditions
+(an intersection, a centralizer, a radical) is `where(images)`, the points
+sum c_i basis_i with sum c_i images_i = 0, from the left kernel over Q for
+a `Subspace` and over Z for a `Lattice`.
 """
 
 from __future__ import annotations
@@ -48,17 +54,16 @@ def identity_matrix(n) -> Mat:
 def mat_vec(m: Mat, v) -> Vec:
     if m and len(v) != len(m[0]):
         raise DimensionError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
+    terms = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in terms), 0) for row in m)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a and b and len(a[0]) != len(b):
         raise DimensionError("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
+    cols = range(len(b[0]) if b else 0)
+    rows = [[(b[k], x) for k, x in enumerate(row) if x] for row in a]
+    return [[sum((r[j] * x for r, x in terms), 0) for j in cols] for terms in rows]
 
 
 def mat_pow(m: Mat, k: int) -> Mat:
@@ -127,7 +132,7 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 def rref(rows) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices).
 
-    The rows are scaled to integers and eliminated fraction-free
+    The nonzero rows are scaled to integers and eliminated fraction-free
     (`_bareiss`); dividing the pivot rows by the last pivot gives the RREF,
     which is unique.
     """
@@ -135,7 +140,7 @@ def rref(rows) -> tuple[Mat, list[int]]:
         return [], []
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("ragged matrix rows")
-    ints = [row for row in _integer_rows(rows)[0] if any(row)]
+    ints, _ = _integer_rows([row for row in rows if any(row)])
     pivots, last, _ = _bareiss(ints, len(rows[0]))
     return [[Fraction(x, last) for x in row] for row in ints[:len(pivots)]], pivots
 
@@ -306,6 +311,14 @@ class _Echelon:
             coeffs.append(f)
         return coeffs, tuple(v)
 
+    def where(self, images):
+        """The points sum c_i basis_i where a linear map vanishes, given the
+        images of the basis rows: their left kernel (over Q for a `Subspace`,
+        over Z for a `Lattice`) recombined, in canonical form."""
+        columns = transpose(list(self.basis))
+        return self._canonical(self.ambient_dim,
+                               [mat_vec(columns, c) for c in self._left_kernel(images)])
+
 
 @dataclass(frozen=True)
 class Subspace(_Echelon):
@@ -344,14 +357,18 @@ class Subspace(_Echelon):
         """Residue of v after eliminating the pivot coordinates of the basis."""
         return self._eliminate(v)[1]
 
+    _canonical = from_vectors
+
+    @staticmethod
+    def _left_kernel(images) -> list[Vec]:
+        # a zero condition row keeps the width when the images are empty
+        return kernel_basis(transpose(images) or [[0] * len(images)])
+
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Combinations of this basis whose residue mod `other` vanishes."""
+        """Points of this space whose residue mod `other` vanishes."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError("ambient dimensions differ")
-        residues = [other.reduce(v) for v in self.basis]
-        columns = transpose(list(self.basis))
-        vectors = [mat_vec(columns, combo) for combo in kernel_basis(transpose(residues))]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        return self.where([other.reduce(v) for v in self.basis])
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -464,23 +481,18 @@ class Lattice(_Echelon):
     def contains(self, v) -> bool:
         return self.integer_coordinates(v) is not None
 
+    _canonical = from_generators
+
+    @staticmethod
+    def _left_kernel(images) -> list[list[int]]:
+        scale = lcm(*(x.denominator for row in images for x in row))
+        return _int_left_kernel([[int(x * scale) for x in row] for row in images])
+
 
 def lattice_intersect_subspace(lattice: Lattice, subspace: Subspace) -> Lattice:
-    """Sublattice of points of `lattice` lying in `subspace`.
-
-    The membership conditions are linear in the integer coordinates of a
-    lattice point, so the result is the image of an integer kernel and is
-    automatically saturated inside the subspace.
-    """
+    """Sublattice of points of `lattice` lying in `subspace`: those whose
+    residue mod the subspace vanishes, the image of an integer kernel and so
+    saturated inside the subspace."""
     if lattice.ambient_dim != subspace.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    if lattice.is_empty():
-        return lattice
-    n = lattice.ambient_dim
-    residues = [subspace.reduce(g) for g in lattice.basis]
-    # condition matrix rows: one per generator, columns per ambient coordinate
-    scale = lcm(*[x.denominator for row in residues for x in row] or [1])
-    int_rows = [[int(x * scale) for x in row] for row in residues]
-    columns = transpose(list(lattice.basis))
-    vectors = [mat_vec(columns, combo) for combo in _int_left_kernel(int_rows)]
-    return Lattice.from_generators(n, vectors)
+    return lattice.where([subspace.reduce(g) for g in lattice.basis])

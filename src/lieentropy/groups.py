@@ -39,6 +39,7 @@ from .exactlinalg import (
     Subspace,
     char_poly,
     det,
+    identity_matrix,
     lattice_intersect_subspace,
     mat_mul,
     mat_pow,
@@ -298,11 +299,16 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
                     "not a Lie algebra endomorphism: bracket compatibility fails at "
                     f"({group.algebra.basis_names[i]}, {group.algebra.basis_names[j]})"
                 )
-    log_columns = transpose(list(group.lattice_logs))
+    # rows (w_i, e_i): eliminating (image, 0) leaves (0, -coords) exactly
+    # when the image lies in span(W)
+    logs, zeros = group.lattice_logs, (0,) * len(group.lattice_logs)
+    tagged = Subspace.from_vectors(
+        n + len(logs), [(*w, *e) for w, e in zip(logs, identity_matrix(len(logs)))])
     action_columns = []
-    for i, w in enumerate(group.lattice_logs):
+    for i, w in enumerate(logs):
         image = mat_vec(d, w)
-        coords = solve(log_columns, image)
+        residue = tagged.reduce((*image, *zeros))
+        coords = None if any(residue[:n]) else tuple(-c for c in residue[n:])
         if coords is None:
             coords = _coords_up_to_conjugation(group, image)
             if coords is None:
@@ -327,19 +333,22 @@ def _coords_up_to_conjugation(group: PresentedGroup, image):
         nil = group.nilradical
     except (InvariantViolationError, ValueError):
         return None
-    logs = group.lattice_logs
-    span_w = Subspace.from_vectors(algebra.dim, [list(v) for v in logs])
+    logs, n = group.lattice_logs, algebra.dim
+    span_w = Subspace.from_vectors(n, [list(v) for v in logs])
     if span_w.intersect(nil.space).dim != 0:
         return None
-    # unique decomposition image = v + r with v in span(W), r in nilradical
-    combined = [list(v) for v in logs] + [list(b) for b in nil.space.basis]
-    coeffs = solve(transpose(combined), image)
-    if coeffs is None:
+    # unique decomposition image = v + r with v = sum a_i W_i and r in the
+    # nilradical: rows (W_i, W_i, e_i) and (r_j, 0, 0) leave (0, -v, -a)
+    zeros = (0,) * (n + len(logs))
+    rows = [(*w, *w, *e) for w, e in zip(logs, identity_matrix(len(logs)))]
+    rows += [(*r, *zeros) for r in nil.space.basis]
+    residue = Subspace.from_vectors(2 * n + len(logs), rows).reduce((*image, *zeros))
+    if any(residue[:n]):
         return None
-    v = mat_vec(transpose(list(logs)), coeffs[: len(logs)])
+    v = tuple(-x for x in residue[n:2 * n])
     if _conjugate_correction(algebra, nil.space, v, tuple(image)) is None:
         return None
-    return tuple(coeffs[: len(logs)])
+    return tuple(-c for c in residue[2 * n:])
 
 
 # ---------------------------------------------------------------------------

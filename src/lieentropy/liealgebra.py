@@ -4,8 +4,8 @@ An algebra is kept as the input's sparse structure constants: the sorted
 nonzero (i, j, k, c) meaning [e_i, e_j] has coefficient c on e_k.  Brackets,
 adjoints, the validity check and the Killing form read them directly, so
 their cost follows the number of nonzero constants, not dim^3.  All
-constructions here (center, radicals, series, quotients) reduce to exact
-rational linear algebra, and the two radical computations are post-verified
+constructions here reduce to exact rational linear algebra: the center and
+both radicals are one `Subspace.where` each, and the radicals are post-verified
 against the structural facts the rest of the pipeline relies on, erring out
 rather than returning an unverified answer.
 """
@@ -16,15 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, InvariantViolationError
-from .exactlinalg import (
-    Subspace,
-    identity_matrix,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-    rank,
-    transpose,
-)
+from .exactlinalg import Subspace, identity_matrix, mat_mul, mat_vec, rank, transpose
 
 Vec = tuple[Fraction, ...]
 
@@ -141,11 +133,14 @@ class Ideal:
 
 
 def is_subalgebra(algebra: LieAlgebra, space: Subspace) -> bool:
-    return all(
-        space.contains(algebra.bracket(u, v))
-        for u in space.basis
-        for v in space.basis
-    )
+    """[u, v] in the space for basis rows u < v.  The whole algebra is closed
+    by definition; every algebra `validate_algebra` accepts is antisymmetric,
+    so [u, u] = 0 and [v, u] = -[u, v] need no check."""
+    if space.dim == algebra.dim:
+        return True
+    basis = space.basis
+    return all(space.contains(algebra.bracket(u, v))
+               for a, u in enumerate(basis) for v in basis[a + 1:])
 
 
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
@@ -180,20 +175,14 @@ def center(algebra: LieAlgebra) -> Ideal:
 
 
 def centralizer_in(algebra: LieAlgebra, sub: Subspace) -> Subspace:
-    """Center of the subalgebra `sub`: {x in sub : [x, sub] = 0}."""
+    """Center of the subalgebra `sub`: {x in sub : [x, sub] = 0}, the points
+    of `sub` where x -> ([x, y] for y in the basis of sub) vanishes."""
     if sub.ambient_dim != algebra.dim:
         raise DimensionError("subspace has wrong ambient dimension")
     if not is_subalgebra(algebra, sub):
         raise DomainError("subspace is not closed under the bracket")
-    if sub.dim == 0:
-        return sub
-    conditions = []
-    for y in sub.basis:
-        images = [algebra.bracket(b, y) for b in sub.basis]
-        conditions += [[image[k] for image in images] for k in range(algebra.dim)]
-    columns = transpose(list(sub.basis))
-    vectors = [mat_vec(columns, combo) for combo in kernel_basis(conditions)]
-    return Subspace.from_vectors(algebra.dim, vectors)
+    return sub.where([tuple(x for y in sub.basis for x in algebra.bracket(b, y))
+                      for b in sub.basis])
 
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
@@ -201,9 +190,11 @@ def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspa
     return Subspace.from_vectors(algebra.dim, vectors)
 
 
-def derived_series(algebra: LieAlgebra) -> list[Subspace]:
-    """g >= [g,g] >= [[g,g],[g,g]] >= ... until stabilization."""
-    current = Subspace.full(algebra.dim)
+def derived_series(algebra: LieAlgebra, start: Subspace | None = None) -> list[Subspace]:
+    """s >= [s,s] >= [[s,s],[s,s]] >= ... until stabilization, from the
+    subalgebra `start` (default the whole algebra); s is solvable iff the
+    last term is zero."""
+    current = Subspace.full(algebra.dim) if start is None else start
     chain = [current]
     while True:
         nxt = bracket_span(algebra, current, current)
@@ -216,17 +207,6 @@ def derived_series(algebra: LieAlgebra) -> list[Subspace]:
 
 def is_solvable(algebra: LieAlgebra) -> bool:
     return derived_series(algebra)[-1].dim == 0
-
-
-def _series_terminates_at_zero(algebra: LieAlgebra, space: Subspace) -> bool:
-    current = space
-    while True:
-        nxt = bracket_span(algebra, current, current)
-        if nxt.dim == 0:
-            return True
-        if nxt.dim == current.dim:
-            return False
-        current = nxt
 
 
 def is_ad_nilpotent(algebra: LieAlgebra, x) -> bool:
@@ -248,13 +228,13 @@ def solvable_radical(algebra: LieAlgebra) -> Ideal:
 
 
 def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
-    """solvable_radical given the Killing form of the algebra."""
-    n = algebra.dim
-    derived = bracket_span(algebra, Subspace.full(n), Subspace.full(n))
-    conditions = [mat_vec(form, d) for d in derived.basis]
-    space = Subspace.from_vectors(n, kernel_basis(conditions) if conditions else identity_matrix(n))
+    """solvable_radical given the Killing form of the algebra: the points of
+    g where x -> (kappa(x, d) for d in a basis of [g,g]) vanishes."""
+    full = Subspace.full(algebra.dim)
+    derived = bracket_span(algebra, full, full)
+    space = full.where([mat_vec(derived.basis, row) for row in form])
     radical = Ideal(algebra, space, "radical")
-    if not _series_terminates_at_zero(algebra, space) and space.dim > 0:
+    if derived_series(algebra, space)[-1].dim:
         raise InvariantViolationError("solvable_radical", "computed radical is not solvable")
     quotient, _ = quotient_algebra(algebra, radical)
     if quotient.dim:
@@ -267,7 +247,8 @@ def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
 
 def nilradical(algebra: LieAlgebra) -> Ideal:
     """Largest nilpotency ideal of the adjoint representation:
-    n = r intersect {x : kappa(x, g) = 0}.
+    n = r intersect {x : kappa(x, g) = 0}, the points of the radical r where
+    x -> kappa(x, .) vanishes.
 
     Post-verified: an ideal, every basis element ad-nilpotent, and
     r' <= n <= r.  Inputs where the kappa-orthogonal overshoots the true
@@ -275,8 +256,7 @@ def nilradical(algebra: LieAlgebra) -> Ideal:
     """
     form = killing_form(algebra)
     radical = _solvable_radical(algebra, form)
-    kernel = Subspace.from_vectors(algebra.dim, kernel_basis(form))
-    space = radical.space.intersect(kernel)
+    space = radical.space.where([mat_vec(form, v) for v in radical.space.basis])
     ideal = Ideal(algebra, space, "nilradical")
     for v in space.basis:
         if not is_ad_nilpotent(algebra, v):

@@ -9,6 +9,7 @@ from lieentropy.errors import DimensionError
 from lieentropy.exactlinalg import (
     Lattice,
     Subspace,
+    _int_left_kernel,
     char_poly,
     companion_matrix,
     det,
@@ -178,6 +179,19 @@ def test_intersect_saturated_brute_force():
                 assert not result.contains(point)
 
 
+def test_where_cuts_out_the_points_a_map_kills():
+    # images of the basis rows under x -> x_1 - x_2 (one coordinate each)
+    plane = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 1)])
+    assert plane.where([(F(1),), (F(-1),)]) == Subspace.from_vectors(3, [(1, 1, 1)])
+    lattice = Lattice.from_generators(2, [(2, 0), (0, 3)])
+    assert lattice.where([(Fraction(1, 2),), (Fraction(1, 3),)]).basis == ((F(4), F(-9)),)
+    # a map into the zero space kills everything; an empty container stays empty
+    assert plane.where([(), ()]) == plane
+    assert lattice.where([(), ()]) == lattice
+    assert Subspace.from_vectors(3, []).where([]) == Subspace.from_vectors(3, [])
+    assert Lattice.from_generators(3, []).where([]).is_empty()
+
+
 # --- subspaces --------------------------------------------------------------
 
 def test_subspace_canonical_equality():
@@ -300,6 +314,19 @@ def _intersect_reference(a, b):
     return Subspace.from_vectors(a.ambient_dim, vectors)
 
 
+def _lattice_intersect_subspace_reference(lattice, subspace):
+    """The integer left kernel of the residues mod the subspace, recombined
+    over the lattice basis by hand."""
+    if lattice.is_empty():
+        return lattice
+    residues = [subspace.reduce(g) for g in lattice.basis]
+    scale = lcm(*[x.denominator for row in residues for x in row] or [1])
+    int_rows = [[int(x * scale) for x in row] for row in residues]
+    columns = transpose(list(lattice.basis))
+    vectors = [mat_vec(columns, combo) for combo in _int_left_kernel(int_rows)]
+    return Lattice.from_generators(lattice.ambient_dim, vectors)
+
+
 def _oracle_matrices():
     """Seeded rational matrices of every shape 0-8 x 0-8: sparse, with a zero
     row, with a repeated (scaled) row, and of lower rank (a product through
@@ -385,6 +412,31 @@ def test_fraction_free_kernels_match_fraction_references():
         other = Subspace.from_vectors(ncols, other + m[:1])
         assert space.intersect(other) == _intersect_reference(space, other), m
         assert other.intersect(space) == _intersect_reference(other, space), m
+        for sub in (space, other, Subspace.full(ncols), Subspace.from_vectors(ncols, [])):
+            assert lattice_intersect_subspace(lattice, sub) == \
+                _lattice_intersect_subspace_reference(lattice, sub), m
+
+
+class _Untouchable:
+    """A zero entry that raises when it enters a product."""
+
+    def __bool__(self):
+        return False
+
+    def __mul__(self, other):
+        raise AssertionError("a zero entry was multiplied")
+
+    __rmul__ = __mul__
+
+
+def test_products_skip_zero_entries():
+    zero = _Untouchable()
+    assert mat_vec([[F(1), F(2)], [F(3), F(4)]], [zero, F(5)]) == (F(10), F(20))
+    assert mat_mul([[zero, F(1)], [F(2), zero]], [[F(2), F(3)], [F(4), F(5)]]) == \
+        [[F(4), F(5)], [F(4), F(6)]]
+    # a sum with no nonzero term is the int 0
+    assert [type(x) for x in mat_vec([[F(1)], [F(2)]], [0])] == [int, int]
+    assert type(mat_mul([[0, F(0)]], [[F(1)], [F(1)]])[0][0]) is int
 
 
 def test_char_poly_integer_matrices_match_reference():

@@ -11,7 +11,7 @@ from lieentropy.errors import (
     InvariantViolationError,
     ValidationError,
 )
-from lieentropy.exactlinalg import Subspace, mat_vec
+from lieentropy.exactlinalg import Subspace, identity_matrix, mat_mul, mat_vec, solve, transpose
 from lieentropy.formats import build_group
 from lieentropy.liealgebra import LieAlgebra, centralizer_in, nilradical, solvable_radical
 from lieentropy.mahler import poly_mul
@@ -215,6 +215,53 @@ def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
     endo = validate_endomorphism(group, matrix)
     assert endo.lattice_action == tuple(tuple(row) for row in matrix)
     assert len(calls) <= 12  # one per lattice generator
+
+
+def test_lattice_action_matches_solve_reference():
+    # abelian R^n with r independent integer logs W_i: d maps W_i to
+    # sum_j A[j][i] W_j (A integral, or with one half entry, or with an
+    # image pushed off span(W)) and the unit vectors completing W anywhere;
+    # the action and each message match one `solve` per generator
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        while True:
+            logs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+            complement = [[int(i == j) for j in range(n)] for i in Subspace.from_vectors(
+                n, logs).complement]
+            if len(complement) == n - r:
+                break
+        action = [[F(rng.randint(-3, 3)) for _ in range(r)] for _ in range(r)]
+        kind = rng.randrange(3)
+        if kind == 1:
+            action[rng.randrange(r)][rng.randrange(r)] += F("1/2")
+        columns = [mat_vec(transpose(logs), col) for col in transpose(action)]
+        if kind == 2 and n > r:
+            columns[rng.randrange(r)] = [x + y for x, y in zip(columns[0], complement[0])]
+        columns += [[rng.randint(-3, 3) for _ in range(n)] for _ in complement]
+        basis = transpose(logs + complement)  # columns W_1..W_r, then the units
+        inverse = transpose([solve(basis, e) for e in identity_matrix(n)])
+        d = mat_mul(transpose(columns), inverse)
+        expected = None
+        for i, w in enumerate(logs):
+            coords = solve(transpose(logs), mat_vec(d, w))
+            if coords is None:
+                expected = (f"lattice not preserved: image of generator {i} leaves the "
+                            "lattice span and admits no certified conjugation back into it")
+                break
+            if any(c.denominator != 1 for c in coords):
+                expected = (f"lattice not preserved: image of generator {i} has non-integer "
+                            f"coordinates {tuple(str(c) for c in coords)}")
+                break
+        group = abelian_group(n, logs)
+        if expected is None:
+            endo = validate_endomorphism(group, d)
+            assert endo.lattice_action == tuple(tuple(int(x) for x in row) for row in action)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                validate_endomorphism(group, d)
+            assert str(caught.value) == expected
 
 
 def test_endomorphism_respects_brackets_for_valid_family():

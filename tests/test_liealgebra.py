@@ -6,7 +6,16 @@ import pytest
 
 import lieentropy.liealgebra
 from lieentropy.errors import DomainError, InvariantViolationError
-from lieentropy.exactlinalg import Subspace, identity_matrix, kernel_basis, mat_mul, rref, solve
+from lieentropy.exactlinalg import (
+    Subspace,
+    identity_matrix,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+    rref,
+    solve,
+    transpose,
+)
 from lieentropy.liealgebra import (
     LieAlgebra,
     bracket_span,
@@ -16,6 +25,7 @@ from lieentropy.liealgebra import (
     is_ad_nilpotent,
     is_ideal,
     is_solvable,
+    is_subalgebra,
     killing_form,
     nilradical,
     quotient_algebra,
@@ -150,6 +160,24 @@ def test_centralizer_computes_each_bracket_once(monkeypatch):
     assert len(calls) <= 2 * full.dim ** 2
 
 
+def test_subalgebra_check_brackets_each_unordered_pair_once(monkeypatch):
+    a = sl2_plus_line()
+    calls = []
+    original = LieAlgebra.bracket
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", counted)
+    assert is_subalgebra(a, Subspace.full(a.dim))
+    assert calls == []  # the whole algebra is closed by definition
+    borel = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+    assert is_subalgebra(a, borel)
+    assert len(calls) == 3
+    assert not is_subalgebra(a, Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)]))
+
+
 def test_center_equals_centralizer_of_whole():
     for make in CATALOG:
         a = make()
@@ -166,6 +194,12 @@ def test_series_examples():
     assert not is_solvable(sl2())
     ab = LieAlgebra.abelian(3)
     assert [s.dim for s in derived_series(ab)] == [3, 0]
+    # from a subalgebra: the Borel of sl2 is solvable, sl2 + line's radical too
+    borel = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    assert [s.dim for s in derived_series(sl2(), borel)] == [2, 1, 0]
+    line = Subspace.from_vectors(4, [(0, 0, 0, 1)])
+    assert [s.dim for s in derived_series(sl2_plus_line(), line)] == [1, 0]
+    assert [s.dim for s in derived_series(sl2(), Subspace.from_vectors(3, []))] == [0]
 
 
 # --- radicals ----------------------------------------------------------------
@@ -175,6 +209,12 @@ def test_solvable_radical_examples():
     assert solvable_radical(e2()).space.dim == 3
     assert solvable_radical(sl2_plus_line()).space == Subspace.from_vectors(
         4, [(0, 0, 0, 1)])
+
+
+def test_radical_post_check_rejects_a_non_solvable_result():
+    # a zero form makes every x orthogonal to [g,g]: all of sl2, not solvable
+    with pytest.raises(InvariantViolationError, match="not solvable"):
+        lieentropy.liealgebra._solvable_radical(sl2(), [[F(0)] * 3 for _ in range(3)])
 
 
 def test_nilradical_examples():
@@ -300,11 +340,49 @@ def _quotient_reference(algebra, space):
     return LieAlgebra.from_brackets(len(complement), brackets, names), projection
 
 
-def test_random_brackets_obey_ideal_property():
+def _unimodular(rng, n, steps=8):
+    """A random integer matrix of determinant 1, by row additions."""
+    m = identity_matrix(n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _conjugated(algebra, change):
+    """The same algebra in the basis given by the columns of `change`."""
+    n = algebra.dim
+    columns = transpose(change)
+    brackets = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = solve(change, algebra.bracket(columns[i], columns[j]))
+            brackets += [(i, j, k, c) for k, c in enumerate(coords) if c]
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+def _semidirect(rng, k, offset=0):
+    """Brackets of R x_T R^k on e_offset, ..., e_(offset+k): [H, X_j] = T X_j
+    for an upper triangular integer T with nonzero (real) eigenvalues, so
+    the algebra is solvable, not nilpotent, and its nilradical is R^k."""
+    triples = []
+    for j in range(k):
+        for i in range(j + 1):
+            value = rng.choice((-2, -1, 1, 2, 3)) if i == j else rng.randint(-2, 2)
+            if value:
+                triples.append((offset, offset + 1 + j, offset + 1 + i, value))
+    return triples
+
+
+def random_algebras():
+    """Seeded valid algebras: nilpotent staircases, solvable non-nilpotent
+    semidirect products R x R^k, and non-solvable sl2 + R^m and
+    sl2 + (R x R^k), the last three in a random unimodular basis."""
     rng = random.Random(5)
+    algebras = []
     for _ in range(10):
-        # random solvable-ish staircase algebras stay valid and their
-        # radical towers keep the ideal property
+        # staircases: brackets only raise the index, so nilpotent
         dim = rng.randint(2, 4)
         triples = []
         for i in range(dim):
@@ -312,14 +390,79 @@ def test_random_brackets_obey_ideal_property():
                 k = rng.randint(j, dim - 1) if j < dim - 1 else dim - 1
                 if k > j and rng.random() < 0.7:
                     triples.append((i, j, k, rng.randint(-2, 2)))
-        a = LieAlgebra.from_brackets(dim, triples)
-        if not validate_algebra(a).valid:
-            continue
+        algebras.append(LieAlgebra.from_brackets(dim, triples))
+    sl2_triples = list(sl2().constants)
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        algebras.append(LieAlgebra.from_brackets(k + 1, _semidirect(rng, k)))
+        m = rng.randint(1, 2)
+        algebras.append(LieAlgebra.from_brackets(3 + m, sl2_triples))
+        k = rng.randint(1, 2)
+        algebras.append(LieAlgebra.from_brackets(4 + k, sl2_triples + _semidirect(rng, k, 3)))
+    return [_conjugated(a, _unimodular(rng, a.dim)) for a in algebras]
+
+
+def test_random_brackets_obey_ideal_property():
+    quotient_dims = []
+    for a in random_algebras():
+        assert validate_algebra(a).valid
         rad = solvable_radical(a)
         nil = nilradical(a)
         assert is_ideal(a, rad.space) and is_ideal(a, nil.space)
         for ideal in (rad, nil, center(a)):
-            assert quotient_algebra(a, ideal) == _quotient_reference(a, ideal.space)
+            quotient = quotient_algebra(a, ideal)
+            assert quotient == _quotient_reference(a, ideal.space)
+            quotient_dims.append(quotient[0].dim)
+    # the quotients are mostly nonzero, so the projection is exercised
+    assert sum(d > 0 for d in quotient_dims) > len(quotient_dims) / 2
+
+
+def _intersect_reference(a, b):
+    """Combinations of the basis of a whose residue mod b vanishes, from the
+    kernel of the residues, recombined by hand."""
+    residues = [b.reduce(v) for v in a.basis]
+    columns = transpose(list(a.basis))
+    vectors = [mat_vec(columns, combo) for combo in kernel_basis(transpose(residues))]
+    return Subspace.from_vectors(a.ambient_dim, vectors)
+
+
+def _radical_reference(algebra):
+    """r = {x : kappa(x, [g,g]) = 0} as the kernel of the stacked conditions."""
+    n = algebra.dim
+    form = killing_form(algebra)
+    derived = bracket_span(algebra, Subspace.full(n), Subspace.full(n))
+    conditions = [mat_vec(form, d) for d in derived.basis]
+    return Subspace.from_vectors(n, kernel_basis(conditions) if conditions else identity_matrix(n))
+
+
+def _nilradical_reference(algebra):
+    """r intersected with the kernel of the Killing form."""
+    kernel = Subspace.from_vectors(algebra.dim, kernel_basis(killing_form(algebra)))
+    return _intersect_reference(_radical_reference(algebra), kernel)
+
+
+def _centralizer_reference(algebra, sub):
+    """{x in sub : [x, y] = 0 for y in sub}, one condition row per (y, k)."""
+    if sub.dim == 0:
+        return sub
+    conditions = []
+    for y in sub.basis:
+        images = [algebra.bracket(b, y) for b in sub.basis]
+        conditions += [[image[k] for image in images] for k in range(algebra.dim)]
+    columns = transpose(list(sub.basis))
+    vectors = [mat_vec(columns, combo) for combo in kernel_basis(conditions)]
+    return Subspace.from_vectors(algebra.dim, vectors)
+
+
+def test_radicals_and_centralizers_match_kernel_references():
+    algebras = [make() for make in CATALOG] + random_algebras()
+    for a in algebras:
+        rad = solvable_radical(a).space
+        nil = nilradical(a).space
+        assert rad == _radical_reference(a)
+        assert nil == _nilradical_reference(a)
+        for sub in (Subspace.full(a.dim), rad, nil, Subspace.from_vectors(a.dim, [])):
+            assert centralizer_in(a, sub) == _centralizer_reference(a, sub)
 
 
 # --- sparse constants against the dense table -------------------------------
