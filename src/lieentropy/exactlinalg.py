@@ -22,9 +22,10 @@ formed.  The two canonical containers are:
   Hermite normal form (scaled HNF when generators are non-integral), again
   canonical entry-for-entry.
 
-The echelon rule: both keep their pivots, found once, and eliminate a vector
-along them top row first; the coefficients are its coordinates and a zero
-residue is membership, so no question about a vector solves a new system.
+The echelon rule: both keep their pivots and integer rows, found once, and
+eliminate a vector along them over Z, top row first; the coefficients are
+its coordinates and a zero residue is membership, so no question about a
+vector solves a new system.
 The kernel rule: every subset cut out of a container by linear conditions
 (an intersection, a centralizer, a radical) is `where(images)`, the points
 sum c_i basis_i with sum c_i images_i = 0, from the left kernel over Q for
@@ -288,28 +289,26 @@ def companion_matrix(coeffs) -> list[list[int]]:
 # echelon containers
 
 class _Echelon:
-    """Pivots (first nonzero columns, increasing down the rows) and
-    elimination, shared by `Subspace` and `Lattice`.  Each row clears its own
-    pivot entry, top row first, and the rows below are zero there; so the
-    residue vanishes on every pivot, and is zero iff v lies in the span.
-    Basis entries are `Fraction`s, so every division is exact."""
+    """Pivots (first nonzero columns, increasing down the rows) and integer
+    rows, shared by `Subspace` and `Lattice`; every elimination runs over Z."""
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(i for i, x in enumerate(row) if x != 0) for row in self.basis)
 
-    def _eliminate(self, v) -> tuple[list[Fraction], Vec]:
-        """Coefficients c and residue v - sum c_i basis_i."""
+    @cached_property
+    def _int_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
+        """(rows, d): the nonzero (column, entry) pairs of each d * basis_i."""
+        d = lcm(*(x.denominator for row in self.basis for x in row))
+        return [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
+                for row in self.basis], d
+
+    def _integral(self, v) -> tuple[list[int], int]:
+        """(w, e) with v = w/e and w integral."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector has wrong length")
-        v = list(v)
-        coeffs = []
-        for row, p in zip(self.basis, self.pivots):
-            f = v[p] / row[p]
-            if f:
-                v[p:] = [x - f * y for x, y in zip(v[p:], row[p:])]
-            coeffs.append(f)
-        return coeffs, tuple(v)
+        e = lcm(*(x.denominator for x in v))
+        return [x.numerator * (e // x.denominator) for x in v], e
 
     def where(self, images):
         """The points sum c_i basis_i where a linear map vanishes, given the
@@ -354,8 +353,15 @@ class Subspace(_Echelon):
         return not any(self.reduce(v))
 
     def reduce(self, v) -> Vec:
-        """Residue of v after eliminating the pivot coordinates of the basis."""
-        return self._eliminate(v)[1]
+        """Residue v - sum v[p_i] basis_i over Z (an RREF row is 1 on its own
+        pivot p_i, 0 on the others); zero entries are the int 0."""
+        (rows, d), (w, e) = self._int_rows, self._integral(v)
+        acc = [x * d for x in w]
+        for terms, p in zip(rows, self.pivots):
+            if w[p]:
+                for j, x in terms:
+                    acc[j] -= w[p] * x
+        return tuple(Fraction(x, d * e) if x else 0 for x in acc)
 
     _canonical = from_vectors
 
@@ -471,12 +477,19 @@ class Lattice(_Echelon):
         return Subspace.from_vectors(self.ambient_dim, list(self.basis))
 
     def integer_coordinates(self, v) -> tuple[int, ...] | None:
-        """Coordinates of v in the basis when v lies in the lattice: integral
-        elimination coefficients with a zero residue."""
-        coeffs, residue = self._eliminate(v)
-        if any(residue) or any(c.denominator != 1 for c in coeffs):
-            return None
-        return tuple(int(c) for c in coeffs)
+        """Coordinates of v in the basis when v lies in the lattice: e*d*v
+        eliminated over Z by the rows e*d*basis_i, None at the first inexact
+        quotient or a nonzero residue."""
+        (rows, d), (w, e) = self._int_rows, self._integral(v)
+        acc, coords = [x * d for x in w], []
+        for terms, p in zip(rows, self.pivots):
+            c, r = divmod(acc[p], e * terms[0][1])
+            if r:
+                return None
+            for j, x in terms:
+                acc[j] -= c * e * x
+            coords.append(c)
+        return None if any(acc) else tuple(coords)
 
     def contains(self, v) -> bool:
         return self.integer_coordinates(v) is not None

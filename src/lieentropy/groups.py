@@ -121,6 +121,12 @@ class PresentedGroup:
         conjugation certificate and the toral-order check both need it."""
         return nilradical(self.algebra)
 
+    @cached_property
+    def center(self) -> Subspace:
+        """Center of the algebra, computed once per presentation: the toral
+        lattice and a whole-algebra eventual image both need it."""
+        return center(self.algebra).space
+
 
 @dataclass(frozen=True)
 class PresentationReport:
@@ -396,8 +402,7 @@ def toral_lattice(group: PresentedGroup) -> CentralTorus:
     group agrees with the one of its nilradical, so the torus directions are
     exactly the lattice points lying in the center.
     """
-    z = center(group.algebra).space
-    lam = lattice_intersect_subspace(group.lattice(), z)
+    lam = lattice_intersect_subspace(group.lattice(), group.center)
     return CentralTorus(lam, lam.span())
 
 
@@ -447,7 +452,7 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
         raise ValidationError("endomorphism was validated against a different presentation")
     g_phi = eventual_image(group, endo)
     l_phi = lattice_intersect_subspace(group.lattice(), g_phi)
-    z_phi = centralizer_in(group.algebra, g_phi)
+    z_phi = group.center if g_phi.dim == group.dim else centralizer_in(group.algebra, g_phi)
     lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
         action = restrict_matrix_to_lattice(endo.d_phi_matrix(), lam_phi)

@@ -4,11 +4,12 @@ The quantity of interest is sum(log|z|) over the roots z of an integer
 polynomial with |z| > 1.  Roots of unity and zero roots contribute nothing,
 and both are detected symbolically: powers of t are stripped exactly and
 every cyclotomic factor is removed by trial division before any floating
-point enters.  Only the strictly expanding/contracting moduli of the
-remaining factor are bounded numerically, by a simultaneous root iteration
-whose output is certified with Weierstrass-correction disks.  Their
-numerators are exact: a float approximation z is the dyadic point
-(x + iy)/2^e, so p(z) is evaluated by integer Horner scaled by 2^(e*deg p).
+point enters.  Gcds are taken over Z.  Only the strictly expanding/
+contracting moduli of the remaining factor are bounded numerically, by a
+Durand-Kerner iteration started on the root circle, whose output is
+certified with Weierstrass-correction disks.  Their numerators are exact: a
+float approximation z is the dyadic point (x + iy)/2^e, so p(z) is
+evaluated by integer Horner scaled by 2^(e*deg p).
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -92,10 +93,18 @@ def poly_divmod(p, q):
 
 
 def poly_gcd(p, q):
-    """Monic gcd over Q."""
-    a, b = poly_trim(p), poly_trim(q)
+    """Monic gcd over Q: a primitive remainder sequence over Z (integer
+    pseudo-remainders, content cleared), made monic at the end."""
+    a, b = poly_primitive_int(p), poly_primitive_int(q)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
+        r = a
+        while len(r) >= len(b):
+            shift, top = len(r) - len(b), r[-1]
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= top * y
+            r = poly_trim(r)
+        a, b = b, poly_primitive_int(r)
     return [Fraction(x, a[-1]) for x in a]
 
 
@@ -238,8 +247,9 @@ def _exact_abs_upper(coeffs, z: complex) -> float:
 
     The float z is exactly (x + iy)/D with integers x, y and D a power of
     two, so integer Horner gives D^n p(z), n = deg p, and |p(z)|^2 is the
-    exact rational (re^2 + im^2)/D^(2n).  The only slack is the final square
-    root, inflated by one part in 1e12.
+    exact rational (re^2 + im^2)/D^(2n), scaled by 4^-k into the float range
+    before the root is taken.  The only slack is rounding, covered by
+    inflating by one part in 1e12.
     """
     x, dx = z.real.as_integer_ratio()
     y, dy = z.imag.as_integer_ratio()
@@ -253,8 +263,10 @@ def _exact_abs_upper(coeffs, z: complex) -> float:
     if sq == 0:
         return 0.0
     den = (scale // denom) ** 2
-    val = math.sqrt(sq / den) if sq < _SQUARE_LIMIT * den else float("inf")
-    return val * (1.0 + 1e-12)
+    if sq >= _SQUARE_LIMIT * den:
+        return float("inf")
+    k = max(0, (sq // den).bit_length() // 2 - 510)  # sq / (den * 4^k) < 2^1021
+    return math.ldexp(math.sqrt(sq / (den << 2 * k)), k) * (1.0 + 1e-12)
 
 
 def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:
@@ -288,8 +300,13 @@ _WIDEN = 2.0**-50  # relative endpoint widening covering float rounding
 def _certified_moduli(coeffs) -> list[tuple[float, float]]:
     """Intervals [lo, hi] bounding root moduli of a squarefree integer poly.
 
-    Endpoints are widened by a relative 2^-50 so that the rounding of the
-    interval arithmetic itself stays inside the reported bounds.
+    The iteration starts on the circle of radius max_k |a_(n-k)/a_n|^(1/k),
+    between half the largest root modulus (Fujiwara, Tohoku Math. J. 10
+    (1916)) and n times it.  The sweep is deterministic, so iterates back
+    at an earlier state only repeat its cycle: each state of it is tested
+    once, then the iteration gives up.  Endpoints are widened by a relative
+    2^-50 so that the rounding of the interval arithmetic itself stays
+    inside the reported bounds.
     """
     coeffs = [int(a) for a in poly_trim(coeffs)]
     n = poly_degree(coeffs)
@@ -299,9 +316,20 @@ def _certified_moduli(coeffs) -> list[tuple[float, float]]:
         m = float(Fraction(abs(coeffs[0]), abs(coeffs[1])))
         return [(m * (1.0 - _WIDEN), m * (1.0 + _WIDEN))]
     monic = [a / coeffs[-1] for a in coeffs]
-    cauchy = 1.0 + max(abs(a) for a in monic[:-1])
-    zs = [cauchy * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
-    deriv = poly_derivative(monic)
+    radius = max(abs(a) ** (1.0 / k) for k, a in enumerate(reversed(monic[:-1]), 1))
+    zs = [radius * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
+    tested: dict[tuple, bool] = {}  # every state reached, in order: tested yet?
+
+    def certify(state):
+        tested[state] = True
+        radii = _weierstrass_radii(coeffs, state)
+        disjoint = all(abs(state[i] - state[j]) > radii[i] + radii[j]
+                       for i in range(n) for j in range(i + 1, n))
+        if disjoint and all(math.isfinite(r) for r in radii):
+            return [(max((abs(z) - r) * (1.0 - _WIDEN), 0.0), (abs(z) + r) * (1.0 + _WIDEN))
+                    for z, r in zip(state, radii)]
+        return None
+
     for sweep in range(_MAX_NEWTON_SWEEPS):
         # one Durand-Kerner sweep
         moved = 0.0
@@ -320,19 +348,17 @@ def _certified_moduli(coeffs) -> list[tuple[float, float]]:
             moved = max(moved, abs(w))
         if not all(map(cmath.isfinite, zs)):
             break  # the double-precision iteration overflowed
+        state = tuple(zs)
+        if state in tested:
+            for earlier in list(tested)[list(tested).index(state):]:
+                if not tested[earlier] and (found := certify(earlier)):
+                    return found
+            break
+        tested[state] = False
         if moved > 1e-13 and sweep < _MAX_NEWTON_SWEEPS - 1:
             continue
-        radii = _weierstrass_radii(coeffs, zs)
-        disjoint = all(
-            abs(zs[i] - zs[j]) > radii[i] + radii[j]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-        if disjoint and all(math.isfinite(r) for r in radii):
-            return [
-                (max((abs(z) - r) * (1.0 - _WIDEN), 0.0), (abs(z) + r) * (1.0 + _WIDEN))
-                for z, r in zip(zs, radii)
-            ]
+        if found := certify(state):
+            return found
     raise ArithmeticError("root certification failed to converge")
 
 

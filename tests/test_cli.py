@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -186,9 +188,10 @@ def test_cli_pipeline_abort_exit_code(tmp_path):
 
 
 def test_cli_root_certifier_overflow_exit_code(tmp_path):
-    # companion matrix of t^5 + 10^160 t^2 + 1: root certification overflows
-    # double precision, which is a pipeline abort (exit 2), not bad input
-    coeffs = [1, 0, 10**160, 0, 0]
+    # companion matrix of t^5 + 10^300 t^2 + 1: three roots of modulus 10^100,
+    # so the double-precision root iteration overflows (z^5 > 10^308), which
+    # is a pipeline abort (exit 2), not bad input
+    coeffs = [1, 0, 10**300, 0, 0]
     companion = [["1" if j == i - 1 else "0" for j in range(4)] + [str(-coeffs[i])]
                  for i in range(5)]
     doc = {"algebra": {"dim": 5, "brackets": []},
@@ -199,6 +202,26 @@ def test_cli_root_certifier_overflow_exit_code(tmp_path):
     result = run_cli("entropy", "--input", str(path))
     assert result.returncode == 2
     assert "pipeline abort" in result.stderr
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_cli_entropy_of_large_random_tori(tmp_path, n):
+    # every torus of dimension 19 or more aborted while the root iteration
+    # started on the Cauchy circle; the reference is numpy's eigenvalue sum
+    np = pytest.importorskip("numpy")
+    rng = random.Random(f"large-torus-{n}")
+    matrix = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    doc = {"algebra": {"dim": n, "brackets": []},
+           "lattice": [["1" if j == i else "0" for j in range(n)] for i in range(n)],
+           "endomorphism": [[str(x) for x in row] for row in matrix]}
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["entropy", "--input", str(path)]) == 0
+    eigenvalues = np.linalg.eigvals(np.array(matrix, dtype=float))
+    reference = float(sum(math.log(abs(z)) for z in eigenvalues if abs(z) > 1))
+    assert abs(json.loads(out.getvalue())["entropy"]["value"] - reference) <= 1e-6
 
 
 def test_cli_estimate_csv(tmp_path):

@@ -417,6 +417,60 @@ def test_fraction_free_kernels_match_fraction_references():
                 _lattice_intersect_subspace_reference(lattice, sub), m
 
 
+def _eliminate_reference(container, v):
+    """Coefficients and residue by Fraction elimination along the pivots,
+    top row first, dividing by each pivot entry."""
+    v = [Fraction(x) for x in v]
+    coeffs = []
+    for row, p in zip(container.basis, container.pivots):
+        f = v[p] / row[p]
+        v[p:] = [x - f * y for x, y in zip(v[p:], row[p:])]
+        coeffs.append(f)
+    return coeffs, tuple(v)
+
+
+def test_integer_elimination_matches_fraction_elimination():
+    rng = random.Random(2026)
+    for m in _oracle_matrices():
+        ncols = len(m[0]) if m else 0
+        space, lattice = Subspace.from_vectors(ncols, m), Lattice.from_generators(ncols, m)
+        for container in (space, lattice):
+            columns = transpose(list(container.basis))
+            # points of the container, of its span and of the whole space
+            combos = [[rng.randint(-3, 3) for _ in container.basis],
+                      [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in container.basis]]
+            vectors = [mat_vec(columns, c) if columns else (0,) * ncols for c in combos]
+            vectors += [[Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 9)))
+                         for _ in range(ncols)] for _ in range(2)]
+            for v in vectors:
+                coeffs, residue = _eliminate_reference(container, v)
+                scale = lcm(*(Fraction(x).denominator for x in v))
+                as_ints = [int(x * scale) for x in v]
+                as_fractions = [Fraction(x) for x in as_ints]
+                if container is space:
+                    assert space.reduce(v) == residue, (m, v)
+                    assert space.contains(v) is not any(residue), (m, v)
+                    # the residue's types follow its values only
+                    assert _typed(space.reduce(as_ints)) == _typed(space.reduce(as_fractions))
+                    assert all(type(x) is (Fraction if x else int) for x in space.reduce(v))
+                else:
+                    inside = not any(residue) and all(c.denominator == 1 for c in coeffs)
+                    assert lattice.integer_coordinates(v) == \
+                        (tuple(int(c) for c in coeffs) if inside else None), (m, v)
+                    int_coeffs, int_residue = _eliminate_reference(lattice, as_ints)
+                    expected = (None if any(int_residue) or
+                                any(c.denominator != 1 for c in int_coeffs)
+                                else tuple(int(c) for c in int_coeffs))
+                    for w in (as_ints, as_fractions):
+                        got = lattice.integer_coordinates(w)
+                        assert got == expected, (m, w)
+                        assert got is None or all(type(c) is int for c in got)
+        with pytest.raises(DimensionError):
+            space.reduce((0,) * (ncols + 1))
+        with pytest.raises(DimensionError):
+            lattice.integer_coordinates((0,) * (ncols + 1))
+
+
 class _Untouchable:
     """A zero entry that raises when it enters a product."""
 

@@ -594,6 +594,28 @@ def test_analyze_skips_toral_check_when_central_torus_is_nontrivial():
     assert report.toral_order is None
 
 
+def test_analyze_computes_the_center_once(monkeypatch):
+    import lieentropy.liealgebra
+
+    calls = []
+    original = lieentropy.liealgebra.centralizer_in
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (lieentropy.liealgebra, lieentropy.groups):
+        monkeypatch.setattr(module, "centralizer_in", counted)
+    # the eventual image is the whole algebra, whose center serves both the
+    # central torus of the image and the toral lattice of the group
+    group = heisenberg_group([(0, 0, 1)])
+    endo = validate_endomorphism(group, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
+    report = analyze(group, endo, TOL)
+    assert report.eventual_image.dim == group.dim
+    assert report.center_of_image == Subspace.from_vectors(3, [(0, 0, 1)])
+    assert len(calls) == 1
+
+
 def test_analyze_runs_each_stage_once(monkeypatch):
     calls = Counter()
     for name in ("eventual_image", "nilradical", "log_mahler", "char_poly"):

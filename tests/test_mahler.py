@@ -12,7 +12,10 @@ from lieentropy.mahler import (
     cyclotomic_part,
     euler_phi,
     log_mahler,
+    poly_divmod,
+    poly_gcd,
     poly_mul,
+    poly_trim,
     squarefree_decomposition,
 )
 
@@ -69,6 +72,34 @@ def test_squarefree_decomposition():
     p = poly_mul(poly_mul([1, -3, 1], [1, -3, 1]), [1, 1])
     parts = dict((tuple(q), mult) for q, mult in squarefree_decomposition(p))
     assert parts == {(1, 1): 1, (1, -3, 1): 2}
+
+
+def _poly_gcd_reference(p, q):
+    """Monic gcd by Euclid's algorithm over Q."""
+    a, b = poly_trim(p), poly_trim(q)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [Fraction(x, a[-1]) for x in a]
+
+
+def test_poly_gcd_matches_euclid_over_q():
+    rng = random.Random(1913)
+
+    def poly(low, high):
+        return [rng.randint(-5, 5) for _ in range(rng.randint(low, high))]
+
+    cases = [([], []), ([], [0, 3]), ([6], [4, 2]), ([0, 0, 2], [0, 4]), ([1, -3, 1], [])]
+    for _ in range(60):
+        common = poly(1, 4)
+        p, q = poly_mul(poly(0, 5), common), poly_mul(poly(0, 5), common)
+        if rng.random() < 0.5:
+            p = [Fraction(x, rng.choice((1, 2, 3, 7))) for x in p]
+            q = [Fraction(x, rng.choice((1, 4, 5))) for x in q]
+        cases.append((p, q))
+    for p, q in cases:
+        got = poly_gcd(p, q)
+        assert got == _poly_gcd_reference(p, q), (p, q)
+        assert all(type(x) is Fraction for x in got)
 
 
 # --- log-Mahler sums -----------------------------------------------------------
@@ -175,12 +206,49 @@ def test_log_mahler_matches_lapack_roots():
         checked += 1
 
 
+MIGNOTTE = [-2, 40, -200] + [0] * 13 + [1]  # t^16 - 2(10t - 1)^2
+
+
 def test_log_mahler_overflow_aborts_as_arithmetic_error():
-    # the double-precision Durand-Kerner iterates overflow to NaN on these;
-    # that is non-convergence of the certifier, not a malformed input
-    for p in ([1, 0, 10**160, 0, 0, 1], [1, 10**20] + [0] * 29 + [1]):
+    # the double-precision Durand-Kerner iterates overflow on t^5 + 10^300 t^2
+    # + 1 (three roots of modulus 10^100, so z^5 leaves the float range), and
+    # Mignotte's two roots near 1/10, sqrt(2) * 10^-9 apart, cannot be
+    # separated in double precision; that is non-convergence of the
+    # certifier, not a malformed input
+    for p in ([1, 0, 10**300, 0, 0, 1], MIGNOTTE):
         with pytest.raises(ArithmeticError, match="failed to converge"):
             log_mahler(p)
+
+
+def test_log_mahler_certifies_large_coefficients():
+    # started on the root circle, the iteration stays in range on these; both
+    # aborted while it started on the Cauchy circle 1 + max|a_i|, and the
+    # first also needs |p(z)| beyond sqrt(float max) in its Weierstrass disks
+    mpmath = pytest.importorskip("mpmath")
+    for p in ([1, 0, 10**160, 0, 0, 1], [1, 10**20] + [0] * 29 + [1]):
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots(p[::-1], maxsteps=500, extraprec=300)
+            reference = float(sum(mpmath.log(abs(z)) for z in roots if abs(z) > 1))
+        assert abs(log_mahler(p, TOL).value - reference) <= TOL
+
+
+def test_mignotte_abort_tests_each_iterate_once(monkeypatch):
+    import lieentropy.mahler as mahler
+
+    states = []
+    original = mahler._weierstrass_radii
+
+    def counted(coeffs, zs):
+        states.append(tuple(zs))
+        return original(coeffs, zs)
+
+    monkeypatch.setattr(mahler, "_weierstrass_radii", counted)
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        log_mahler(MIGNOTTE)
+    # the iterates fall into a cycle after a few sweeps; the Cauchy start
+    # tested 399 states before giving up
+    assert len(states) == len(set(states))
+    assert len(states) <= 16
 
 
 def test_log_mahler_rejects_non_finite_tolerance():
@@ -189,17 +257,25 @@ def test_log_mahler_rejects_non_finite_tolerance():
             log_mahler([1, -3, 1], tol=tol)
 
 
-def _exact_abs_upper_reference(coeffs, z):
-    """|p(z)| bound by Horner over Fraction at the rational point z."""
+def _square_modulus(coeffs, z):
+    """|p(z)|^2 by Horner over Fraction at the rational point z."""
     zr, zi = Fraction(z.real), Fraction(z.imag)
     re, im = Fraction(0), Fraction(0)
     for a in reversed(coeffs):
         re, im = re * zr - im * zi + a, re * zi + im * zr
-    sq = re * re + im * im
+    return re * re + im * im
+
+
+def _exact_abs_upper_reference(coeffs, z):
+    """|p(z)| bound from the exact square: infinite from 10^600 on, and the
+    square root of the square scaled into the float range below that."""
+    sq = _square_modulus(coeffs, z)
     if sq == 0:
         return 0.0
-    val = math.sqrt(float(sq)) if sq < Fraction(10) ** 600 else float("inf")
-    return val * (1.0 + 1e-12)
+    if sq >= Fraction(10) ** 600:
+        return float("inf")
+    k = max(0, math.floor(sq).bit_length() // 2 - 510)
+    return math.ldexp(math.sqrt(float(sq / 4**k)), k) * (1.0 + 1e-12)
 
 
 def test_exact_abs_upper_matches_fraction_horner():
@@ -211,16 +287,19 @@ def test_exact_abs_upper_matches_fraction_horner():
         def part():
             return rng.choice((0.0, rng.uniform(-4, 4) * 10.0 ** rng.randint(-300, 150)))
         points.append(complex(part(), part()))
-    polys = [[1, -3, 1], [-2, 40, -200] + [0] * 13 + [1], [1, 0, 10**160, 0, 0, 1],
-             [7], [0, 0, 1], [3, 0, 0, -7, 2]]
+    polys = [[1, -3, 1], MIGNOTTE, [1, 0, 10**160, 0, 0, 1],
+             [7], [0, 0, 1], [3, 0, 0, -7, 2], [0, 0, 10**160]]
     polys += [[rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 21))]
               for _ in range(6)]
+    beyond_float_squares = 0
     for p in polys:
         for z in points:
-            try:
-                expected = _exact_abs_upper_reference(p, z)
-            except OverflowError:
-                with pytest.raises(OverflowError):
-                    _exact_abs_upper(p, z)
-                continue
-            assert _exact_abs_upper(p, z) == expected, (p, z)
+            got = _exact_abs_upper(p, z)
+            assert got == _exact_abs_upper_reference(p, z), (p, z)
+            if 1e-150 < got < math.inf:
+                # an upper bound on |p(z)|, also where |p(z)|^2 exceeds the
+                # float range
+                assert Fraction(got) ** 2 >= _square_modulus(p, z), (p, z)
+                beyond_float_squares += got > 1e155
+    assert beyond_float_squares
+    assert math.isclose(_exact_abs_upper([0, 0, 10**160], 1e20 + 0j), 1e200, rel_tol=1e-11)
