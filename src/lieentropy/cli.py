@@ -9,6 +9,7 @@ invariant).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lieentropy",
                      description="topological entropy of Lie group endomorphisms")

@@ -2,11 +2,11 @@
 
 Everything in this module is computed over arbitrary-precision rationals
 (`fractions.Fraction`) or integers; no floating point ever enters.  Matrices
-are sequences of row sequences, vectors are sequences.  The number rule:
-every entry is an `int` or a `Fraction`, made exact once where outside data
-enters the program; nothing here converts or copies entries on the way in.
-The kernels and the `Subspace` and `Lattice` constructors give an int entry
-the same result, of the same type, as the equal Fraction.
+are sequences of row sequences, vectors are sequences.  The number rule: an
+entry is an `int` when integral and a `Fraction` otherwise, made so by `exact`
+where outside data enters the program and kept by what is built here (identity
+and `rref` rows, residues, lattice bases); an int entry gives the same result,
+of the same type, as the equal Fraction.
 Products of matrices and vectors, row combinations included
 (`mat_vec(transpose(rows), c)`), go through `mat_vec` and `mat_mul`, which
 multiply only the nonzero entries of the vector and of the left matrix and
@@ -48,8 +48,14 @@ Mat = list[list[Fraction]]
 # ---------------------------------------------------------------------------
 # vectors and matrices
 
+def exact(x, d=1):
+    """x/d by the number rule, for x an int, a Fraction or a rational string."""
+    q = x // d if isinstance(x, int) and not x % d else Fraction(x) / d
+    return q.numerator if q.denominator == 1 else q
+
+
 def identity_matrix(n) -> Mat:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(m: Mat, v) -> Vec:
@@ -143,7 +149,7 @@ def rref(rows) -> tuple[Mat, list[int]]:
         raise DimensionError("ragged matrix rows")
     ints, _ = _integer_rows([row for row in rows if any(row)])
     pivots, last, _ = _bareiss(ints, len(rows[0]))
-    return [[Fraction(x, last) for x in row] for row in ints[:len(pivots)]], pivots
+    return [[exact(x, last) for x in row] for row in ints[:len(pivots)]], pivots
 
 
 def rank(rows) -> int:
@@ -159,8 +165,8 @@ def kernel_basis(m) -> list[Vec]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(tuple(v))
@@ -181,7 +187,7 @@ def solve(m, rhs) -> Vec | None:
     for row in red:
         if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
             return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, p in enumerate(pivots):
         if p == ncols:
             return None
@@ -247,7 +253,8 @@ def min_poly(m) -> list:
 
     Found as the first linear dependence among I, m, m^2, ... (Krylov on the
     flattened powers), so it divides char_poly(m) by construction.  The
-    sequence starts at m itself, so a zero matrix costs no product.
+    sequence starts at m itself and stops at the first zero power m^k, whose
+    minimal polynomial is t^k, so a zero matrix costs no product and no solve.
     """
     n = len(m)
     if any(len(row) != n for row in m):
@@ -258,10 +265,12 @@ def min_poly(m) -> list:
     flats: list[list[Fraction]] = []
     for d in range(n + 1):
         flat = [x for row in power for x in row]
+        if d and not any(flat):
+            return [0] * d + [1]
         flats.append(flat)
         combo = solve(transpose(flats[:-1]), flat) if d > 0 else None
         if combo is not None:
-            ascending = [-c for c in combo] + [Fraction(1)]
+            ascending = [-c for c in combo] + [1]
             if all(c.denominator == 1 for c in ascending):
                 return [int(c) for c in ascending]
             return ascending
@@ -313,7 +322,10 @@ class _Echelon:
     def where(self, images):
         """The points sum c_i basis_i where a linear map vanishes, given the
         images of the basis rows: their left kernel (over Q for a `Subspace`,
-        over Z for a `Lattice`) recombined, in canonical form."""
+        over Z for a `Lattice`) recombined, in canonical form; the container
+        itself when every image is zero."""
+        if not any(map(any, images)):
+            return self
         columns = transpose(list(self.basis))
         return self._canonical(self.ambient_dim,
                                [mat_vec(columns, c) for c in self._left_kernel(images)])
@@ -354,14 +366,14 @@ class Subspace(_Echelon):
 
     def reduce(self, v) -> Vec:
         """Residue v - sum v[p_i] basis_i over Z (an RREF row is 1 on its own
-        pivot p_i, 0 on the others); zero entries are the int 0."""
+        pivot p_i, 0 on the others), by the number rule."""
         (rows, d), (w, e) = self._int_rows, self._integral(v)
         acc = [x * d for x in w]
         for terms, p in zip(rows, self.pivots):
             if w[p]:
                 for j, x in terms:
                     acc[j] -= w[p] * x
-        return tuple(Fraction(x, d * e) if x else 0 for x in acc)
+        return tuple(exact(x, d * e) for x in acc)
 
     _canonical = from_vectors
 
@@ -459,7 +471,7 @@ class Lattice(_Echelon):
         scale = lcm(*[x.denominator for g in gens for x in g])
         int_rows = [[int(x * scale) for x in g] for g in gens]
         hnf = _hnf_int_rows(int_rows)
-        basis = tuple(tuple(Fraction(x, scale) for x in row) for row in hnf)
+        basis = tuple(tuple(exact(x, scale) for x in row) for row in hnf)
         return Lattice(ambient_dim, basis)
 
     @staticmethod

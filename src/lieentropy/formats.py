@@ -26,32 +26,29 @@ from .groups import (
     ToralOrderCheck,
 )
 from .liealgebra import LieAlgebra
-from .exactlinalg import Lattice, Subspace
+from .exactlinalg import Lattice, Subspace, exact
 from .mahler import EntropyValue
 from .torus import TorusEndo
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+def format_rational(x: Fraction | int) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(value, where: str) -> Fraction:
+def parse_rational(value, where: str) -> Fraction | int:
     if isinstance(value, bool):
         raise InputError("expected a rational, got a boolean", where)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value.strip()):
             raise InputError(f"malformed rational {value!r}", where)
         num, _, den = value.strip().partition("/")
-        if den:
-            if int(den) == 0:
-                raise InputError("rational with denominator zero", where)
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        if den and int(den) == 0:
+            raise InputError("rational with denominator zero", where)
+        return exact(int(num), int(den or 1))
     raise InputError(f"expected a rational string or integer, got {type(value).__name__}", where)
 
 

@@ -39,6 +39,7 @@ from .exactlinalg import (
     Subspace,
     char_poly,
     det,
+    exact,
     identity_matrix,
     lattice_intersect_subspace,
     mat_mul,
@@ -56,6 +57,7 @@ from .liealgebra import (
     is_solvable,
     is_subalgebra,
     nilradical,
+    nonzero_brackets,
     quotient_algebra,
     validate_algebra,
 )
@@ -102,7 +104,7 @@ class PresentedGroup:
 
     @staticmethod
     def build(algebra: LieAlgebra, lattice_logs, name: str = "G") -> "PresentedGroup":
-        logs = tuple(tuple(Fraction(x) for x in v) for v in lattice_logs)
+        logs = tuple(tuple(exact(x) for x in v) for v in lattice_logs)
         for v in logs:
             if len(v) != algebra.dim:
                 raise DimensionError("lattice log-generator has wrong length")
@@ -197,10 +199,8 @@ def validate_presentation(group: PresentedGroup) -> PresentationReport:
     if not algebra_report.valid:
         issues.append(f"algebra: {algebra_report.describe()}")
     logs = group.lattice_logs
-    for i in range(len(logs)):
-        for j in range(i + 1, len(logs)):
-            if any(x != 0 for x in group.algebra.bracket(logs[i], logs[j])):
-                issues.append(f"lattice generators {i} and {j} do not commute")
+    issues += [f"lattice generators {i} and {j} do not commute"
+               for i, j in sorted(nonzero_brackets(group.algebra, logs, logs)) if i < j]
     for i, w in enumerate(logs):
         reason = _compact_spectrum_certificate(min_poly(group.algebra.adjoint_matrix(w)))
         if reason is not None:
@@ -239,7 +239,7 @@ def _exp_ad(algebra, u, v):
         factorial *= k
         if all(x == 0 for x in term):
             break
-        result = [r + t / factorial for r, t in zip(result, term)]
+        result = [r + exact(t, factorial) for r, t in zip(result, term)]
     return tuple(result)
 
 
@@ -258,7 +258,7 @@ def _conjugate_correction(algebra, nil_space, v, target):
         return None
     matrix = transpose([algebra.bracket(b, v) for b in nil_basis])
     nil_columns = transpose(nil_basis)
-    u = [Fraction(0)] * dim
+    u = [0] * dim
     for _ in range(dim + 1):
         current = _exp_ad(algebra, u, v)
         residual = [t - c for t, c in zip(target, current)]
@@ -285,26 +285,24 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
     and verified exactly, which makes exp of the image an inner conjugate
     of the central element exp(2 pi v_i) and hence again a lattice element.
     """
-    d = [[Fraction(x) for x in row] for row in derivative]
-    n = group.algebra.dim
+    d = [[exact(x) for x in row] for row in derivative]
+    algebra, n = group.algebra, group.algebra.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise DimensionError(f"derivative must be {n}x{n}")
     columns = transpose(d)  # column i is d(e_i)
-    terms: dict[tuple[int, int], list] = {}
-    for i, j, k, c in group.algebra.constants:
-        terms.setdefault((i, j), []).append((k, c))
-    for i in range(n):
-        for j in range(i + 1, n):
-            # d[e_i, e_j] = sum_k c_ij^k d(e_k), read off the nonzero constants
-            lhs = [Fraction(0)] * n
-            for k, c in terms.get((i, j), ()):
-                lhs = [x + c * y for x, y in zip(lhs, columns[k])]
-            rhs = group.algebra.bracket(columns[i], columns[j])
-            if tuple(lhs) != rhs:
-                raise ValidationError(
-                    "not a Lie algebra endomorphism: bracket compatibility fails at "
-                    f"({group.algebra.basis_names[i]}, {group.algebra.basis_names[j]})"
-                )
+    # [d e_i, d e_j] - d[e_i, e_j] by pair, both read off the nonzero
+    # constants: d[e_i, e_j] = sum_k c_ij^k d(e_k)
+    diff = nonzero_brackets(algebra, columns, columns)
+    for i, j, k, c in algebra.constants:
+        if i < j:
+            v = diff.setdefault((i, j), [0] * n)
+            for m, x in enumerate(columns[k]):
+                v[m] -= c * x
+    failing = [(i, j) for (i, j), v in diff.items() if i < j and any(v)]
+    if failing:
+        i, j = min(failing)
+        raise ValidationError("not a Lie algebra endomorphism: bracket compatibility fails at "
+                              f"({algebra.basis_names[i]}, {algebra.basis_names[j]})")
     # rows (w_i, e_i): eliminating (image, 0) leaves (0, -coords) exactly
     # when the image lies in span(W)
     logs, zeros = group.lattice_logs, (0,) * len(group.lattice_logs)

@@ -1,9 +1,10 @@
 """Structure-constant Lie algebras over exact rationals.
 
 An algebra is kept as the input's sparse structure constants: the sorted
-nonzero (i, j, k, c) meaning [e_i, e_j] has coefficient c on e_k.  Brackets,
-adjoints, the validity check and the Killing form read them directly, so
-their cost follows the number of nonzero constants, not dim^3.  All
+nonzero (i, j, k, c) meaning [e_i, e_j] has coefficient c on e_k, c by the
+number rule of `exactlinalg`.  Brackets, adjoints, the ideal and validity
+checks, centralizers and the Killing form read them directly, so their cost
+follows the number of nonzero constants: a zero bracket is never formed.  All
 constructions here reduce to exact rational linear algebra: the center and
 both radicals are one `Subspace.where` each, and the radicals are post-verified
 against the structural facts the rest of the pipeline relies on, erring out
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, InvariantViolationError
-from .exactlinalg import Subspace, identity_matrix, mat_mul, mat_vec, rank, transpose
+from .exactlinalg import Subspace, exact, identity_matrix, mat_mul, mat_vec, rank, transpose
 
 Vec = tuple[Fraction, ...]
 
@@ -46,10 +47,10 @@ class LieAlgebra:
         for (i, j, k, value) in brackets:
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise DimensionError(f"bracket index ({i},{j},{k}) out of range")
-            explicit[(i, j, k)] = explicit.get((i, j, k), Fraction(0)) + Fraction(value)
+            explicit[(i, j, k)] = explicit.get((i, j, k), 0) + Fraction(value)
         entries = {(j, i, k): -value for (i, j, k), value in explicit.items()}
         entries.update(explicit)
-        constants = tuple(sorted((*key, c) for key, c in entries.items() if c != 0))
+        constants = tuple(sorted((*key, exact(c)) for key, c in entries.items() if c != 0))
         return LieAlgebra(dim, basis_names, constants)
 
     @staticmethod
@@ -59,7 +60,7 @@ class LieAlgebra:
     def bracket(self, x, y) -> Vec:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("bracket arguments have wrong length")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, j, k, c in self.constants:
             if x[i] and y[j]:
                 out[k] += x[i] * y[j] * c
@@ -69,13 +70,13 @@ class LieAlgebra:
         """Matrix of y -> [x, y] in the defining basis."""
         if len(x) != self.dim:
             raise DimensionError("adjoint argument has wrong length")
-        ad = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        ad = [[0] * self.dim for _ in range(self.dim)]
         for i, j, k, c in self.constants:
             ad[k][j] += x[i] * c
         return ad
 
     def basis_vector(self, i: int) -> Vec:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +144,23 @@ def is_subalgebra(algebra: LieAlgebra, space: Subspace) -> bool:
                for a, u in enumerate(basis) for v in basis[a + 1:])
 
 
+def nonzero_brackets(algebra: LieAlgebra, xs, ys) -> dict[tuple[int, int], list]:
+    """The nonzero [xs[a], ys[b]], keyed (a, b), summed from the constants
+    (i, j, k, c) over the a with xs[a][i] != 0 and the b with ys[b][j] != 0."""
+    n, out = algebra.dim, {}
+    left, right = ([[(a, v[i]) for a, v in enumerate(vs) if v[i]] for i in range(n)]
+                   for vs in (xs, ys))
+    for i, j, k, c in algebra.constants:
+        for a, x in left[i]:
+            for b, y in right[j]:
+                out.setdefault((a, b), [0] * n)[k] += x * y * c
+    return {key: v for key, v in out.items() if any(v)}
+
+
 def is_ideal(algebra: LieAlgebra, space: Subspace) -> bool:
-    basis = identity_matrix(algebra.dim)
-    return all(
-        space.contains(algebra.bracket(e, v))
-        for e in basis
-        for v in space.basis
-    )
+    """[e_i, v] in the space for every basis row v; only nonzero ones are tested."""
+    units = identity_matrix(algebra.dim)
+    return all(map(space.contains, nonzero_brackets(algebra, units, space.basis).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,7 @@ def killing_form(algebra: LieAlgebra) -> list[list[Fraction]]:
     by_tail: dict[tuple[int, int], list] = {}
     for j, k, l, c in algebra.constants:
         by_tail.setdefault((k, l), []).append((j, c))
-    form = [[Fraction(0)] * n for _ in range(n)]
+    form = [[0] * n for _ in range(n)]
     for i, l, k, c in algebra.constants:
         for j, d in by_tail.get((k, l), ()):
             form[i][j] += c * d
@@ -181,12 +192,15 @@ def centralizer_in(algebra: LieAlgebra, sub: Subspace) -> Subspace:
         raise DimensionError("subspace has wrong ambient dimension")
     if not is_subalgebra(algebra, sub):
         raise DomainError("subspace is not closed under the bracket")
-    return sub.where([tuple(x for y in sub.basis for x in algebra.bracket(b, y))
-                      for b in sub.basis])
+    n = algebra.dim
+    images = [[0] * (n * sub.dim) for _ in sub.basis]
+    for (a, b), v in nonzero_brackets(algebra, sub.basis, sub.basis).items():
+        images[a][b * n:(b + 1) * n] = v
+    return sub.where(images)
 
 
 def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspace:
-    vectors = [algebra.bracket(u, v) for u in left.basis for v in right.basis]
+    vectors = nonzero_brackets(algebra, left.basis, right.basis).values()
     return Subspace.from_vectors(algebra.dim, vectors)
 
 

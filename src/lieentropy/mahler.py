@@ -247,9 +247,10 @@ def _exact_abs_upper(coeffs, z: complex) -> float:
 
     The float z is exactly (x + iy)/D with integers x, y and D a power of
     two, so integer Horner gives D^n p(z), n = deg p, and |p(z)|^2 is the
-    exact rational (re^2 + im^2)/D^(2n), scaled by 4^-k into the float range
-    before the root is taken.  The only slack is rounding, covered by
-    inflating by one part in 1e12.
+    exact rational (re^2 + im^2)/D^(2n), scaled by 4^-k (k of either sign)
+    into the float range before the root is taken.  The slack is rounding,
+    covered by one part in 1e12 and one subnormal step: a nonzero p(z) never
+    gets the bound 0.
     """
     x, dx = z.real.as_integer_ratio()
     y, dy = z.imag.as_integer_ratio()
@@ -265,8 +266,9 @@ def _exact_abs_upper(coeffs, z: complex) -> float:
     den = (scale // denom) ** 2
     if sq >= _SQUARE_LIMIT * den:
         return float("inf")
-    k = max(0, (sq // den).bit_length() // 2 - 510)  # sq / (den * 4^k) < 2^1021
-    return math.ldexp(math.sqrt(sq / (den << 2 * k)), k) * (1.0 + 1e-12)
+    k = (sq.bit_length() - den.bit_length()) // 2 - 510  # 2^1019 <= sq / (den 4^k) < 2^1022
+    ratio = sq / (den << 2 * k) if k >= 0 else (sq << -2 * k) / den
+    return math.ldexp(math.sqrt(ratio), k) * (1.0 + 1e-12) + 5e-324
 
 
 def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:

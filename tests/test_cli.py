@@ -305,3 +305,81 @@ def test_cli_usage_errors_exit_one():
     assert run_cli("entropy").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("analyze", "--catalog", "does-not-exist").returncode == 1
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(monkeypatch, capsys):
+    seen = []
+    for name in ("_cmd_validate", "_cmd_entropy", "_cmd_estimate", "_cmd_catalog"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or cli.EXIT_OK)
+    source = {"input": None, "catalog": "cat-map", "tol": cli.DEFAULT_TOL}
+    estimate = {"n_max": 10, "epsilon": 0.05, "resolution": None, "format": "json",
+                "output": None}
+    calls = [
+        (["entropy", "--catalog", "cat-map", "--tol", "0.5"],
+         dict(source, command="entropy", tol=0.5)),
+        (["validate", "--input", "doc.json"],
+         dict(source, command="validate", input="doc.json", catalog=None)),
+        (["estimate", "--catalog", "cat-map", "--n-max", "3", "--format", "csv"],
+         dict(source, **dict(estimate, n_max=3, format="csv"), command="estimate")),
+        (["catalog", "--run-all", "--tol", "0.25"],
+         {"command": "catalog", "run_all": True, "tol": 0.25}),
+        (["estimate", "--catalog", "cat-map"], dict(source, **estimate, command="estimate")),
+        (["entropy", "--catalog", "cat-map"], dict(source, command="entropy")),
+        (["catalog"], {"command": "catalog", "run_all": False, "tol": cli.DEFAULT_TOL}),
+    ]
+    for argv, expected in calls:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        assert seen.pop() == expected, argv
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    assert cli.main(["entropy", "--catalog", "cat-map", "--tol", "nan"]) == cli.EXIT_INVALID
+    assert "--tol" in capsys.readouterr().err and not seen
+
+
+def _respelled(value, spelling):
+    """An integral rational string of the document as the string "p", the
+    string "2p/2" or the JSON integer p; other entries stay as they are."""
+    if not isinstance(value, str) or "/" in value:
+        return value
+    return {"p": value, "2p/2": f"{2 * int(value)}/2", "int": int(value)}[spelling]
+
+
+def _respell(document, spelling):
+    algebra = document["algebra"]
+    return dict(
+        document,
+        algebra=dict(algebra, brackets=[[*entry[:3], _respelled(entry[3], spelling)]
+                                        for entry in algebra["brackets"]]),
+        lattice=[[_respelled(x, spelling) for x in row] for row in document["lattice"]],
+        endomorphism=[[_respelled(x, spelling) for x in row]
+                      for row in document["endomorphism"]])
+
+
+def test_integral_entries_in_any_spelling_give_identical_output(tmp_path, capsys):
+    # reports echo their input document, so that one field is set aside; the
+    # rest of the output, stderr and the exit code are compared byte for byte
+    for name in ("euclidean-e2", "heisenberg-central-circle", "sl2-radical-demo", "cat-map"):
+        outputs = set()
+        for spelling in ("p", "2p/2", "int"):
+            document = _respell(get_entry(name).document, spelling)
+            path = tmp_path / f"{name}-{spelling.replace('/', '-over-')}.json"
+            path.write_text(json.dumps(document))
+            parsed = parse_input(path.read_text())
+            group, derivative = build_group(parsed)
+            endo = validate_endomorphism(group, derivative)
+            entries = [c for *_, c in parsed.brackets + group.algebra.constants]
+            entries += [x for row in parsed.lattice + parsed.endomorphism for x in row]
+            entries += [x for row in group.lattice_logs + endo.d_phi for x in row]
+            assert all(type(x) is int for x in entries), (name, spelling)
+            runs = []
+            for command in ("validate", "entropy", "analyze", "estimate"):
+                code = cli.main([command, "--input", str(path), "--n-max", "4"]
+                                if command == "estimate" else [command, "--input", str(path)])
+                out, err = capsys.readouterr()
+                if command in ("entropy", "analyze"):
+                    report = json.loads(out)
+                    assert report.pop("input") == document
+                    out = json.dumps(report, indent=2) + "\n"
+                runs.append((command, code, out, err))
+            outputs.add(tuple(runs))
+        assert len(outputs) == 1, name

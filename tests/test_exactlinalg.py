@@ -13,6 +13,8 @@ from lieentropy.exactlinalg import (
     char_poly,
     companion_matrix,
     det,
+    exact,
+    identity_matrix,
     kernel_basis,
     lattice_intersect_subspace,
     mat_mul,
@@ -367,7 +369,8 @@ def test_fraction_free_kernels_match_fraction_references():
     for m in _oracle_matrices():
         red, pivots = rref(m)
         assert (red, pivots) == _rref_reference(m), m
-        assert all(type(x) is Fraction for row in red for x in row)
+        # the number rule: an int when integral, a Fraction otherwise
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for row in red for x in row)
         square = len(m) == (len(m[0]) if m else 0)
         if square:
             value = det(m)
@@ -452,7 +455,8 @@ def test_integer_elimination_matches_fraction_elimination():
                     assert space.contains(v) is not any(residue), (m, v)
                     # the residue's types follow its values only
                     assert _typed(space.reduce(as_ints)) == _typed(space.reduce(as_fractions))
-                    assert all(type(x) is (Fraction if x else int) for x in space.reduce(v))
+                    assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                               for x in space.reduce(v))
                 else:
                     inside = not any(residue) and all(c.denominator == 1 for c in coeffs)
                     assert lattice.integer_coordinates(v) == \
@@ -491,6 +495,25 @@ def test_products_skip_zero_entries():
     # a sum with no nonzero term is the int 0
     assert [type(x) for x in mat_vec([[F(1)], [F(2)]], [0])] == [int, int]
     assert type(mat_mul([[0, F(0)]], [[F(1)], [F(1)]])[0][0]) is int
+
+
+def test_entries_follow_the_number_rule():
+    # an int when integral, a Fraction otherwise, whatever the spelling
+    for x, d in (("2", 1), ("4/2", 1), (2, 1), (F(2), 1), (6, 3), (Fraction(4, 3), 1), (-8, 4)):
+        assert type(exact(x, d)) is (int if F(x) / d == int(F(x) / d) else Fraction), (x, d)
+        assert exact(x, d) == F(x) / d, (x, d)
+    for x in ("2", "4/2", 2, F(2)):
+        assert _typed(exact(x)) == (int, 2)
+    assert _typed(exact("1/2")) == _typed(exact(1, 2)) == _typed(exact(F(3), 6)) == \
+        (Fraction, F("1/2"))
+    assert _typed(identity_matrix(2)) == (list, [(list, [(int, 1), (int, 0)]),
+                                                 (list, [(int, 0), (int, 1)])])
+    assert all(type(x) is int for row in Subspace.full(3).basis for x in row)
+    assert _typed(kernel_basis([[F(2), F(4)]])) == (list, [(tuple, [(int, -2), (int, 1)])])
+    assert _typed(solve([[F(2), 0], [0, F(4)]], [4, 2])) == (tuple, [(int, 2), (Fraction, F("1/2"))])
+    lattice = Lattice.from_generators(2, [[F(4), F("1/2")], [2, 0]])
+    assert _typed(lattice.basis) == (tuple, [(tuple, [(int, 2), (int, 0)]),
+                                             (tuple, [(int, 0), (Fraction, F("1/2"))])])
 
 
 def test_char_poly_integer_matrices_match_reference():

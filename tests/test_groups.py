@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -215,6 +216,56 @@ def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
     endo = validate_endomorphism(group, matrix)
     assert endo.lattice_action == tuple(tuple(row) for row in matrix)
     assert len(calls) <= 12  # one per lattice generator
+
+
+def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
+    # the first n = 12 torus of the seed-1 torus-entropy benchmark workload,
+    # through the CLI: the center's ideal check tests nothing, the zero
+    # adjoints' minimal polynomials solve nothing, and every cut with all
+    # images zero is the container itself
+    import lieentropy.exactlinalg as exactlinalg
+    import lieentropy.liealgebra as liealgebra
+    from lieentropy import cli
+
+    rng = random.Random("torus-entropy/1")
+    matrix = [[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({
+        "algebra": {"dim": 12, "brackets": []},
+        "lattice": [[str(int(i == j)) for j in range(12)] for i in range(12)],
+        "endomorphism": [[str(x) for x in row] for row in matrix]}))
+    calls, inside = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, bool(inside)] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(liealgebra, "is_ideal", counted("is_ideal", liealgebra.is_ideal))
+    monkeypatch.setattr(exactlinalg, "min_poly", counted("min_poly", exactlinalg.min_poly))
+    monkeypatch.setattr(lieentropy.groups, "min_poly", exactlinalg.min_poly)
+    monkeypatch.setattr(exactlinalg, "solve", counted("solve", exactlinalg.solve))
+    monkeypatch.setattr(Subspace, "contains", counted("contains", Subspace.contains))
+    cuts = []
+    where = exactlinalg._Echelon.where
+
+    def recorded(self, images):
+        result = where(self, images)
+        cuts.append((any(map(any, images)), result is self))
+        return result
+
+    monkeypatch.setattr(exactlinalg._Echelon, "where", recorded)
+    assert cli.main(["entropy", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["entropy"]["exact_positive"]
+    assert calls["is_ideal", False] == 1 and calls["min_poly", False] == 12
+    assert calls["contains", True] == 0 and calls["solve", True] == 0
+    # the center and the two lattice cuts, each by zero images
+    assert cuts == [(False, True)] * 3
 
 
 def test_lattice_action_matches_solve_reference():

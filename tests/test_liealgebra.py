@@ -95,6 +95,21 @@ def test_adjoint_examples():
     assert all(v == 0 for row in mat_mul(ad_x, ad_x) for v in row)
 
 
+def test_integral_constants_give_int_brackets_and_adjoints():
+    # the number rule: "4/2", 2 and Fraction(2) are all the int 2, and
+    # brackets, adjoints and unit vectors of int data are ints
+    a = LieAlgebra.from_brackets(3, [(0, 1, 1, "4/2"), (0, 2, 2, F(-2)), (1, 2, 0, 1)])
+    assert a.constants == sl2().constants
+    assert all(type(c) is int for *_, c in a.constants)
+    units = [a.basis_vector(i) for i in range(3)]
+    entries = [x for e in units for x in e]
+    entries += [x for e in units for y in units for x in a.bracket(e, y)]
+    entries += [x for e in units for row in a.adjoint_matrix(e) for x in row]
+    assert all(type(x) is int for x in entries)
+    halves = [c for *_, c in LieAlgebra.from_brackets(2, [(0, 1, 1, "1/2")]).constants]
+    assert halves == [F("1/2"), F("-1/2")] and all(type(c) is Fraction for c in halves)
+
+
 def test_killing_form_examples():
     assert killing_form(LieAlgebra.abelian(2)) == [[F(0)] * 2] * 2
     k = killing_form(e2())
@@ -463,6 +478,46 @@ def test_radicals_and_centralizers_match_kernel_references():
         assert nil == _nilradical_reference(a)
         for sub in (Subspace.full(a.dim), rad, nil, Subspace.from_vectors(a.dim, [])):
             assert centralizer_in(a, sub) == _centralizer_reference(a, sub)
+
+
+def _is_ideal_dense_reference(algebra, space):
+    """Every [e_i, v] formed and tested, zero brackets included."""
+    basis = identity_matrix(algebra.dim)
+    return all(space.contains(algebra.bracket(e, v)) for e in basis for v in space.basis)
+
+
+def _centralizer_dense_reference(algebra, sub):
+    """The images [b, y] for every pair of basis rows, zeros included,
+    concatenated per b and cut out of sub."""
+    return sub.where([tuple(x for y in sub.basis for x in algebra.bracket(b, y))
+                      for b in sub.basis])
+
+
+def test_sparse_ideal_and_centralizer_match_dense_references():
+    rng = random.Random(17)
+    kinds = {True: 0, False: 0}
+    for a in [make() for make in CATALOG] + random_algebras():
+        n = a.dim
+        full, zero = Subspace.full(n), Subspace.from_vectors(n, [])
+        rad, nil = solvable_radical(a).space, nilradical(a).space
+        derived = bracket_span(a, full, full)
+        spaces = [full, zero, rad, nil, center(a).space, derived]
+        # lines (always subalgebras), their sums with a radical, random spans
+        for _ in range(6):
+            line = Subspace.from_vectors(n, [[rng.randint(-2, 2) for _ in range(n)]])
+            spaces += [line, line.sum(nil), line.sum(derived)]
+            spaces.append(Subspace.from_vectors(
+                n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(2, n))]))
+        for space in spaces:
+            ideal = is_ideal(a, space)
+            assert ideal is _is_ideal_dense_reference(a, space), (a.constants, space)
+            kinds[ideal] += 1
+            if is_subalgebra(a, space):
+                assert centralizer_in(a, space) == _centralizer_dense_reference(a, space)
+            else:
+                with pytest.raises(DomainError):
+                    centralizer_in(a, space)
+    assert min(kinds.values()) >= 50, kinds
 
 
 # --- sparse constants against the dense table -------------------------------

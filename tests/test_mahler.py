@@ -267,15 +267,17 @@ def _square_modulus(coeffs, z):
 
 
 def _exact_abs_upper_reference(coeffs, z):
-    """|p(z)| bound from the exact square: infinite from 10^600 on, and the
-    square root of the square scaled into the float range below that."""
+    """|p(z)| bound from the exact square: infinite from 10^600 on, and below
+    that the square root of the square scaled by 4^-k into [2^1019, 2^1022),
+    k of either sign, plus one subnormal step."""
     sq = _square_modulus(coeffs, z)
     if sq == 0:
         return 0.0
     if sq >= Fraction(10) ** 600:
         return float("inf")
-    k = max(0, math.floor(sq).bit_length() // 2 - 510)
-    return math.ldexp(math.sqrt(float(sq / 4**k)), k) * (1.0 + 1e-12)
+    k = (sq.numerator.bit_length() - sq.denominator.bit_length()) // 2 - 510
+    assert 2**1019 <= sq / Fraction(4) ** k < 2**1022
+    return math.ldexp(math.sqrt(float(sq / Fraction(4) ** k)), k) * (1.0 + 1e-12) + 5e-324
 
 
 def test_exact_abs_upper_matches_fraction_horner():
@@ -296,10 +298,16 @@ def test_exact_abs_upper_matches_fraction_horner():
         for z in points:
             got = _exact_abs_upper(p, z)
             assert got == _exact_abs_upper_reference(p, z), (p, z)
-            if 1e-150 < got < math.inf:
-                # an upper bound on |p(z)|, also where |p(z)|^2 exceeds the
-                # float range
+            if got < math.inf:
+                # an upper bound on |p(z)|, also where |p(z)|^2 leaves the
+                # float range at either end, and positive where p(z) != 0
                 assert Fraction(got) ** 2 >= _square_modulus(p, z), (p, z)
-                beyond_float_squares += got > 1e155
+                assert (got > 0) is (_square_modulus(p, z) != 0), (p, z)
+                beyond_float_squares += got > 1e155 or got < 1e-155
     assert beyond_float_squares
+    # |z^2| underflows as a square (1e-200) and as a value (1e-600)
+    for z in (1e-100, 1e-300):
+        got = _exact_abs_upper([0, 0, 1], complex(z))
+        assert got > 0 and Fraction(got) ** 2 >= Fraction(z) ** 4
+    assert math.isclose(_exact_abs_upper([0, 0, 1], 1e-100 + 0j), 1e-200, rel_tol=1e-11)
     assert math.isclose(_exact_abs_upper([0, 0, 10**160], 1e20 + 0j), 1e200, rel_tol=1e-11)
