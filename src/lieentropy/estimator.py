@@ -4,7 +4,9 @@ This is the falsification oracle for the exact pipeline: it can refute an
 exact entropy value at desk scale but never certify one.  Dynamics are run
 on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
-floats appear only when distances are compared against epsilon.
+floats appear only when distances are compared against epsilon.  The orbits
+of all sampled pairs, or of all points of a Bowen ball, run at once as exact
+integer arrays: int64 below 2^62, else `object` (pairs) or a refusal (balls).
 
 For a group endomorphism A the Bowen metric is translation invariant, so
 every Bowen ball is a translate of one difference set
@@ -25,6 +27,7 @@ the upper volume count over the last half of the time range.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
+from .exactlinalg import exact
 from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_BALL_CELLS = 5 * 10**7
@@ -46,7 +50,10 @@ class GridDynamics:
 
     @staticmethod
     def from_rows(rows) -> "GridDynamics":
-        rows = [[int(x) for x in r] for r in rows]
+        try:  # index() takes the ints and refuses the Fractions exact() leaves
+            rows = [[operator.index(exact(x)) for x in r] for r in rows]
+        except (TypeError, ValueError, ArithmeticError):
+            raise DomainError("grid dynamics needs an integer matrix") from None
         dim = len(rows)
         if dim == 0 or any(len(r) != dim for r in rows):
             raise DimensionError("grid dynamics needs a nonempty square integer matrix")
@@ -74,19 +81,28 @@ class SpanningEstimate:
     slope_band: tuple[float, float]
 
 
-def _circle_distance_ok(points: np.ndarray, resolution: int, eps_cells: int) -> np.ndarray:
-    """Mask of rows whose max-coordinate circle distance is <= eps_cells."""
-    folded = np.minimum(points, resolution - points)
-    return folded.max(axis=1) <= eps_cells
-
-
-def _initial_ball(dim: int, resolution: int, eps_cells: int) -> np.ndarray:
-    """All difference vectors (mod resolution) within the epsilon box."""
-    if (2 * eps_cells + 1) ** dim > _MAX_BALL_CELLS:
+def _ball_sizes(dynamics: GridDynamics, resolution: int, eps_cells: int, n_max: int) -> list[int]:
+    """|D_n(eps_cells)| for n = 1..n_max.  Each coordinate of the points left is
+    an int64 array of centred representatives x, |x| the circle distance."""
+    if (2 * eps_cells + 1) ** dynamics.dim > _MAX_BALL_CELLS:
         raise ParameterError("epsilon ball does not fit in memory at this resolution")
     line = np.arange(-eps_cells, eps_cells + 1, dtype=np.int64)
-    grids = np.meshgrid(*([line] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) % resolution
+    coords = [g.ravel() for g in np.meshgrid(*([line] * dynamics.dim), indexing="ij")]
+    sizes = [len(line) ** dynamics.dim]
+    for _ in range(1, n_max):
+        images = []
+        for row in dynamics.matrix:
+            image = np.full(sizes[-1], resolution // 2, dtype=np.int64)
+            for a, x in zip(row, coords):
+                if a:
+                    image += x if a == 1 else a * x
+            image %= resolution
+            image -= resolution // 2
+            images.append(image)
+        keep = np.logical_and.reduce([np.abs(image) <= eps_cells for image in images])
+        coords = [image[keep] for image in images]
+        sizes.append(len(coords[0]))
+    return sizes
 
 
 def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float,
@@ -113,24 +129,11 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
     if largest * resolution * dynamics.dim >= 1 << 62:
         raise ParameterError("matrix entries too large for exact int64 grid arithmetic")
     eps_cells = int(epsilon * resolution)
-    matrix = np.array(dynamics.matrix, dtype=np.int64)
     cells = resolution**dynamics.dim
-
-    # Bowen balls as difference sets, refined one time step at a time: the
-    # rows of `image` are A^(n-1) v for the v still in D_n(eps_cells).
+    n_values = list(range(1, n_max + 1))
+    upper = [cells // size for size in _ball_sizes(dynamics, resolution, eps_cells, n_max)]
     eps2_cells = min(2 * eps_cells, resolution // 2)
-    image = _initial_ball(dynamics.dim, resolution, eps_cells)
-    image2 = _initial_ball(dynamics.dim, resolution, eps2_cells)
-    n_values, upper, lower = [], [], []
-    for n in range(1, n_max + 1):
-        if n > 1:
-            image = (image @ matrix.T) % resolution
-            image = image[_circle_distance_ok(image, resolution, eps_cells)]
-            image2 = (image2 @ matrix.T) % resolution
-            image2 = image2[_circle_distance_ok(image2, resolution, eps2_cells)]
-        n_values.append(n)
-        upper.append(cells // len(image))
-        lower.append(-(-cells // len(image2)))
+    lower = [-(-cells // size) for size in _ball_sizes(dynamics, resolution, eps2_cells, n_max)]
     slope, stderr = _fit_log_growth(n_values, upper)
     return SpanningEstimate(
         tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution,
@@ -252,31 +255,28 @@ def li_yorke_search(dynamics: GridDynamics, horizon: int = 64, pair_budget: int 
     eps_low is below 1/denominator, so "proximal" requires the orbits to
     actually collide on the sample grid; isometric and shear-like systems
     therefore return nothing, while collapsing dyadic differences (as under
-    the doubling map) are found immediately.
+    the doubling map) are found immediately.  All pairs run at once, as rows
+    of one integer array: int64 while dim*(q-1)^2 < 2^62, `object` beyond.
     """
     if horizon <= 0 or pair_budget <= 0:
         raise ParameterError("horizon and pair budget must be positive")
     if denominator < 2:
         raise ParameterError("denominator must be at least 2")
     rng = random.Random(seed)
-    q = denominator
-    matrix = [list(r) for r in dynamics.matrix]
-    candidates = []
-    for _ in range(pair_budget):
-        a = tuple(rng.randrange(q) for _ in range(dynamics.dim))
-        b = tuple(rng.randrange(q) for _ in range(dynamics.dim))
-        if a == b:
-            continue
-        delta = [(x - y) % q for x, y in zip(a, b)]
-        lo, hi = 1.0, 0.0
-        for _ in range(horizon):
-            dist = max(min(x, q - x) for x in delta) / q
-            lo, hi = min(lo, dist), max(hi, dist)
-            delta = [sum(matrix[i][j] * delta[j] for j in range(dynamics.dim)) % q
-                     for i in range(dynamics.dim)]
-        if lo < eps_low and hi > eps_high:
-            candidates.append(PairCandidate(
-                tuple(Fraction(x, q) for x in a),
-                tuple(Fraction(x, q) for x in b),
-                lo, hi))
-    return candidates
+    q, dim = denominator, dynamics.dim
+    draws = ((tuple(rng.randrange(q) for _ in range(dim)),
+              tuple(rng.randrange(q) for _ in range(dim))) for _ in range(pair_budget))
+    pairs = [(a, b) for a, b in draws if a != b]
+    dtype = np.int64 if dim * (q - 1) ** 2 < 1 << 62 else object
+    matrix = np.array([[x % q for x in row] for row in dynamics.matrix], dtype=dtype)
+    delta = np.array([[(x - y) % q for x, y in zip(a, b)] for a, b in pairs],
+                     dtype=dtype).reshape(len(pairs), dim)
+    lo, hi = np.full(len(pairs), q, dtype=dtype), np.zeros(len(pairs), dtype=dtype)
+    for _ in range(horizon):
+        dist = np.minimum(delta, q - delta).max(axis=1)
+        lo, hi = np.minimum(lo, dist), np.maximum(hi, dist)
+        delta = (delta @ matrix.T) % q
+    return [PairCandidate(tuple(Fraction(x, q) for x in a), tuple(Fraction(x, q) for x in b),
+                          low / q, high / q)
+            for (a, b), low, high in zip(pairs, lo.tolist(), hi.tolist())
+            if low / q < eps_low and high / q > eps_high]

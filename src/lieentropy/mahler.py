@@ -421,8 +421,11 @@ def log_mahler(p, tol: float = DEFAULT_TOL) -> EntropyValue:
         for lo, hi in _certified_moduli(q):
             c_lo = math.log(lo) if lo > 1.0 else 0.0
             c_hi = math.log(hi) if hi > 1.0 else 0.0
+            # math.log is within an ulp: widen [c_lo, c_hi] by an ulp of its
+            # larger end on both sides, which keeps the midpoint
+            slack = math.ulp(c_hi) if hi > 1.0 else 0.0
             value += mult * (c_lo + c_hi) / 2.0
-            error += mult * (c_hi - c_lo) / 2.0
+            error += mult * ((c_hi - c_lo) / 2.0 + slack)
             if lo > 1.0:
                 expanding += mult
     if error > tol:

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,3 +241,121 @@ def test_li_yorke_search_deterministic():
 def test_li_yorke_search_rejects_bad_budget():
     with pytest.raises(ParameterError):
         li_yorke_search(GridDynamics.from_rows([[2]]), horizon=0)
+
+
+# --- array code against one-pair-at-a-time and row-major references ----------
+
+def li_yorke_reference(rows, horizon, denominator, eps_low, eps_high, seed, pair_budget=64):
+    """The pair search one pair at a time, in Python ints."""
+    rng = random.Random(seed)
+    q, dim = denominator, len(rows)
+    out = []
+    for _ in range(pair_budget):
+        a = tuple(rng.randrange(q) for _ in range(dim))
+        b = tuple(rng.randrange(q) for _ in range(dim))
+        if a == b:
+            continue
+        delta = [(x - y) % q for x, y in zip(a, b)]
+        lo, hi = 1.0, 0.0
+        for _ in range(horizon):
+            dist = max(min(x, q - x) for x in delta) / q
+            lo, hi = min(lo, dist), max(hi, dist)
+            delta = [sum(rows[i][j] * delta[j] for j in range(dim)) % q for i in range(dim)]
+        if lo < eps_low and hi > eps_high:
+            out.append((tuple(Fraction(x, q) for x in a), tuple(Fraction(x, q) for x in b),
+                        lo, hi))
+    return out
+
+
+def ball_sizes_reference(rows, resolution, eps_cells, n_max):
+    """|D_n(eps_cells)| for n = 1..n_max, with the ball held as rows of
+    points mod resolution and the circle distance folded at every step."""
+    matrix = np.array(rows, dtype=np.int64)
+    line = np.arange(-eps_cells, eps_cells + 1, dtype=np.int64)
+    grids = np.meshgrid(*([line] * len(rows)), indexing="ij")
+    image = np.stack([g.ravel() for g in grids], axis=1) % resolution
+    sizes = [len(image)]
+    for _ in range(1, n_max):
+        image = (image @ matrix.T) % resolution
+        image = image[np.minimum(image, resolution - image).max(axis=1) <= eps_cells]
+        sizes.append(len(image))
+    return sizes
+
+
+def oracle_matrices():
+    """Seeded integer matrices of dim 1-3: small entries, which keep the
+    Bowen balls wide for several steps, entries up to +-10^6, and a few
+    degenerate ones (a zero matrix, a zero row, a permutation)."""
+    rng = random.Random("estimator-oracle")
+    out = [[[0]], [[0, 0], [1, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]]
+    for dim in (1, 2, 3):
+        for bound in (3, 10**6):
+            out.append([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)])
+    return out
+
+
+@pytest.mark.parametrize("rows", oracle_matrices())
+def test_pair_search_matches_the_per_pair_reference(rows):
+    dynamics = GridDynamics.from_rows(rows)
+    # 2^40 and 2^40 + 1 take the object path; wrapped int64 products would
+    # still be right mod 2^40, not mod 2^40 + 1
+    for q in (2, 3, 4096, 4097, 2**40, 2**40 + 1):
+        for horizon in (1, 64):
+            # eps_low 1 and eps_high 0 return every pair, so every extreme is compared
+            for eps_low, eps_high in ((1e-4, 0.25), (1.0, 0.0)):
+                seed = q + horizon
+                got = [(c.a, c.b, c.liminf_estimate, c.limsup_estimate)
+                       for c in li_yorke_search(dynamics, horizon=horizon, denominator=q,
+                                                eps_low=eps_low, eps_high=eps_high, seed=seed)]
+                assert got == li_yorke_reference(rows, horizon, q, eps_low, eps_high, seed), \
+                    (q, horizon, eps_low)
+
+
+def test_pair_search_stays_exact_beyond_int64():
+    # entries far beyond int64 products are exact only once reduced mod q.
+    # Entries -1, -2, -3 reduce to nearly q: at q = 5 * 2^29 + 1 each product
+    # stays below 2^63 but a row-by-column sum of two can pass it, so the
+    # dtype rule must count the dimension
+    for rows in ([[10**18 + 1, -(10**18)], [3 * 10**17, 10**18 - 7]], [[-1, -2], [-3, -1]]):
+        for q in (4096, 4097, 5 * 2**29 + 1, 2**40, 2**40 + 1):
+            got = [(c.a, c.b, c.liminf_estimate, c.limsup_estimate)
+                   for c in li_yorke_search(GridDynamics.from_rows(rows), horizon=16,
+                                            denominator=q, eps_low=1.0, eps_high=0.0, seed=q)]
+            assert got == li_yorke_reference(rows, 16, q, 1.0, 0.0, q), (rows, q)
+
+
+def test_pair_search_with_no_distinct_pair():
+    # one pair at q = 2 is often a == b, which leaves an empty array to run
+    for seed in range(6):
+        got = [(c.a, c.b, c.liminf_estimate, c.limsup_estimate)
+               for c in li_yorke_search(GridDynamics.from_rows([[2]]), pair_budget=1,
+                                        denominator=2, eps_low=1.0, eps_high=0.0, seed=seed)]
+        assert got == li_yorke_reference([[2]], 64, 2, 1.0, 0.0, seed, pair_budget=1)
+
+
+@pytest.mark.parametrize("rows", oracle_matrices())
+def test_ball_sizes_match_the_row_major_reference(rows):
+    dim = len(rows)
+    # odd and even resolutions; epsilon 0.3 caps the 2e ball at R // 2 cells
+    for resolution in ((63, 64, 256, 257) if dim < 3 else (17, 32, 33)):
+        for epsilon in (0.07, 0.3):
+            if resolution <= 4 / epsilon:
+                continue
+            est = spanning_entropy_estimate(GridDynamics.from_rows(rows), n_max=6,
+                                            epsilon=epsilon, resolution=resolution)
+            cells, eps_cells = resolution**dim, int(epsilon * resolution)
+            eps2_cells = min(2 * eps_cells, resolution // 2)
+            assert est.spanning_counts == tuple(
+                cells // size for size in ball_sizes_reference(rows, resolution, eps_cells, 6))
+            assert est.separated_counts == tuple(
+                -(-cells // size)
+                for size in ball_sizes_reference(rows, resolution, eps2_cells, 6))
+
+
+def test_grid_dynamics_takes_integral_entries_only():
+    dynamics = GridDynamics.from_rows([[2.0, Fraction(4, 2)], ["6/3", np.int64(-1)]])
+    assert dynamics.matrix == ((2, 2), (2, -1))
+    assert all(type(x) is int for row in dynamics.matrix for x in row)
+    for bad in (2.5, Fraction(5, 2), "1/3", float("nan"), float("inf"), None):
+        with pytest.raises(DomainError, match="grid dynamics needs an integer matrix"):
+            GridDynamics.from_rows([[bad]])

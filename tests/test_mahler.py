@@ -126,6 +126,18 @@ def test_log_mahler_zero_decided_symbolically():
     assert ev.exact_zero and ev.value == 0.0
 
 
+def test_log_mahler_bound_counts_the_rounding_of_log():
+    # t^5 + 10^160 t^2 + 1 has three roots of modulus ~10^(160/3), certified
+    # so tightly that the float logs of both ends of each interval are equal
+    ev = log_mahler([1, 0, 10**160, 0, 0, 1])
+    assert not ev.exact_zero and ev.expanding_count == 3
+    assert ev.error_bound > 0.0
+    # the other two roots are ~ +-i 10^-80, so the value is 160 log 10 up
+    # to a relative 1e-240
+    exact = Fraction("368.4136148790473094428786327494982732162")
+    assert abs(Fraction(ev.value) - exact) <= Fraction(ev.error_bound)
+
+
 def test_log_mahler_salem_polynomial():
     # Lehmer's degree-10 polynomial: one root outside the circle,
     # value log(1.17628...) ~ 0.1623576120
