@@ -12,9 +12,9 @@ Products of matrices and vectors, row combinations included
 multiply only the nonzero entries of the vector and of the left matrix and
 start every sum from the int 0.  The elimination kernels (`rref`, `det`,
 `char_poly`) clear denominators once and then run fraction-free over Z:
-Bareiss elimination (Math. Comp. 22 (1968)) and Berkowitz's division-free
-recurrence (IPL 18 (1984)), so no gcd is taken until the rational result is
-formed.  The two canonical containers are:
+Bareiss elimination (Math. Comp. 22 (1968)), with pending row scales, and
+Berkowitz's division-free recurrence (IPL 18 (1984)), so no gcd is taken
+until the rational result is formed.  The two canonical containers are:
 
 * `Subspace` - a rational subspace stored in reduced row echelon form, so
   two subspaces are equal iff their stored entries are equal.
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .errors import DimensionError, DomainError
 
@@ -108,31 +109,41 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 
     With pivot p in row r and previous pivot prev, every other row becomes
     (p*row - a*row_r) // prev, an exact division (Bareiss): the entries stay
-    integer minors of the input.  Returns the pivot columns, the last pivot
-    and the sign of the row swaps.  The pivot rows come first, each with the
-    last pivot on its own pivot column and zeros on the others; for a square
-    matrix of full rank the last pivot is the determinant up to that sign.
+    integer minors of the input.  A row with a = 0 is left as stored, with
+    the pivot `at` at which it was exact (p for the pivot row itself): the
+    quotients telescope to row*prev/at, applied when it is next rebuilt and
+    at the end.  Returns the pivot columns, the last pivot and the sign of
+    the row swaps.  The pivot rows come first, each with the last pivot on
+    its own pivot column and zeros on the others; for a square matrix of
+    full rank the last pivot is the determinant up to that sign.
     """
     pivots: list[int] = []
     prev, sign, r = 1, 1, 0
+    at = [1] * len(rows)
+    def at_prev(row, s):  # a row stored at pivot s, brought to pivot prev
+        return row if s == prev else [x * prev // s for x in row]
     for c in range(ncols):
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            at[r], at[pivot_row] = at[pivot_row], at[r]
             sign = -sign
-        top = rows[r]
+        top = rows[r] = at_prev(rows[r], at[r])
         p = top[c]
         for i, row in enumerate(rows):
-            if i != r:
+            if i != r and row[c]:
+                row = at_prev(row, at[i])
                 a = row[c]
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
-        prev = p
+                at[i] = p
+        at[r] = prev = p
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
+    rows[:] = [at_prev(row, s) for row, s in zip(rows, at)]
     return pivots, prev, sign
 
 
@@ -235,8 +246,8 @@ def char_poly(m) -> list:
         col = [b[i][k] for i in range(k)]
         toeplitz = [1, -b[k][k]]
         for _ in range(k):
-            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
-            col = [sum(x * y for x, y in zip(r, col)) for r in block]
+            toeplitz.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, r, col)) for r in block]
         poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1))
                 for i in range(k + 2)]
     ascending = poly[::-1]
@@ -254,13 +265,15 @@ def min_poly(m) -> list:
     Found as the first linear dependence among I, m, m^2, ... (Krylov on the
     flattened powers), so it divides char_poly(m) by construction.  The
     sequence starts at m itself and stops at the first zero power m^k, whose
-    minimal polynomial is t^k, so a zero matrix costs no product and no solve.
+    minimal polynomial is t^k; a zero matrix returns t before any identity.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("minimal polynomial needs a square matrix")
     if n == 0:
         return [1]
+    if not any(map(any, m)):
+        return [0, 1]
     power = identity_matrix(n)
     flats: list[list[Fraction]] = []
     for d in range(n + 1):
@@ -517,7 +530,9 @@ class Lattice(_Echelon):
 def lattice_intersect_subspace(lattice: Lattice, subspace: Subspace) -> Lattice:
     """Sublattice of points of `lattice` lying in `subspace`: those whose
     residue mod the subspace vanishes, the image of an integer kernel and so
-    saturated inside the subspace."""
+    saturated inside the subspace (the lattice itself when that is full)."""
     if lattice.ambient_dim != subspace.ambient_dim:
         raise DimensionError("ambient dimensions differ")
+    if subspace.dim == subspace.ambient_dim:
+        return lattice
     return lattice.where([subspace.reduce(g) for g in lattice.basis])

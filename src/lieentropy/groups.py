@@ -363,10 +363,12 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     connected subgroup mapped onto itself.
 
     The images d^k(g) shrink, so the first one whose image under d has the
-    same dimension is mapped onto itself and is the stabilized image.
+    same dimension is the stabilized image: g itself when det d != 0.
     """
-    d = endo.d_phi_matrix()
     image = Subspace.full(group.algebra.dim)
+    if endo.surjective_on_identity_component:
+        return image
+    d = endo.d_phi_matrix()
     while True:
         mapped = Subspace.from_vectors(image.ambient_dim, [mat_vec(d, v) for v in image.basis])
         if mapped.dim == image.dim:

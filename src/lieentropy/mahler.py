@@ -4,12 +4,13 @@ The quantity of interest is sum(log|z|) over the roots z of an integer
 polynomial with |z| > 1.  Roots of unity and zero roots contribute nothing,
 and both are detected symbolically: powers of t are stripped exactly and
 every cyclotomic factor is removed by trial division before any floating
-point enters.  Gcds are taken over Z.  Only the strictly expanding/
-contracting moduli of the remaining factor are bounded numerically, by a
-Durand-Kerner iteration started on the root circle, whose output is
-certified with Weierstrass-correction disks.  Their numerators are exact: a
-float approximation z is the dyadic point (x + iy)/2^e, so p(z) is
-evaluated by integer Horner scaled by 2^(e*deg p).
+point enters, unless a modular certificate (Euclid over F_(2^61 - 1)) shows p
+coprime to its reversal (and, for the squarefree split, to p').  Other gcds
+are taken over Z.  Only the strictly expanding/contracting moduli of the
+remaining factor are bounded numerically, by a Durand-Kerner iteration
+started on the root circle and certified with Weierstrass-correction disks,
+whose numerators are exact: a float approximation z is the dyadic point
+(x + iy)/2^e, so p(z) is evaluated by integer Horner scaled by 2^(e*deg p).
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -27,6 +28,7 @@ from .errors import DomainError
 DEFAULT_TOL = 1e-9
 
 _MAX_NEWTON_SWEEPS = 512
+_PRIME = 2**61 - 1  # the modulus of the coprimality certificate
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +125,36 @@ def poly_primitive_int(p):
     return [a // content for a in ints]
 
 
+def _coprime_mod_prime(p, q) -> bool:
+    """True only if integer polynomials p and q are coprime over Q: lead(p)
+    is nonzero mod l = 2^61 - 1 and Euclid over F_l ends at a constant.  A
+    common factor over Z of positive degree is primitive with lead dividing
+    lead(p), so it keeps its degree mod l; False only means undecided."""
+    a, b = [x % _PRIME for x in p], poly_trim([x % _PRIME for x in q])
+    if not a[-1]:
+        return False
+    while b:
+        inverse = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            top, shift = a[-1] * inverse % _PRIME, len(a) - len(b)
+            a = poly_trim(a[:shift] + [(x - top * y) % _PRIME for x, y in zip(a[shift:], b)])
+        a, b = b, a
+    return len(a) == 1
+
+
 def squarefree_decomposition(p):
     """Yun decomposition [(q_1, 1), (q_2, 2), ...] with p ~ prod q_i^i.
 
     Factors are primitive integer polynomials, pairwise coprime and
-    squarefree; constant factors are dropped.
+    squarefree; constant factors are dropped.  A p that a modular
+    certificate shows coprime to p' is squarefree, [(primitive p, 1)].
     """
     p = poly_trim(p)
     if poly_degree(p) < 1:
         return []
+    primitive = poly_primitive_int(p)
+    if _coprime_mod_prime(primitive, poly_derivative(primitive)):
+        return [(primitive, 1)]
     d = poly_derivative(p)
     a = poly_gcd(p, d)
     b, _ = poly_divmod(p, a)
@@ -187,11 +210,15 @@ def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
     Returns ([(index, multiplicity), ...], rest) with
     p = prod Phi_index^multiplicity * rest exactly.  Candidate indices m are
     those with euler_phi(m) <= deg(p); phi(m) >= sqrt(m/2) makes
-    m <= 2*deg(p)^2 + 1 a sufficient search bound.
+    m <= 2*deg(p)^2 + 1 a sufficient search bound.  Each Phi_m is +- its
+    reversal, so none divides a p, p(0) != 0, certified coprime to it.
     """
     p = poly_trim(p)
     if not p:
         raise DomainError("cyclotomic factors of the zero polynomial")
+    ints = poly_primitive_int(p)
+    if p[0] and _coprime_mod_prime(ints, ints[::-1]):
+        return [], p
     rest = list(p)
     found = []
     deg = poly_degree(rest)
@@ -278,7 +305,8 @@ def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:
     union of disks D(z_k, n*|W_k|) with W_k = p(z_k)/prod_{j!=k}(z_k - z_j);
     when the disks are pairwise disjoint each contains exactly one root.
     The numerator is evaluated exactly, the denominator deflated for float
-    rounding, and the radius inflated to keep the bound honest.
+    rounding, and the radius inflated to keep the bound honest; a
+    denominator outside the float range (0 or inf) gives an infinite radius.
     """
     n = len(zs)
     lead = abs(coeffs[-1])
@@ -289,7 +317,7 @@ def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:
         for j, w in enumerate(zs):
             if j != k:
                 den *= abs(z - w)
-        if den == 0.0 or math.isinf(num):
+        if den == 0.0 or math.isinf(num) or math.isinf(den):
             radii.append(float("inf"))
         else:
             radii.append(n * num / (den * (1.0 - 1e-10)) * (1.0 + 1e-9))

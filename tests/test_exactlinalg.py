@@ -420,6 +420,77 @@ def test_fraction_free_kernels_match_fraction_references():
                 _lattice_intersect_subspace_reference(lattice, sub), m
 
 
+def _bareiss_reference(rows, ncols):
+    """Bareiss elimination rebuilding every other row at every pivot, the
+    elimination without pending row scales."""
+    pivots, prev, sign, r = [], 1, 1, 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots, prev, sign
+
+
+def _bareiss_matrices():
+    """Seeded 1-9 x 1-12 matrices, integer and rational, sparse and dense:
+    rank-deficient ones, ones with zero rows, and [I | A] and [A | I]."""
+    rng = random.Random(18)
+    for _ in range(600):
+        r, c = rng.randint(1, 9), rng.randint(1, 12)
+        zeros, denominators = rng.choice((0.0, 0.5, 0.85)), rng.choice(((1,), (1, 2, 3, 7)))
+        kind = rng.randrange(5)
+
+        def entry():
+            if rng.random() < zeros:
+                return 0
+            return exact(rng.randint(-9, 9), rng.choice(denominators))
+
+        m = [[entry() for _ in range(c)] for _ in range(r)]
+        if kind == 1:
+            k = rng.randint(0, min(r, c) - 1)
+            left = [[entry() for _ in range(k)] for _ in range(r)]
+            right = [[entry() for _ in range(c)] for _ in range(k)]
+            m = mat_mul(left, right) if k else [[0] * c for _ in range(r)]
+        elif kind == 2:
+            for i in rng.sample(range(r), rng.randint(1, r)):
+                m[i] = [0] * c
+        elif kind in (3, 4):
+            block = [row[:max(c - r, 1)] for row in m]
+            m = [[*e, *b] if kind == 3 else [*b, *e] for e, b in zip(identity_matrix(r), block)]
+            rng.shuffle(m)
+        yield m
+
+
+def test_bareiss_pending_scales_match_the_full_rebuild(monkeypatch):
+    import lieentropy.exactlinalg as exactlinalg
+
+    for m in _bareiss_matrices():
+        ncols = len(m[0])
+        rows, _ = exactlinalg._integer_rows(m)
+        expected = [row[:] for row in rows]
+        assert exactlinalg._bareiss(rows, ncols) == _bareiss_reference(expected, ncols), m
+        assert rows == expected, m
+        square = len(m) == ncols
+        got = _typed((rref(m), rank(m), det(m) if square else None))
+        with monkeypatch.context() as patch:
+            patch.setattr(exactlinalg, "_bareiss", _bareiss_reference)
+            assert got == _typed((rref(m), rank(m), det(m) if square else None)), m
+
+
 def _eliminate_reference(container, v):
     """Coefficients and residue by Fraction elimination along the pivots,
     top row first, dividing by each pivot entry."""

@@ -221,8 +221,9 @@ def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
 def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
     # the first n = 12 torus of the seed-1 torus-entropy benchmark workload,
     # through the CLI: the center's ideal check tests nothing, the zero
-    # adjoints' minimal polynomials solve nothing, and every cut with all
-    # images zero is the container itself
+    # adjoints' minimal polynomials solve nothing, the surjective derivative's
+    # eventual image eliminates nothing, the full-dimensional lattice cuts
+    # reduce nothing, and the one cut left, the center, has all images zero
     import lieentropy.exactlinalg as exactlinalg
     import lieentropy.liealgebra as liealgebra
     from lieentropy import cli
@@ -234,11 +235,11 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
         "algebra": {"dim": 12, "brackets": []},
         "lattice": [[str(int(i == j)) for j in range(12)] for i in range(12)],
         "endomorphism": [[str(x) for x in row] for row in matrix]}))
-    calls, inside = Counter(), []
+    calls, inside = Counter(), []  # (name, innermost counted caller or None)
 
     def counted(name, fn):
         def wrapper(*args):
-            calls[name, bool(inside)] += 1
+            calls[name, inside[-1] if inside else None] += 1
             inside.append(name)
             try:
                 return fn(*args)
@@ -246,11 +247,21 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
                 inside.pop()
         return wrapper
 
+    def nested(name):
+        return sum(n for (callee, caller), n in calls.items() if callee == name and caller)
+
     monkeypatch.setattr(liealgebra, "is_ideal", counted("is_ideal", liealgebra.is_ideal))
     monkeypatch.setattr(exactlinalg, "min_poly", counted("min_poly", exactlinalg.min_poly))
     monkeypatch.setattr(lieentropy.groups, "min_poly", exactlinalg.min_poly)
     monkeypatch.setattr(exactlinalg, "solve", counted("solve", exactlinalg.solve))
+    monkeypatch.setattr(exactlinalg, "rref", counted("rref", exactlinalg.rref))
+    monkeypatch.setattr(lieentropy.groups, "eventual_image",
+                        counted("eventual_image", lieentropy.groups.eventual_image))
+    monkeypatch.setattr(lieentropy.groups, "lattice_intersect_subspace",
+                        counted("lattice_intersect_subspace",
+                                exactlinalg.lattice_intersect_subspace))
     monkeypatch.setattr(Subspace, "contains", counted("contains", Subspace.contains))
+    monkeypatch.setattr(Subspace, "reduce", counted("reduce", Subspace.reduce))
     cuts = []
     where = exactlinalg._Echelon.where
 
@@ -262,10 +273,13 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(exactlinalg._Echelon, "where", recorded)
     assert cli.main(["entropy", "--input", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["entropy"]["exact_positive"]
-    assert calls["is_ideal", False] == 1 and calls["min_poly", False] == 12
-    assert calls["contains", True] == 0 and calls["solve", True] == 0
-    # the center and the two lattice cuts, each by zero images
-    assert cuts == [(False, True)] * 3
+    assert calls["is_ideal", None] == 1 and calls["min_poly", None] == 12
+    assert nested("contains") == 0 and nested("solve") == 0
+    assert calls["eventual_image", None] == 1 and calls["rref", "eventual_image"] == 0
+    assert calls["lattice_intersect_subspace", None] == 2
+    assert calls["reduce", "lattice_intersect_subspace"] == 0
+    # the center, by zero images
+    assert cuts == [(False, True)]
 
 
 def test_lattice_action_matches_solve_reference():
@@ -344,6 +358,41 @@ def test_eventual_image_stabilizes():
     endo = validate_endomorphism(group, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     image = eventual_image(group, endo)
     assert image.dim == 0
+
+
+def _iterated_image(group, endo):
+    """d^k(g) for k = 0, 1, ... until d keeps the dimension."""
+    d, image = endo.d_phi_matrix(), Subspace.full(group.algebra.dim)
+    while True:
+        mapped = Subspace.from_vectors(image.ambient_dim, [mat_vec(d, v) for v in image.basis])
+        if mapped.dim == image.dim:
+            return image
+        image = mapped
+
+
+def test_surjective_eventual_image_is_the_iterated_image():
+    from lieentropy.catalog import builtin_catalog
+
+    cases = []
+    for entry in builtin_catalog():
+        group, derivative = build_group(entry.input_document())
+        cases.append((group, validate_endomorphism(group, derivative)))
+    rng = random.Random(18)
+    for n in (1, 2, 3, 5, 8):
+        group = abelian_group(n, [])
+        for _ in range(6):
+            d = [[F(rng.randint(-2, 2)) / rng.choice((1, 2)) for _ in range(n)] for _ in range(n)]
+            cases.append((group, validate_endomorphism(group, d)))
+    heis = heisenberg_group([])
+    for a, b, c, e in ((2, 1, 1, 3), (1, 0, 0, 1), (0, 1, -1, 0), (1, 1, 1, 1)):
+        # (X, Y) -> (aX + cY, bX + eY) forces Z -> (ae - bc) Z
+        d = [[F(a), F(b), 0], [F(c), F(e), 0], [0, 0, F(a * e - b * c)]]
+        cases.append((heis, validate_endomorphism(heis, d)))
+    surjective = 0
+    for group, endo in cases:
+        assert eventual_image(group, endo) == _iterated_image(group, endo)
+        surjective += endo.surjective_on_identity_component
+    assert 10 <= surjective < len(cases)
 
 
 # --- toral lattice ----------------------------------------------------------

@@ -7,14 +7,22 @@ import pytest
 from lieentropy.errors import DomainError
 from lieentropy.exactlinalg import char_poly
 from lieentropy.mahler import (
+    _coprime_mod_prime,
     _exact_abs_upper,
+    _weierstrass_radii,
     cyclotomic,
+    cyclotomic_factors,
     cyclotomic_part,
     euler_phi,
     log_mahler,
+    poly_add,
+    poly_degree,
+    poly_derivative,
     poly_divmod,
     poly_gcd,
     poly_mul,
+    poly_neg,
+    poly_primitive_int,
     poly_trim,
     squarefree_decomposition,
 )
@@ -72,6 +80,116 @@ def test_squarefree_decomposition():
     p = poly_mul(poly_mul([1, -3, 1], [1, -3, 1]), [1, 1])
     parts = dict((tuple(q), mult) for q, mult in squarefree_decomposition(p))
     assert parts == {(1, 1): 1, (1, -3, 1): 2}
+
+
+def _squarefree_reference(p):
+    """Yun's decomposition with no certificate: gcds by primitive remainder
+    sequences, every stage run."""
+    p = poly_trim(p)
+    if poly_degree(p) < 1:
+        return []
+    d = poly_derivative(p)
+    a = poly_gcd(p, d)
+    b, _ = poly_divmod(p, a)
+    c, _ = poly_divmod(d, a)
+    out, k = [], 1
+    while poly_degree(b) > 0:
+        step = poly_add(c, poly_neg(poly_derivative(b)))
+        g = poly_gcd(b, step)
+        if poly_degree(g) > 0:
+            out.append((poly_primitive_int(g), k))
+        b, _ = poly_divmod(b, g)
+        c, _ = poly_divmod(step, g)
+        k += 1
+    return out
+
+
+def _cyclotomic_factors_reference(p):
+    """Trial division by every Phi_m with euler_phi(m) <= deg p."""
+    rest = poly_trim(p)
+    found, deg = [], poly_degree(rest)
+    for m in range(1, 2 * deg * deg + 2):
+        if euler_phi(m) > deg:
+            continue
+        phi_m, mult = list(cyclotomic(m)), 0
+        while poly_degree(rest) >= poly_degree(phi_m):
+            quot, rem = poly_divmod(rest, phi_m)
+            if rem:
+                break
+            rest, mult = quot, mult + 1
+        if mult:
+            found.append((m, mult))
+            deg = poly_degree(rest)
+    return found, rest
+
+
+ELL = 2**61 - 1
+LEHMER = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]  # self-reciprocal, not cyclotomic
+
+
+def _certificate_polynomials():
+    """Seeded integer and rational polynomials: squarefree ones, ones with
+    repeated factors and with Phi_m factors, Lehmer's, ones whose lead is a
+    multiple of 2^61 - 1, and ones with p(0) = 0."""
+    rng = random.Random(61)
+
+    def product(*factors):
+        out = [1]
+        for f in factors:
+            out = poly_mul(out, f)
+        return out
+
+    polys = [[5], [0, 1], [0, 0, 3], LEHMER, product(LEHMER, LEHMER), product(LEHMER, [0, 1]),
+             product([-1, ELL], [-1, ELL]), product([-1, ELL], [-1, ELL], [-2, 1]),
+             product([-1, ELL], [-1, 1]),
+             product([1, ELL], [1, 1], [1, 1]), product([-1, ELL], [-2, 1], [-2, 1], [0, 1]),
+             [1, 1, 2 * ELL], product([1, 1, ELL], [1, 0, 1], [1, 0, 1]),
+             product([0, 1], list(cyclotomic(3)), [-2, 1]), product([0, 0, 1], [1, -3, 1]),
+             [Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(x, 3) for x in product([1, -3, 1], [1, 1])]]
+    for _ in range(80):
+        factors = [[rng.randint(-4, 4) for _ in range(rng.randint(2, 4))] for _ in range(3)]
+        factors = [f for f in factors if f[-1]]
+        for _ in range(rng.randint(0, 3)):
+            factors.append(list(cyclotomic(rng.choice((1, 2, 3, 4, 5, 6, 8, 12, 15)))))
+        if rng.random() < 0.4 and factors:
+            factors.append(rng.choice(factors))
+        if rng.random() < 0.2:
+            factors.append([0, 1])
+        p = product(*factors)
+        polys.append(p if rng.random() < 0.8 else [Fraction(x, rng.choice((2, 3))) for x in p])
+    return polys
+
+
+def test_modular_certificates_match_yun_and_trial_division():
+    for p in _certificate_polynomials():
+        assert squarefree_decomposition(p) == _squarefree_reference(p), p
+        if poly_trim(p):
+            found, rest = cyclotomic_factors(p)
+            assert (found, rest) == _cyclotomic_factors_reference(p), p
+            assert [type(x) for x in rest] == [type(x) for x in
+                                               _cyclotomic_factors_reference(p)[1]], p
+    # Lehmer's polynomial is its own reversal: the certificate cannot decide
+    assert not _coprime_mod_prime(LEHMER, LEHMER[::-1])
+    # p = (l t - 1)^2 (t - 2) and p' are coprime mod l, where the repeated
+    # factor is a unit; only the lead check keeps the certificate silent
+    p = poly_mul(poly_mul([-1, ELL], [-1, ELL]), [-2, 1])
+    assert not _coprime_mod_prime(p, poly_derivative(p))
+    assert squarefree_decomposition(p) == [([-2, 1], 1), ([-1, ELL], 2)]
+
+
+def test_certified_polynomials_skip_yun_and_trial_division(monkeypatch):
+    import lieentropy.mahler as mahler
+
+    def forbidden(*args):
+        raise AssertionError("the certificate should have decided")
+
+    rng = random.Random(7)
+    p = char_poly([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
+    expected = squarefree_decomposition(p), cyclotomic_factors(p)
+    monkeypatch.setattr(mahler, "poly_gcd", forbidden)
+    monkeypatch.setattr(mahler, "cyclotomic", forbidden)
+    assert (squarefree_decomposition(p), cyclotomic_factors(p)) == expected
+    assert expected == ([(p, 1)], ([], p))
 
 
 def _poly_gcd_reference(p, q):
@@ -323,3 +441,12 @@ def test_exact_abs_upper_matches_fraction_horner():
         assert got > 0 and Fraction(got) ** 2 >= Fraction(z) ** 4
     assert math.isclose(_exact_abs_upper([0, 0, 1], 1e-100 + 0j), 1e-200, rel_tol=1e-11)
     assert math.isclose(_exact_abs_upper([0, 0, 10**160], 1e20 + 0j), 1e200, rel_tol=1e-11)
+
+
+def test_weierstrass_radius_is_infinite_when_the_denominator_overflows():
+    # (t - 3)(t^2 - 10^310): the product of the distances from 3 + 1e-12 to
+    # the other approximations, 1e310, overflows; 3 + 1e-12 is 1e-12 from
+    # its root, so its radius must be at least that
+    p = poly_mul([-3, 1], [-10**310, 0, 1])
+    radii = _weierstrass_radii(p, [3 + 1e-12, 1e155, -1e155])
+    assert radii[0] >= 1e-12
