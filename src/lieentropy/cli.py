@@ -9,6 +9,7 @@ invariant).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -101,12 +102,10 @@ def _load_document(args):
 
 def _emit(payload, args=None):
     text = json.dumps(payload, indent=2) if not isinstance(payload, str) else payload
-    output = getattr(args, "output", None) if args is not None else None
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    text = text if text.endswith("\n") else text + "\n"
+    output = getattr(args, "output", None)
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def _cmd_validate(args) -> int:

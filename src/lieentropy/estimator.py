@@ -221,14 +221,18 @@ def _auto_resolution(dynamics: GridDynamics, n_max: int, epsilon: float) -> int:
     wide, capped by memory; saturated counts flatten the fitted slope, so
     explicit resolutions are preferable for sharp checks."""
     h = exact_entropy(dynamics.torus_endo()).value
-    target = (8.0 * math.exp(h * (n_max - 1))) ** (1.0 / dynamics.dim) / (2 * epsilon)
-    r = 1
-    while r < target:
-        r <<= 1
+    cap, r = _grid_cap_for_dim(dynamics.dim), 1
+    # a target past the cap is found in the log domain, where no horizon overflows
+    if epsilon > 0 and (math.log(8.0) + h * (n_max - 1)) / dynamics.dim > math.log(2 * epsilon * cap):
+        r = cap
+    else:
+        target = (8.0 * math.exp(h * (n_max - 1))) ** (1.0 / dynamics.dim) / (2 * epsilon)
+        while r < target:
+            r <<= 1
     floor = 1
     while floor <= 4 / epsilon:
         floor <<= 1
-    return max(min(r, _grid_cap_for_dim(dynamics.dim)), floor)
+    return max(min(r, cap), floor)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ The kernel rule: every subset cut out of a container by linear conditions
 (an intersection, a centralizer, a radical) is `where(images)`, the points
 sum c_i basis_i with sum c_i images_i = 0, from the left kernel over Q for
 a `Subspace` and over Z for a `Lattice`.
+The chain rule: every space iterated to stability (a derived series, an
+eventual image, Engel's series) is the last term of `Subspace.chain(step)`,
+whose terms fall in dimension until the first fixed point of `step`.
 """
 
 from __future__ import annotations
@@ -408,6 +411,14 @@ class Subspace(_Echelon):
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(v) for v in self.basis)
+
+    def chain(self, step) -> list["Subspace"]:
+        """[V, step(V), step(step(V)), ...] while the dimension falls; `step`
+        maps a space into itself, so the last term is its first fixed point."""
+        terms = [self]
+        while (nxt := step(terms[-1])).dim < terms[-1].dim:
+            terms.append(nxt)
+        return terms
 
 
 # ---------------------------------------------------------------------------

@@ -362,18 +362,17 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     """Stabilized image of the derivative: the algebra of the maximal
     connected subgroup mapped onto itself.
 
-    The images d^k(g) shrink, so the first one whose image under d has the
-    same dimension is the stabilized image: g itself when det d != 0.
+    The images d^k(g) shrink, each mapped into itself by d, so the
+    stabilized image is the last term of the `Subspace.chain` of s -> d(s)
+    from g; g itself, with no chain, when det d != 0.  Post-checked to be
+    closed under the bracket.
     """
-    image = Subspace.full(group.algebra.dim)
+    full = Subspace.full(group.algebra.dim)
     if endo.surjective_on_identity_component:
-        return image
+        return full
     d = endo.d_phi_matrix()
-    while True:
-        mapped = Subspace.from_vectors(image.ambient_dim, [mat_vec(d, v) for v in image.basis])
-        if mapped.dim == image.dim:
-            break
-        image = mapped
+    image = full.chain(
+        lambda s: Subspace.from_vectors(s.ambient_dim, [mat_vec(d, v) for v in s.basis]))[-1]
     if not is_subalgebra(group.algebra, image):
         raise InvariantViolationError(
             "eventual_image", "stabilized image is not closed under the bracket")

@@ -6,9 +6,10 @@ number rule of `exactlinalg`.  Brackets, adjoints, the ideal and validity
 checks, centralizers and the Killing form read them directly, so their cost
 follows the number of nonzero constants: a zero bracket is never formed.  All
 constructions here reduce to exact rational linear algebra: the center and
-both radicals are one `Subspace.where` each, and the radicals are post-verified
-against the structural facts the rest of the pipeline relies on, erring out
-rather than returning an unverified answer.
+both radicals are one `Subspace.where` each, and every series (derived, or
+Engel's g > [N, g] > [N, [N, g]] > ...) one `Subspace.chain` of bracket spans.
+The radicals are post-verified against the structural facts the rest of the
+pipeline relies on, erring out rather than returning an unverified answer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionError, DomainError, InvariantViolationError
-from .exactlinalg import Subspace, exact, identity_matrix, mat_mul, mat_vec, rank, transpose
+from .exactlinalg import Subspace, exact, identity_matrix, mat_vec, rank, transpose
 
 Vec = tuple[Fraction, ...]
 
@@ -206,17 +207,17 @@ def bracket_span(algebra: LieAlgebra, left: Subspace, right: Subspace) -> Subspa
 
 def derived_series(algebra: LieAlgebra, start: Subspace | None = None) -> list[Subspace]:
     """s >= [s,s] >= [[s,s],[s,s]] >= ... until stabilization, from the
-    subalgebra `start` (default the whole algebra); s is solvable iff the
-    last term is zero."""
-    current = Subspace.full(algebra.dim) if start is None else start
-    chain = [current]
-    while True:
-        nxt = bracket_span(algebra, current, current)
-        if nxt.dim == current.dim:
-            break
-        chain.append(nxt)
-        current = nxt
-    return chain
+    subalgebra `start` (default the whole algebra): the chain of
+    s -> [s, s]; s is solvable iff the last term is zero."""
+    start = Subspace.full(algebra.dim) if start is None else start
+    return start.chain(lambda s: bracket_span(algebra, s, s))
+
+
+def _engel_series(algebra: LieAlgebra, space: Subspace) -> list[Subspace]:
+    """Engel's series g >= [N, g] >= [N, [N, g]] >= ... of N = `space`, falling
+    for any N; for a subalgebra or a line N it reaches 0 iff every element of
+    N is ad-nilpotent (Engel's theorem)."""
+    return Subspace.full(algebra.dim).chain(lambda v: bracket_span(algebra, space, v))
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:
@@ -224,11 +225,9 @@ def is_solvable(algebra: LieAlgebra) -> bool:
 
 
 def is_ad_nilpotent(algebra: LieAlgebra, x) -> bool:
-    ad = algebra.adjoint_matrix(x)
-    power = ad
-    for _ in range(algebra.dim - 1):
-        power = mat_mul(power, ad)
-    return all(v == 0 for row in power for v in row)
+    """ad x is nilpotent: Engel's series of the line through x, the image
+    chain g > [x, g] > [x, [x, g]] > ..., reaches 0."""
+    return _engel_series(algebra, Subspace.from_vectors(algebra.dim, [x]))[-1].dim == 0
 
 
 def solvable_radical(algebra: LieAlgebra) -> Ideal:
@@ -264,18 +263,17 @@ def nilradical(algebra: LieAlgebra) -> Ideal:
     n = r intersect {x : kappa(x, g) = 0}, the points of the radical r where
     x -> kappa(x, .) vanishes.
 
-    Post-verified: an ideal, every basis element ad-nilpotent, and
-    r' <= n <= r.  Inputs where the kappa-orthogonal overshoots the true
-    nilradical fail the ad-nilpotency check and raise.
+    Post-verified: an ideal, every element ad-nilpotent (its Engel series
+    reaches 0), and r' <= n <= r.  Inputs where the kappa-orthogonal
+    overshoots the true nilradical stall the series and raise.
     """
     form = killing_form(algebra)
     radical = _solvable_radical(algebra, form)
     space = radical.space.where([mat_vec(form, v) for v in radical.space.basis])
     ideal = Ideal(algebra, space, "nilradical")
-    for v in space.basis:
-        if not is_ad_nilpotent(algebra, v):
-            raise InvariantViolationError(
-                "nilradical", "computed nilradical contains a non-ad-nilpotent element")
+    if _engel_series(algebra, space)[-1].dim:
+        raise InvariantViolationError(
+            "nilradical", "computed nilradical contains a non-ad-nilpotent element")
     derived_of_radical = bracket_span(algebra, radical.space, radical.space)
     if not derived_of_radical.is_subspace_of(space) or not space.is_subspace_of(radical.space):
         raise InvariantViolationError("nilradical", "chain r' <= n <= r fails")

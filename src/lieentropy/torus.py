@@ -18,6 +18,7 @@ from .exactlinalg import (
     Lattice,
     char_poly,
     det,
+    identity_matrix,
     mat_pow,
     mat_vec,
     min_poly,
@@ -30,7 +31,6 @@ from .mahler import (
     log_mahler,
     noncyclotomic_part,
     poly_degree,
-    poly_gcd,
 )
 
 
@@ -85,28 +85,19 @@ def entropy_is_positive(endo: TorusEndo) -> bool:
 def finite_order(endo: TorusEndo) -> int | None:
     """Least k with matrix^k = I, or None when no power is the identity.
 
-    Finite order holds iff the minimal polynomial is squarefree and a
-    product of cyclotomics; the order is then the lcm of the cyclotomic
-    indices, verified by an exact matrix power.
+    Finite order holds iff the minimal polynomial is a product of distinct
+    cyclotomics: its cyclotomic factors all have multiplicity 1 and leave a
+    constant cofactor.  The order is then the lcm of the cyclotomic indices,
+    verified by an exact matrix power.
     """
     if endo.dim == 0:
         return 1
     mat = [list(r) for r in endo.matrix]
-    mp = min_poly(mat)
-    deriv = [i * c for i, c in enumerate(mp)][1:]
-    if poly_degree(poly_gcd(mp, deriv)) > 0:
-        return None
-    indices, rest = cyclotomic_factors(mp)
-    if poly_degree(rest) >= 1:
+    indices, rest = cyclotomic_factors(min_poly(mat))
+    if poly_degree(rest) >= 1 or any(mult > 1 for _, mult in indices):
         return None
     order = math.lcm(*[m for m, _ in indices]) if indices else 1
-    powered = mat_pow(mat, order)
-    identity_ok = all(
-        powered[i][j] == (1 if i == j else 0)
-        for i in range(endo.dim)
-        for j in range(endo.dim)
-    )
-    if not identity_ok:
+    if mat_pow(mat, order) != identity_matrix(endo.dim):
         raise ArithmeticError("cyclotomic order bound failed exact verification")
     return order
 

@@ -1,0 +1,29 @@
+"""The functions the benchmark's tracer wraps must exist under their names."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def _wrapped():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WRAPPED
+
+
+def test_every_traced_function_resolves():
+    # a plain name on its lieentropy.<layer> module, Class.method in the
+    # class __dict__, as the tracer installs them
+    wrapped = _wrapped()
+    assert wrapped
+    for layer, names in wrapped.items():
+        module = importlib.import_module(f"lieentropy.{layer}")
+        for entry in names:
+            owner, _, attr = entry.rpartition(".")
+            if owner:
+                assert attr in vars(getattr(module, owner)), f"{layer}.{entry}"
+            else:
+                assert callable(getattr(module, attr, None)), f"{layer}.{entry}"

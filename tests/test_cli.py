@@ -238,6 +238,29 @@ def test_cli_estimate_csv(tmp_path):
     assert first[0] == "1" and int(first[1]) >= int(first[2])
 
 
+def test_cli_stdout_bytes_equal_the_output_file(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for fmt in ("json", "csv"):
+        args = [sys.executable, "-m", "lieentropy.cli", "estimate", "--catalog", "cat-map",
+                "--n-max", "3", "--format", fmt]
+        out = tmp_path / f"est.{fmt}"
+        stdout = subprocess.run(args, capture_output=True, env=env, check=True).stdout
+        subprocess.run([*args, "--output", str(out)], capture_output=True, env=env, check=True)
+        assert stdout == out.read_bytes(), fmt
+        assert stdout.endswith(b"\n") and not stdout.endswith(b"\n\n"), fmt
+
+
+def test_cli_estimate_auto_resolution_long_horizon(tmp_path):
+    # exp(h * (n_max - 1)) overflows a float for log 10 * 399; the target
+    # passes the cap in the log domain, so the cap is used
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"algebra": {"dim": 1, "brackets": []},
+                                "lattice": [["1"]], "endomorphism": [["10"]]}))
+    result = run_cli("estimate", "--input", str(path), "--n-max", "400")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["resolution"] == 4194304
+
+
 def test_cli_estimate_json():
     result = run_cli("estimate", "--catalog", "cstar-squaring",
                      "--n-max", "6", "--epsilon", "0.02", "--resolution", "4096")

@@ -209,6 +209,29 @@ def test_subspace_intersection_and_sum():
     assert xy.sum(yz) == Subspace.full(3)
 
 
+def test_chain_stops_at_the_first_fixed_point():
+    def images(m):
+        def step(s):
+            calls.append(s)
+            return Subspace.from_vectors(s.ambient_dim, [mat_vec(m, v) for v in s.basis])
+        return step
+
+    shift = [[int(j == i + 1) for j in range(4)] for i in range(4)]  # nilpotent
+    calls = []
+    chain = Subspace.full(4).chain(images(shift))
+    assert [s.dim for s in chain] == [4, 3, 2, 1, 0]
+    assert chain[-1] == Subspace.from_vectors(4, [])
+    assert calls == chain  # each term is stepped once; the last one is fixed
+    # a Jordan block at 0 beside an invertible block: the fixed point is nonzero
+    jordan = [[0, 1, 0], [0, 0, 0], [0, 0, 5]]
+    calls = []
+    chain = Subspace.full(3).chain(images(jordan))
+    assert [s.dim for s in chain] == [3, 2, 1]
+    assert chain[-1] == Subspace.from_vectors(3, [(0, 0, 1)])
+    calls = []
+    assert Subspace.full(2).chain(images(identity_matrix(2))) == [Subspace.full(2)]
+
+
 def test_solve_and_kernel():
     assert solve([[2, 0], [0, 4]], (6, 8)) == (F(3), F(2))
     assert solve([[1, 1], [1, 1]], (1, 2)) is None

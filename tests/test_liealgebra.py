@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieentropy.exactlinalg
 import lieentropy.liealgebra
 from lieentropy.errors import DomainError, InvariantViolationError
 from lieentropy.exactlinalg import (
@@ -60,7 +61,34 @@ def affine_line():
     return LieAlgebra.from_brackets(2, [(0, 1, 1, 1)], ["H", "X"])
 
 
+def weight_trap():
+    # [H,X] = X+Y, [H,Y] = -X+Y: ad(H) has eigenvalues 1 +- i
+    return LieAlgebra.from_brackets(
+        3, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, -1), (0, 2, 2, 1)], ["H", "X", "Y"])
+
+
+def heisenberg_k(k):
+    """h(2k+1): [X_i, Y_i] = Z on the basis X_1..X_k, Y_1..Y_k, Z."""
+    return LieAlgebra.from_brackets(2 * k + 1, [(i, k + i, 2 * k, 1) for i in range(k)])
+
+
+def sl2_power(k):
+    """sl2^k, the copies on consecutive basis triples."""
+    return LieAlgebra.from_brackets(3 * k, [(3 * c + i, 3 * c + j, 3 * c + l, v)
+                                            for c in range(k)
+                                            for i, j, l, v in sl2().constants])
+
+
 CATALOG = [e2, heisenberg, sl2, sl2_plus_line, affine_line, lambda: LieAlgebra.abelian(2)]
+
+
+def _is_ad_nilpotent_reference(algebra, x):
+    """ad(x)^dim = 0, by dense matrix powers."""
+    ad = algebra.adjoint_matrix(x)
+    power = identity_matrix(algebra.dim)
+    for _ in range(algebra.dim):
+        power = mat_mul(power, ad)
+    return not any(map(any, power))
 
 
 # --- validation -----------------------------------------------------------
@@ -292,19 +320,52 @@ def test_nilradical_maximality_brute_force():
             bigger = nil.space.sum(Subspace.from_vectors(a.dim, [extra]))
             if not is_ideal(a, bigger):
                 continue
-            assert not all(is_ad_nilpotent(a, v) for v in bigger.basis)
+            assert not all(_is_ad_nilpotent_reference(a, v) for v in bigger.basis)
 
 
 def test_nilradical_post_verification_rejects_weight_trap():
-    # [H,X] = X+Y, [H,Y] = -X+Y: kappa vanishes identically although ad(H)
-    # has eigenvalues 1 +- i, so the kappa-orthogonal overshoots the true
-    # nilradical and the post-check must refuse to return it
-    trap = LieAlgebra.from_brackets(
-        3, [(0, 1, 1, 1), (0, 1, 2, 1), (0, 2, 1, -1), (0, 2, 2, 1)], ["H", "X", "Y"])
+    # kappa vanishes identically on the trap although ad(H) has eigenvalues
+    # 1 +- i, so the kappa-orthogonal overshoots the true nilradical and
+    # Engel's series stalls at span{X, Y}
+    trap = weight_trap()
     assert validate_algebra(trap).valid
     assert is_solvable(trap)
-    with pytest.raises(InvariantViolationError):
+    assert [s.dim for s in lieentropy.liealgebra._engel_series(trap, Subspace.full(3))] == [3, 2]
+    with pytest.raises(InvariantViolationError, match="non-ad-nilpotent"):
         nilradical(trap)
+
+
+def test_is_ad_nilpotent_matches_the_matrix_power_reference():
+    rng = random.Random(19)
+    algebras = [make() for make in CATALOG]
+    algebras += [heisenberg_k(k) for k in (1, 2, 4)] + [sl2_power(k) for k in (1, 2, 3)]
+    algebras.append(weight_trap())
+    outcomes = set()
+    for a in algebras:
+        vectors = [a.basis_vector(i) for i in range(a.dim)] + [(0,) * a.dim]
+        vectors += [tuple(F(rng.randint(-2, 2)) / rng.randint(1, 3) for _ in range(a.dim))
+                    for _ in range(6)]
+        # sparse combinations also hit nilpotent non-basis elements of sl2 and the trap
+        vectors += [tuple(rng.choice((0, 0, 1, -1)) for _ in range(a.dim)) for _ in range(6)]
+        for v in vectors:
+            expected = _is_ad_nilpotent_reference(a, v)
+            assert is_ad_nilpotent(a, v) == expected, (a.basis_names, v)
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_nilradical_makes_no_matrix_products(monkeypatch):
+    # Engel's series is bracket spans only: no adjoint matrix is multiplied
+    calls = []
+    original = lieentropy.exactlinalg.mat_mul
+    for module in (lieentropy.exactlinalg, lieentropy.liealgebra):
+        for alias, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, alias, lambda *args: calls.append(1) or original(*args))
+    for k in (8, 32):
+        assert nilradical(heisenberg_k(k)).space.dim == 2 * k + 1
+    assert nilradical(sl2_power(3)).space.dim == 0
+    assert calls == []
 
 
 # --- quotients ---------------------------------------------------------------

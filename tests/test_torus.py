@@ -4,8 +4,15 @@ import random
 import pytest
 
 from lieentropy.errors import ValidationError
-from lieentropy.exactlinalg import Lattice, companion_matrix, identity_matrix, mat_mul, solve
-from lieentropy.mahler import cyclotomic, poly_mul
+from lieentropy.exactlinalg import (
+    Lattice,
+    companion_matrix,
+    identity_matrix,
+    mat_mul,
+    min_poly,
+    solve,
+)
+from lieentropy.mahler import cyclotomic, cyclotomic_factors, poly_degree, poly_gcd, poly_mul
 from lieentropy.torus import (
     TorusEndo,
     entropy,
@@ -111,6 +118,55 @@ def test_finite_order_is_least_power():
         for j in range(1, k):
             assert [list(r) for r in e.power(j).matrix] != ident
     del rng
+
+
+def _finite_order_reference_rule(matrix):
+    """Finite order by a separate squarefreeness test: gcd(mp, mp') constant,
+    then a constant cofactor after the cyclotomic factors."""
+    mp = min_poly(matrix)
+    deriv = [i * c for i, c in enumerate(mp)][1:]
+    if poly_degree(poly_gcd(mp, deriv)) > 0:
+        return False
+    return poly_degree(cyclotomic_factors(mp)[1]) < 1
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(r) + [0] * m for r in a] + [[0] * n + list(r) for r in b]
+
+
+def test_finite_order_matches_the_squarefree_reference_rule():
+    rng = random.Random(41)
+    one = [-1, 1]
+    polys = [
+        poly_mul(one, one),                                          # (t - 1)^2
+        poly_mul(list(cyclotomic(3)), list(cyclotomic(3))),          # Phi_3^2
+        poly_mul(list(cyclotomic(4)), list(cyclotomic(4))),          # Phi_4^2
+        poly_mul([0, 1], list(cyclotomic(6))),                       # t Phi_6
+        poly_mul([0, 1], list(cyclotomic(1))),                       # t Phi_1
+        [-1, -1, 1],                                                 # t^2 - t - 1
+        poly_mul(list(cyclotomic(3)), list(cyclotomic(4))),          # Phi_3 Phi_4
+        list(cyclotomic(12)),
+    ]
+    matrices = [companion_matrix(p) for p in polys]
+    rotation = companion_matrix(list(cyclotomic(3)))
+    matrices += [
+        _block_sum(rotation, rotation),                   # char Phi_3^2, min Phi_3
+        _block_sum(rotation, companion_matrix([-1, 1])),  # Phi_3 Phi_1
+        _block_sum(companion_matrix(polys[0]), [[1]]),    # min (t - 1)^2
+        [[0]],
+    ]
+    unimodular = [[1, 1, 0, 0], [0, 1, 0, 0], [1, 1, 1, 0], [0, 2, 1, 1]]
+    for m in list(matrices):
+        if len(m) == 4:
+            matrices.append(mat_mul(mat_mul(unimodular, m), _int_inverse(unimodular)))
+    matrices += [rand_matrix(rng, n, -1, 1) for n in (1, 2, 3) for _ in range(40)]
+    seen = set()
+    for m in matrices:
+        expected = _finite_order_reference_rule(m)
+        assert (finite_order(T(m)) is not None) == expected, m
+        seen.add(expected)
+    assert seen == {True, False}
 
 
 # --- Li-Yorke dichotomy ---------------------------------------------------------
