@@ -155,7 +155,7 @@ def _cmd_estimate(args) -> int:
     dynamics = GridDynamics.from_torus(action)
     resolution = args.resolution
     if resolution is None:
-        resolution = _auto_resolution(dynamics, args.n_max, args.epsilon)
+        resolution = _auto_resolution(dynamics, args.n_max, args.epsilon, report.entropy.value)
     estimate = spanning_entropy_estimate(dynamics, args.n_max, args.epsilon, resolution)
     if args.format == "csv":
         _emit(estimate_to_csv(estimate), args)

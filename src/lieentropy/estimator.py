@@ -119,10 +119,7 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
     The fitted slope uses the upper counts over the last half of the time
     range; the band is two standard errors of the fit.
     """
-    if n_max < 2:
-        raise ParameterError("n_max must be at least 2")
-    if not 0 < epsilon < 0.5:
-        raise ParameterError("epsilon must lie in (0, 1/2)")
+    _check_parameters(n_max, epsilon)
     if resolution <= 4 / epsilon:
         raise ParameterError("resolution too coarse: need resolution > 4/epsilon")
     largest = max(abs(x) for row in dynamics.matrix for x in row)
@@ -138,6 +135,13 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
     return SpanningEstimate(
         tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution,
         slope, stderr, (slope - 2 * stderr, slope + 2 * stderr))
+
+
+def _check_parameters(n_max: int, epsilon: float) -> None:
+    if n_max < 2:
+        raise ParameterError("n_max must be at least 2")
+    if not 0 < epsilon < 0.5:
+        raise ParameterError("epsilon must lie in (0, 1/2)")
 
 
 def _fit_log_growth(ns, counts) -> tuple[float, float]:
@@ -191,8 +195,9 @@ def bundle_inequality_check(total: GridDynamics, base: GridDynamics, fiber: Toru
     if any(mat[a + i][a + j] != fiber.matrix[i][j] for i in range(b) for j in range(b)):
         raise DomainError("bottom-right block differs from the fiber matrix")
 
+    exact_total = exact_entropy(total.torus_endo()).value
     if resolution is None:
-        resolution = _auto_resolution(total, n_max, epsilon)
+        resolution = _auto_resolution(total, n_max, epsilon, exact_total)
     total_est = spanning_entropy_estimate(total, n_max, epsilon, resolution)
     base_res = min(resolution, _grid_cap_for_dim(base.dim))
     base_est = spanning_entropy_estimate(base, n_max, epsilon, base_res)
@@ -207,7 +212,7 @@ def bundle_inequality_check(total: GridDynamics, base: GridDynamics, fiber: Toru
         bound=bound,
         slack=slack,
         passes=passes,
-        exact_total=exact_entropy(total.torus_endo()).value,
+        exact_total=exact_total,
         exact_base=exact_entropy(base.torus_endo()).value,
     )
 
@@ -216,14 +221,14 @@ def _grid_cap_for_dim(dim: int) -> int:
     return {1: 1 << 22, 2: 1 << 12, 3: 1 << 8}[dim]
 
 
-def _auto_resolution(dynamics: GridDynamics, n_max: int, epsilon: float) -> int:
+def _auto_resolution(dynamics: GridDynamics, n_max: int, epsilon: float, h: float) -> int:
     """Power-of-two resolution keeping the deepest Bowen ball a few cells
-    wide, capped by memory; saturated counts flatten the fitted slope, so
-    explicit resolutions are preferable for sharp checks."""
-    h = exact_entropy(dynamics.torus_endo()).value
+    wide at exact entropy h, capped by memory; saturated counts flatten the
+    fitted slope, so explicit resolutions are preferable for sharp checks."""
+    _check_parameters(n_max, epsilon)
     cap, r = _grid_cap_for_dim(dynamics.dim), 1
     # a target past the cap is found in the log domain, where no horizon overflows
-    if epsilon > 0 and (math.log(8.0) + h * (n_max - 1)) / dynamics.dim > math.log(2 * epsilon * cap):
+    if (math.log(8.0) + h * (n_max - 1)) / dynamics.dim > math.log(2 * epsilon * cap):
         r = cap
     else:
         target = (8.0 * math.exp(h * (n_max - 1))) ** (1.0 / dynamics.dim) / (2 * epsilon)

@@ -30,9 +30,10 @@ The kernel rule: every subset cut out of a container by linear conditions
 (an intersection, a centralizer, a radical) is `where(images)`, the points
 sum c_i basis_i with sum c_i images_i = 0, from the left kernel over Q for
 a `Subspace` and over Z for a `Lattice`.
-The chain rule: every space iterated to stability (a derived series, an
-eventual image, Engel's series) is the last term of `Subspace.chain(step)`,
-whose terms fall in dimension until the first fixed point of `step`.
+The chain rule: every space iterated to stability under a bracket step (a
+derived series, Engel's series) is the last term of `Subspace.chain(step)`,
+whose terms fall in dimension until the first fixed point of `step`; the
+images of one matrix m stop at im m^a (Fitting, `groups.eventual_image`).
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def mat_pow(m: Mat, k: int) -> Mat:
     while k:
         if k & 1:
             result = mat_mul(result, base)
-        base = mat_mul(base, base)
         k >>= 1
+        if k:
+            base = mat_mul(base, base)
     return result
 
 

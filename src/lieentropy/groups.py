@@ -38,7 +38,6 @@ from .exactlinalg import (
     Lattice,
     Subspace,
     char_poly,
-    det,
     exact,
     identity_matrix,
     lattice_intersect_subspace,
@@ -215,15 +214,25 @@ def validate_presentation(group: PresentedGroup) -> PresentationReport:
 
 @dataclass(frozen=True)
 class GroupEndomorphism:
-    """Derivative matrix on the algebra plus its integer lattice action."""
+    """Derivative matrix on the algebra plus its integer lattice action.
+    Surjectivity, the eventual image and the eigenvalue-sum bound all read
+    char(d), formed on first use, so validation alone never forms it."""
 
     group: PresentedGroup
     d_phi: tuple[tuple[Fraction, ...], ...]
     lattice_action: tuple[tuple[int, ...], ...]
-    surjective_on_identity_component: bool
 
     def d_phi_matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.d_phi]
+
+    @cached_property
+    def characteristic_polynomial(self) -> list:
+        """char(d) = det(tI - d), ascending, computed once per endomorphism."""
+        return char_poly(self.d_phi_matrix())
+
+    @property
+    def surjective_on_identity_component(self) -> bool:  # char(d)(0) = +-det d
+        return self.characteristic_polynomial[0] != 0
 
     def power(self, k: int) -> "GroupEndomorphism":
         return validate_endomorphism(self.group, mat_pow(self.d_phi_matrix(), k))
@@ -325,8 +334,7 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
                 f"coordinates {tuple(str(c) for c in coords)}")
         action_columns.append([int(c) for c in coords])
     action = tuple(map(tuple, transpose(action_columns)))
-    surjective = det(d) != 0 if n else True
-    return GroupEndomorphism(group, tuple(tuple(row) for row in d), action, surjective)
+    return GroupEndomorphism(group, tuple(tuple(row) for row in d), action)
 
 
 def _coords_up_to_conjugation(group: PresentedGroup, image):
@@ -362,17 +370,15 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     """Stabilized image of the derivative: the algebra of the maximal
     connected subgroup mapped onto itself.
 
-    The images d^k(g) shrink, each mapped into itself by d, so the
-    stabilized image is the last term of the `Subspace.chain` of s -> d(s)
-    from g; g itself, with no chain, when det d != 0.  Post-checked to be
-    closed under the bracket.
+    By Fitting's lemma g = ker d^a + im d^a, a the multiplicity of the root
+    0 of char(d), so the images d^k(g) stop falling by k = a: the stabilized
+    image is the column span of d^a, g itself when a = 0 (d surjective).
+    Post-checked to be closed under the bracket.
     """
-    full = Subspace.full(group.algebra.dim)
-    if endo.surjective_on_identity_component:
-        return full
-    d = endo.d_phi_matrix()
-    image = full.chain(
-        lambda s: Subspace.from_vectors(s.ambient_dim, [mat_vec(d, v) for v in s.basis]))[-1]
+    a = next(k for k, c in enumerate(endo.characteristic_polynomial) if c)
+    if not a:
+        return Subspace.full(group.dim)
+    image = Subspace.from_vectors(group.dim, transpose(mat_pow(endo.d_phi_matrix(), a)))
     if not is_subalgebra(group.algebra, image):
         raise InvariantViolationError(
             "eventual_image", "stabilized image is not closed under the bracket")
@@ -465,17 +471,14 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
                         tol: float = DEFAULT_TOL) -> AnalysisReport:
     """Entropy of the endomorphism, with the full reduction recorded.
 
-    The report also carries the eigenvalue-sum upper bound computed from the
-    whole derivative, which is strict whenever expansion happens outside the
+    The report also carries the eigenvalue-sum upper bound, the log-Mahler
+    sum of char(d), which is strict whenever expansion happens outside the
     central torus of the eventual image.  When that torus is the whole group
-    the two share one characteristic polynomial, so the entropy is the bound.
+    its action has char(d) too, so the entropy is the bound, computed once.
     """
     g_phi, l_phi, z_phi, torus = _central_torus_action(group, endo)
-    ent = torus_entropy(torus.action, tol)
-    if torus.dim == group.dim:
-        bowen = ent
-    else:
-        bowen = log_mahler(poly_primitive_int(char_poly(endo.d_phi_matrix())), tol)
+    ent = torus_entropy(torus.action, tol) if torus.dim < group.dim else None
+    bowen = log_mahler(poly_primitive_int(endo.characteristic_polynomial), tol)
     validations = (
         "presentation invariants assumed validated",
         "eventual image verified invariant and bracket-closed",
@@ -484,7 +487,7 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
     return AnalysisReport(
         group_name=group.name,
         tol=tol,
-        entropy=ent,
+        entropy=bowen if ent is None else ent,
         bowen_upper_bound=bowen,
         eventual_image=g_phi,
         lattice_in_image=l_phi,

@@ -21,7 +21,6 @@ from .exactlinalg import (
     identity_matrix,
     mat_pow,
     mat_vec,
-    min_poly,
     transpose,
 )
 from .mahler import (
@@ -85,21 +84,18 @@ def entropy_is_positive(endo: TorusEndo) -> bool:
 def finite_order(endo: TorusEndo) -> int | None:
     """Least k with matrix^k = I, or None when no power is the identity.
 
-    Finite order holds iff the minimal polynomial is a product of distinct
-    cyclotomics: its cyclotomic factors all have multiplicity 1 and leave a
-    constant cofactor.  The order is then the lcm of the cyclotomic indices,
-    verified by an exact matrix power.
+    A matrix of finite order has only roots of unity as eigenvalues, so its
+    characteristic polynomial is a product of cyclotomics, and each index m
+    is the order of one of them: every k with matrix^k = I is a multiple of
+    their lcm L.  So the order is L when matrix^L = I and does not exist
+    otherwise.
     """
-    if endo.dim == 0:
-        return 1
-    mat = [list(r) for r in endo.matrix]
-    indices, rest = cyclotomic_factors(min_poly(mat))
-    if poly_degree(rest) >= 1 or any(mult > 1 for _, mult in indices):
+    indices, rest = cyclotomic_factors(endo.char_poly())
+    if poly_degree(rest) >= 1:
         return None
-    order = math.lcm(*[m for m, _ in indices]) if indices else 1
-    if mat_pow(mat, order) != identity_matrix(endo.dim):
-        raise ArithmeticError("cyclotomic order bound failed exact verification")
-    return order
+    order = math.lcm(*[m for m, _ in indices])
+    mat = [list(r) for r in endo.matrix]
+    return order if mat_pow(mat, order) == identity_matrix(endo.dim) else None
 
 
 LI_YORKE_ALL_POWERS = "li_yorke_all_powers"

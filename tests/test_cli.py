@@ -261,6 +261,16 @@ def test_cli_estimate_auto_resolution_long_horizon(tmp_path):
     assert json.loads(result.stdout)["resolution"] == 4194304
 
 
+def test_cli_estimate_checks_epsilon_before_choosing_a_resolution(tmp_path):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"algebra": {"dim": 1, "brackets": []},
+                                "lattice": [["1"]], "endomorphism": [["10"]]}))
+    for extra in (["--epsilon", "0"], ["--epsilon", "-0.1", "--n-max", "400"]):
+        result = run_cli("estimate", "--input", str(path), *extra)
+        assert result.returncode == 1, extra
+        assert result.stderr == "invalid input: epsilon must lie in (0, 1/2)\n", extra
+
+
 def test_cli_estimate_json():
     result = run_cli("estimate", "--catalog", "cstar-squaring",
                      "--n-max", "6", "--epsilon", "0.02", "--resolution", "4096")

@@ -619,6 +619,26 @@ def test_char_poly_integer_matrices_match_reference():
         assert all(type(c) is int for c in poly)
 
 
+def test_mat_pow_squares_only_while_bits_remain(monkeypatch):
+    import lieentropy.exactlinalg as exactlinalg
+
+    m = [[1, 1], [1, 0]]
+    calls = []
+    original = exactlinalg.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(exactlinalg, "mat_mul", counted)
+    expected = identity_matrix(2)
+    for k in range(10):
+        calls.clear()
+        assert exactlinalg.mat_pow(m, k) == expected
+        assert len(calls) == (k.bit_length() - 1 + bin(k).count("1") if k else 0), k
+        expected = original(expected, m)
+
+
 def test_min_poly_starts_the_krylov_sequence_at_m(monkeypatch):
     import lieentropy.exactlinalg as exactlinalg
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import lieentropy.exactlinalg as exactlinalg
 import lieentropy.groups
 from lieentropy.catalog import get_entry
 from lieentropy.errors import (
@@ -395,6 +396,106 @@ def test_surjective_eventual_image_is_the_iterated_image():
     assert 10 <= surjective < len(cases)
 
 
+def _heisenberg_plus_shift(k):
+    """h(2k+1) + R^k, the central circle of c as lattice, and d = 2 on the
+    a_i, 3 on the b_i, 6 on c and the shift r_i -> r_(i+1) on R^k: the
+    eventual image is h(2k+1), a proper subalgebra."""
+    dim = 3 * k + 1
+    algebra = LieAlgebra.from_brackets(dim, [(i, k + i, 2 * k, 1) for i in range(k)])
+    group = PresentedGroup.build(algebra, [[int(j == 2 * k) for j in range(dim)]], "h+R")
+    d = [[0] * dim for _ in range(dim)]
+    for i, x in enumerate([2] * k + [3] * k + [6]):
+        d[i][i] = x
+    for i in range(2 * k + 1, dim - 1):
+        d[i + 1][i] = 1
+    return group, d
+
+
+def test_eventual_image_is_the_iterated_image_off_surjectivity():
+    # d = P (N + B) P^-1 with N a sum of nilpotent Jordan blocks J_0(b), B
+    # invertible and P unimodular.  The root 0 of char(d) has multiplicity
+    # sum(b), more than the index max(b) when N has several blocks
+    rng = random.Random(29)
+    cases = []
+    for blocks in ((1,), (2,), (3,), (2, 1), (1, 1), (3, 2, 1), (4,)):
+        for m in (0, 1, 2, 3):
+            nil = sum(blocks)
+            n = nil + m
+            while True:
+                b = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+                if not m or exactlinalg.det(b):
+                    break
+            core = [[0] * n for _ in range(n)]
+            start = 0
+            for size in blocks:
+                for i in range(start, start + size - 1):
+                    core[i][i + 1] = 1
+                start += size
+            for i in range(m):
+                core[nil + i][nil:] = b[i]
+            p, p_inv = identity_matrix(n), identity_matrix(n)
+            for _ in range(2 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice([1, -1, 2])
+                e, e_inv = identity_matrix(n), identity_matrix(n)
+                e[i][j], e_inv[i][j] = c, -c
+                p, p_inv = mat_mul(p, e), mat_mul(e_inv, p_inv)
+            cases.append((abelian_group(n, []), mat_mul(mat_mul(p, core), p_inv), m))
+    for k in range(1, 7):
+        group, d = _heisenberg_plus_shift(k)
+        cases.append((group, d, 2 * k + 1))
+    for group, d, image_dim in cases:
+        endo = validate_endomorphism(group, d)
+        assert not endo.surjective_on_identity_component
+        image = eventual_image(group, endo)
+        assert image == _iterated_image(group, endo)
+        assert image.dim == image_dim
+
+
+def test_each_derivative_has_one_characteristic_polynomial(monkeypatch, capsys):
+    # over validation and analysis char(d) is formed once, and the torus
+    # action's only when the torus is proper; det is never taken, and
+    # validation alone forms no characteristic polynomial
+    import lieentropy.torus
+    from lieentropy import cli
+    from lieentropy.catalog import builtin_catalog
+
+    polys, dets = [], []
+    original_char_poly, original_det = exactlinalg.char_poly, exactlinalg.det
+
+    def counted(log, fn):
+        def wrapper(m):
+            log.append([[F(x) for x in row] for row in m])
+            return fn(m)
+        return wrapper
+
+    for module in (exactlinalg, lieentropy.torus, lieentropy.groups):
+        monkeypatch.setattr(module, "char_poly", counted(polys, original_char_poly))
+    for module in (exactlinalg, lieentropy.torus):
+        monkeypatch.setattr(module, "det", counted(dets, original_det))
+    assert not hasattr(lieentropy.groups, "det")
+    cases = [build_group(entry.input_document()) for entry in builtin_catalog()]
+    cases.append(_heisenberg_plus_shift(2))
+    proper = 0
+    for group, derivative in cases:
+        polys.clear()
+        endo = validate_endomorphism(group, derivative)
+        report = analyze(group, endo, TOL)
+        d = [[F(x) for x in row] for row in endo.d_phi]
+        action = [[F(x) for x in row] for row in report.torus.action.matrix]
+        assert polys.count(d) == 1, group.name
+        whole = report.torus.dim == group.dim
+        if action:  # a 0x0 induced toral map of the toral-order check also counts as []
+            assert polys.count(action) == (action == d if whole else 1), group.name
+            proper += not whole
+    assert dets == [] and proper >= 3
+    polys.clear()
+    for entry in builtin_catalog():
+        assert cli.main(["validate", "--catalog", entry.name]) == 0
+    capsys.readouterr()
+    assert polys == [] and dets == []
+
+
 # --- toral lattice ----------------------------------------------------------
 
 def test_toral_lattice_examples():
@@ -728,11 +829,12 @@ def test_analyze_runs_each_stage_once(monkeypatch):
         monkeypatch.setattr(lieentropy.groups, name, counted)
     # counted over validation and analysis.  nilradical: calls for the
     # conjugation certificate and the toral-order check; log_mahler and
-    # char_poly: calls for the eigenvalue-sum bound
+    # char_poly: calls for the eigenvalue-sum bound, which on a whole torus
+    # is the entropy itself
     expected = {
         "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
         "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
-        "torus2-squaring": {"nilradical": 0, "log_mahler": 0, "char_poly": 0},
+        "torus2-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
         "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
         "e2-shifted": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
     }

@@ -203,7 +203,7 @@ def test_centralizer_computes_each_bracket_once(monkeypatch):
     assert len(calls) <= 2 * full.dim ** 2
 
 
-def test_subalgebra_check_brackets_each_unordered_pair_once(monkeypatch):
+def test_subalgebra_check_reads_the_constants(monkeypatch):
     a = sl2_plus_line()
     calls = []
     original = LieAlgebra.bracket
@@ -213,12 +213,11 @@ def test_subalgebra_check_brackets_each_unordered_pair_once(monkeypatch):
         return original(self, x, y)
 
     monkeypatch.setattr(LieAlgebra, "bracket", counted)
-    assert is_subalgebra(a, Subspace.full(a.dim))
-    assert calls == []  # the whole algebra is closed by definition
+    assert is_subalgebra(a, Subspace.full(a.dim))  # closed by definition
     borel = Subspace.from_vectors(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     assert is_subalgebra(a, borel)
-    assert len(calls) == 3
     assert not is_subalgebra(a, Subspace.from_vectors(4, [(0, 1, 0, 0), (0, 0, 1, 0)]))
+    assert calls == []  # brackets are summed from the nonzero constants
 
 
 def test_center_equals_centralizer_of_whole():

@@ -100,6 +100,11 @@ def test_finite_order_examples():
     assert finite_order(T([[1, 1], [0, 1]])) is None
     assert finite_order(T([[1]])) == 1
     assert finite_order(T([[2]])) is None
+    assert finite_order(T([])) == 1
+    rotation3 = [[0, -1], [1, -1]]  # Phi_3
+    assert finite_order(T(_block_sum(rotation3, rotation3))) == 3
+    # a Jordan block of Phi_4: char Phi_4^2, cyclotomic, but of infinite order
+    assert finite_order(T([[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]])) is None
 
 
 def test_finite_order_is_least_power():
