@@ -10,6 +10,10 @@ places them in a compactly embedded abelian subalgebra and hence their
 exponentials in the center of the cover.  Presentations without such a
 certificate are rejected even if mathematically central.
 
+Gamma~ is one canonical `Lattice` per presentation, `PresentedGroup.lattice`:
+the W_i are independent when its rank is their number, d preserves it when
+each d(W_i) is a member or conjugates to one, and every cut starts from it.
+
 The entropy of an endomorphism is computed by restricting its derivative to
 the maximal central torus of the eventual image:
 
@@ -39,13 +43,11 @@ from .exactlinalg import (
     Subspace,
     char_poly,
     exact,
-    identity_matrix,
     lattice_intersect_subspace,
     mat_mul,
     mat_pow,
     mat_vec,
     min_poly,
-    rank,
     solve,
     transpose,
 )
@@ -95,7 +97,8 @@ INDUCED_TORAL_MAP_FINITE_ORDER = "induced-toral-map-has-finite-order"
 
 @dataclass(frozen=True)
 class PresentedGroup:
-    """G = G~/Gamma~ via structure constants and central log-generators."""
+    """G = G~/Gamma~ via structure constants and central log-generators;
+    Gamma~ is their lattice, `lattice`, formed on first use."""
 
     algebra: LieAlgebra
     lattice_logs: tuple[tuple[Fraction, ...], ...]
@@ -109,12 +112,15 @@ class PresentedGroup:
                 raise DimensionError("lattice log-generator has wrong length")
         return PresentedGroup(algebra, logs, name)
 
-    def lattice(self) -> Lattice:
-        return Lattice.from_generators(self.algebra.dim, list(self.lattice_logs))
-
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        """Gamma in canonical HNF, formed once per presentation: independence,
+        invariance and every cut of the pipeline read this one lattice."""
+        return Lattice.from_generators(self.algebra.dim, self.lattice_logs)
 
     @cached_property
     def nilradical(self):
@@ -204,7 +210,7 @@ def validate_presentation(group: PresentedGroup) -> PresentationReport:
         reason = _compact_spectrum_certificate(min_poly(group.algebra.adjoint_matrix(w)))
         if reason is not None:
             issues.append(f"lattice generator {i}: {reason}")
-    if logs and rank([list(v) for v in logs]) != len(logs):
+    if group.lattice.rank != len(logs):
         issues.append("lattice generators are linearly dependent")
     return PresentationReport(not issues, tuple(issues))
 
@@ -214,13 +220,12 @@ def validate_presentation(group: PresentedGroup) -> PresentationReport:
 
 @dataclass(frozen=True)
 class GroupEndomorphism:
-    """Derivative matrix on the algebra plus its integer lattice action.
+    """Derivative matrix on the algebra, validated against its presentation.
     Surjectivity, the eventual image and the eigenvalue-sum bound all read
     char(d), formed on first use, so validation alone never forms it."""
 
     group: PresentedGroup
     d_phi: tuple[tuple[Fraction, ...], ...]
-    lattice_action: tuple[tuple[int, ...], ...]
 
     def d_phi_matrix(self) -> list[list[Fraction]]:
         return [list(row) for row in self.d_phi]
@@ -284,15 +289,15 @@ def _conjugate_correction(algebra, nil_space, v, target):
 
 
 def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphism:
-    """Check bracket compatibility and extraction of the lattice action.
+    """Check bracket compatibility and invariance of the lattice.
 
-    The derivative must be an algebra endomorphism (exactly).  Each
-    log-generator must map to an integer combination of the generators,
-    either on the nose or up to a certified inner conjugation: when
-    d(W_i) = v_i + r_i with v_i an integer combination and r_i in the
-    nilradical, a conjugator u with exp(ad u)(v_i) = d(W_i) is solved for
-    and verified exactly, which makes exp of the image an inner conjugate
-    of the central element exp(2 pi v_i) and hence again a lattice element.
+    The derivative must be an algebra endomorphism (exactly).  Each image
+    d(W_i) must be a point of the lattice `group.lattice`, either on the
+    nose or up to a certified inner conjugation: when d(W_i) = v_i + r_i
+    with v_i a lattice point and r_i in the nilradical, a conjugator u with
+    exp(ad u)(v_i) = d(W_i) is solved for and verified exactly, which makes
+    exp of the image an inner conjugate of the central element exp(2 pi v_i)
+    and hence again a lattice element.
     """
     d = [[exact(x) for x in row] for row in derivative]
     algebra, n = group.algebra, group.algebra.dim
@@ -312,55 +317,36 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
         i, j = min(failing)
         raise ValidationError("not a Lie algebra endomorphism: bracket compatibility fails at "
                               f"({algebra.basis_names[i]}, {algebra.basis_names[j]})")
-    # rows (w_i, e_i): eliminating (image, 0) leaves (0, -coords) exactly
-    # when the image lies in span(W)
-    logs, zeros = group.lattice_logs, (0,) * len(group.lattice_logs)
-    tagged = Subspace.from_vectors(
-        n + len(logs), [(*w, *e) for w, e in zip(logs, identity_matrix(len(logs)))])
-    action_columns = []
-    for i, w in enumerate(logs):
+    for i, w in enumerate(group.lattice_logs):
         image = mat_vec(d, w)
-        residue = tagged.reduce((*image, *zeros))
-        coords = None if any(residue[:n]) else tuple(-c for c in residue[n:])
-        if coords is None:
-            coords = _coords_up_to_conjugation(group, image)
-            if coords is None:
-                raise ValidationError(
-                    f"lattice not preserved: image of generator {i} leaves the "
-                    "lattice span and admits no certified conjugation back into it")
-        if any(c.denominator != 1 for c in coords):
+        if not (group.lattice.contains(image) or _conjugates_into_lattice(group, image)):
             raise ValidationError(
-                f"lattice not preserved: image of generator {i} has non-integer "
-                f"coordinates {tuple(str(c) for c in coords)}")
-        action_columns.append([int(c) for c in coords])
-    action = tuple(map(tuple, transpose(action_columns)))
-    return GroupEndomorphism(group, tuple(tuple(row) for row in d), action)
+                f"lattice not preserved: image of generator {i} is not a lattice point "
+                "and admits no certified conjugation back into the lattice")
+    return GroupEndomorphism(group, tuple(tuple(row) for row in d))
 
 
-def _coords_up_to_conjugation(group: PresentedGroup, image):
-    """Lattice coordinates of a generator image modulo a certified inner
-    conjugation, or None when no certificate is found."""
-    algebra = group.algebra
+def _conjugates_into_lattice(group: PresentedGroup, image) -> bool:
+    """Whether a generator image is a lattice point modulo a certified inner
+    conjugation through the nilradical."""
     try:
         nil = group.nilradical
     except (InvariantViolationError, ValueError):
-        return None
-    logs, n = group.lattice_logs, algebra.dim
-    span_w = Subspace.from_vectors(n, [list(v) for v in logs])
-    if span_w.intersect(nil.space).dim != 0:
-        return None
-    # unique decomposition image = v + r with v = sum a_i W_i and r in the
-    # nilradical: rows (W_i, W_i, e_i) and (r_j, 0, 0) leave (0, -v, -a)
-    zeros = (0,) * (n + len(logs))
-    rows = [(*w, *w, *e) for w, e in zip(logs, identity_matrix(len(logs)))]
-    rows += [(*r, *zeros) for r in nil.space.basis]
-    residue = Subspace.from_vectors(2 * n + len(logs), rows).reduce((*image, *zeros))
-    if any(residue[:n]):
-        return None
-    v = tuple(-x for x in residue[n:2 * n])
-    if _conjugate_correction(algebra, nil.space, v, tuple(image)) is None:
-        return None
-    return tuple(-c for c in residue[2 * n:])
+        return False
+    n = group.dim
+    # rows (W_i, W_i) and (r_j, 0): the image splits uniquely as v + r, v in
+    # span(W) and r in the nilradical, when the W_i and r_j are independent,
+    # i.e. when every one of the rows has its echelon pivot in the first n
+    # columns; then eliminating (image, 0) leaves (0, -v)
+    rows = [(*w, *w) for w in group.lattice_logs]
+    rows += [(*r, *(0,) * n) for r in nil.space.basis]
+    tagged = Subspace.from_vectors(2 * n, rows)
+    residue = tagged.reduce((*image, *(0,) * n))
+    if sum(p < n for p in tagged.pivots) != len(rows) or any(residue[:n]):
+        return False
+    v = tuple(-x for x in residue[n:])
+    return (group.lattice.contains(v)
+            and _conjugate_correction(group.algebra, nil.space, v, tuple(image)) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +393,7 @@ def toral_lattice(group: PresentedGroup) -> CentralTorus:
     group agrees with the one of its nilradical, so the torus directions are
     exactly the lattice points lying in the center.
     """
-    lam = lattice_intersect_subspace(group.lattice(), group.center)
+    lam = lattice_intersect_subspace(group.lattice, group.center)
     return CentralTorus(lam, lam.span())
 
 
@@ -456,7 +442,7 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
     if endo.group != group:
         raise ValidationError("endomorphism was validated against a different presentation")
     g_phi = eventual_image(group, endo)
-    l_phi = lattice_intersect_subspace(group.lattice(), g_phi)
+    l_phi = lattice_intersect_subspace(group.lattice, g_phi)
     z_phi = group.center if g_phi.dim == group.dim else centralizer_in(group.algebra, g_phi)
     lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
@@ -475,10 +461,19 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
     sum of char(d), which is strict whenever expansion happens outside the
     central torus of the eventual image.  When that torus is the whole group
     its action has char(d) too, so the entropy is the bound, computed once.
+    A numeric failure of either value aborts with the name of its stage.
     """
     g_phi, l_phi, z_phi, torus = _central_torus_action(group, endo)
-    ent = torus_entropy(torus.action, tol) if torus.dim < group.dim else None
-    bowen = log_mahler(poly_primitive_int(endo.characteristic_polynomial), tol)
+    whole = torus.dim == group.dim
+    try:
+        ent = None if whole else torus_entropy(torus.action, tol)
+    except ArithmeticError as exc:
+        raise PipelineError("torus_entropy", str(exc)) from exc
+    try:
+        bowen = log_mahler(poly_primitive_int(endo.characteristic_polynomial), tol)
+    except ArithmeticError as exc:
+        stage = "torus_entropy" if whole else "eigenvalue_sum_bound"
+        raise PipelineError(stage, str(exc)) from exc
     validations = (
         "presentation invariants assumed validated",
         "eventual image verified invariant and bracket-closed",
@@ -487,7 +482,7 @@ def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
     return AnalysisReport(
         group_name=group.name,
         tol=tol,
-        entropy=bowen if ent is None else ent,
+        entropy=bowen if whole else ent,
         bowen_upper_bound=bowen,
         eventual_image=g_phi,
         lattice_in_image=l_phi,

@@ -3,9 +3,9 @@
 The quantity of interest is sum(log|z|) over the roots z of an integer
 polynomial with |z| > 1.  Roots of unity and zero roots contribute nothing,
 and both are detected symbolically: powers of t are stripped exactly and
-every cyclotomic factor is removed by trial division before any floating
-point enters, unless a modular certificate (Euclid over F_(2^61 - 1)) shows p
-coprime to its reversal (and, for the squarefree split, to p').  Other gcds
+every cyclotomic factor is removed by trial division, gated by the value of
+p at 2^64, before any floating point enters.  Yun's squarefree split is
+skipped when Euclid over F_(2^61 - 1) certifies p coprime to p'; other gcds
 are taken over Z.  Only the strictly expanding/contracting moduli of the
 remaining factor are bounded numerically, by a Durand-Kerner iteration
 started on the root circle and certified with Weierstrass-correction disks,
@@ -204,34 +204,42 @@ def cyclotomic(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
+_GATE_X = 2**64  # the point at which the division gate evaluates
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_at_gate(m: int) -> int:
+    return poly_eval(cyclotomic(m), _GATE_X)
+
+
 def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
     """All cyclotomic divisors of p with multiplicity, plus the cofactor.
 
     Returns ([(index, multiplicity), ...], rest) with
     p = prod Phi_index^multiplicity * rest exactly.  Candidate indices m are
     those with euler_phi(m) <= deg(p); phi(m) >= sqrt(m/2) makes
-    m <= 2*deg(p)^2 + 1 a sufficient search bound.  Each Phi_m is +- its
-    reversal, so none divides a p, p(0) != 0, certified coprime to it.
+    m <= 2*deg(p)^2 + 1 a sufficient search bound.  By Gauss's lemma
+    Phi_m | p forces Phi_m(X) | q(X), q the primitive integer form of the
+    rest and X = 2^64, so division is tried only then; q(X) is divided along
+    (a 0 lets every candidate through), and division decides every factor.
     """
     p = poly_trim(p)
     if not p:
         raise DomainError("cyclotomic factors of the zero polynomial")
-    ints = poly_primitive_int(p)
-    if p[0] and _coprime_mod_prime(ints, ints[::-1]):
-        return [], p
+    value = poly_eval(poly_primitive_int(p), _GATE_X)
     rest = list(p)
     found = []
     deg = poly_degree(rest)
     for m in range(1, 2 * deg * deg + 2):
         if euler_phi(m) > deg:
             continue
-        phi_m = list(cyclotomic(m))
+        gate = _cyclotomic_at_gate(m)
         mult = 0
-        while poly_degree(rest) >= poly_degree(phi_m):
-            quot, rem = poly_divmod(rest, phi_m)
+        while poly_degree(rest) >= euler_phi(m) and value % gate == 0:
+            quot, rem = poly_divmod(rest, cyclotomic(m))
             if rem:
                 break
-            rest = quot
+            rest, value = quot, value // gate
             mult += 1
         if mult:
             found.append((m, mult))

@@ -21,7 +21,6 @@ from .exactlinalg import (
     identity_matrix,
     mat_pow,
     mat_vec,
-    transpose,
 )
 from .mahler import (
     DEFAULT_TOL,
@@ -116,4 +115,4 @@ def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:
         if coords is None:
             raise ValidationError("sublattice not invariant under the endomorphism")
         columns.append(coords)
-    return TorusEndo.from_rows(transpose(columns))
+    return TorusEndo(len(columns), tuple(zip(*columns)))

@@ -193,9 +193,9 @@ def test_criterion_7_property_suite():
         lam = toral_lattice(group).lattice
         rad = solvable_radical(group.algebra).space
         nil = nilradical(group.algebra).space
-        lam_r = lattice_intersect_subspace(group.lattice(),
+        lam_r = lattice_intersect_subspace(group.lattice,
                                            centralizer_in(group.algebra, rad))
-        lam_n = lattice_intersect_subspace(group.lattice(),
+        lam_n = lattice_intersect_subspace(group.lattice,
                                            centralizer_in(group.algebra, nil))
         assert lam.basis == lam_r.basis == lam_n.basis
         assert toral_lattice(quotient_by_torus(group)).lattice.is_empty()

@@ -204,6 +204,32 @@ def test_cli_root_certifier_overflow_exit_code(tmp_path):
     assert "pipeline abort" in result.stderr
 
 
+def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys):
+    # Mignotte's t^16 - 2(10t - 1)^2 as a companion torus: the whole group
+    # is the central torus, so its entropy value is the one that aborts
+    mignotte = [-2, 40, -200] + [0] * 13 + [1]
+    companion = [["1" if j == i - 1 else "0" for j in range(15)] + [str(-mignotte[i])]
+                 for i in range(16)]
+    torus = {"algebra": {"dim": 16, "brackets": []},
+             "lattice": [["1" if j == i else "0" for j in range(16)] for i in range(16)],
+             "endomorphism": companion}
+    # R^11 with d = diag(2, ..., 12) and no lattice: the central torus is
+    # trivial and the entropy exactly 0, but the eigenvalue-sum bound of
+    # prod (t - j) misses the tolerance.  This pins an abort that root
+    # refinement should turn into an answer; rewrite it then.
+    line = {"algebra": {"dim": 11, "brackets": []}, "lattice": [],
+            "endomorphism": [[str(i + 2 if i == j else 0) for j in range(11)]
+                             for i in range(11)]}
+    for doc, stage in ((torus, "torus_entropy"), (line, "eigenvalue_sum_bound")):
+        path = tmp_path / f"{stage}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("entropy", "analyze"):
+            assert cli.main([command, "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"pipeline abort: stage '{stage}': ")
+
+
 @pytest.mark.parametrize("n", [20, 30, 40])
 def test_cli_entropy_of_large_random_tori(tmp_path, n):
     # every torus of dimension 19 or more aborted while the root iteration

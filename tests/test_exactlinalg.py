@@ -165,8 +165,8 @@ def test_intersect_saturated_brute_force():
     ]
     for entry in builtin_catalog():
         group, _ = build_group(entry.input_document())
-        if group.lattice().rank:
-            cases.append((group.lattice(), center(group.algebra).space))
+        if group.lattice.rank:
+            cases.append((group.lattice, center(group.algebra).space))
     for lat, space in cases:
         result = lattice_intersect_subspace(lat, space)
         for coeffs in itertools.product(range(-5, 6), repeat=lat.rank):

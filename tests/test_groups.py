@@ -8,7 +8,7 @@ import pytest
 
 import lieentropy.exactlinalg as exactlinalg
 import lieentropy.groups
-from lieentropy.catalog import get_entry
+from lieentropy.catalog import builtin_catalog, get_entry
 from lieentropy.errors import (
     InvariantViolationError,
     ValidationError,
@@ -25,6 +25,7 @@ from lieentropy.groups import (
     ZERO_ENTROPY_TORUS_SOME_POWER_FREE,
     PresentedGroup,
     _compact_spectrum_certificate,
+    _conjugate_correction,
     analyze,
     check_toral_induced_finite_order,
     eventual_image,
@@ -35,7 +36,11 @@ from lieentropy.groups import (
     validate_endomorphism,
     validate_presentation,
 )
-from lieentropy.torus import LI_YORKE_ALL_POWERS, SOME_POWER_LI_YORKE_FREE
+from lieentropy.torus import (
+    LI_YORKE_ALL_POWERS,
+    SOME_POWER_LI_YORKE_FREE,
+    restrict_matrix_to_lattice,
+)
 
 TOL = 1e-9
 
@@ -89,10 +94,19 @@ def test_validate_presentation_non_commuting():
     assert any("commute" in issue for issue in report.issues)
 
 
-def test_validate_presentation_dependent_generators():
+def test_validate_presentation_dependent_generators(monkeypatch):
+    # independence is the rank of the lattice, read off its HNF: no rref rank
+    def forbidden(*args):
+        raise AssertionError("independence should be read off the lattice")
+
+    monkeypatch.setattr(exactlinalg, "rank", forbidden)
+    monkeypatch.setattr(lieentropy.groups, "rank", forbidden, raising=False)
     report = validate_presentation(abelian_group(2, [(1, 0), (2, 0)]))
     assert not report.valid
-    assert any("dependent" in issue for issue in report.issues)
+    assert report.issues == ("lattice generators are linearly dependent",)
+    assert validate_presentation(abelian_group(2, [(1, 0), (2, 1)])).valid
+    for entry in builtin_catalog():
+        validate_presentation(build_group(entry.input_document())[0])
 
 
 def test_validate_presentation_reports_algebra_violations():
@@ -139,14 +153,18 @@ def test_compact_spectrum_certificate_peels_distinct_squares():
 def test_validate_endomorphism_examples():
     cstar = abelian_group(2, [(0, 1)], "Cstar")
     endo = validate_endomorphism(cstar, [[2, 0], [0, 2]])
-    assert endo.lattice_action == ((2,),)
+    assert restrict_matrix_to_lattice(endo.d_phi_matrix(), cstar.lattice).matrix == ((2,),)
     assert endo.surjective_on_identity_component
 
-    with pytest.raises(ValidationError, match="lattice not preserved"):
+    with pytest.raises(ValidationError) as caught:
         validate_endomorphism(cstar, [[2, 0], [0, F("1/2")]])
+    assert str(caught.value) == (
+        "lattice not preserved: image of generator 0 is not a lattice point and admits "
+        "no certified conjugation back into the lattice")
 
-    ident = validate_endomorphism(e2_group(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert ident.lattice_action == ((1,),)
+    e2 = e2_group()
+    ident = validate_endomorphism(e2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert restrict_matrix_to_lattice(ident.d_phi_matrix(), e2.lattice).matrix == ((1,),)
 
 
 def test_validate_endomorphism_bracket_compat():
@@ -213,10 +231,16 @@ def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
         calls.append(1)
         return original(m, v)
 
+    def forbidden(*args):
+        raise AssertionError("membership in the lattice should eliminate nothing anew")
+
     monkeypatch.setattr(lieentropy.groups, "mat_vec", counted)
+    monkeypatch.setattr(exactlinalg, "rref", forbidden)
     endo = validate_endomorphism(group, matrix)
-    assert endo.lattice_action == tuple(tuple(row) for row in matrix)
     assert len(calls) <= 12  # one per lattice generator
+    monkeypatch.undo()
+    action = restrict_matrix_to_lattice(endo.d_phi_matrix(), group.lattice)
+    assert action.matrix == tuple(tuple(row) for row in matrix)
 
 
 def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
@@ -283,11 +307,11 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
     assert cuts == [(False, True)]
 
 
-def test_lattice_action_matches_solve_reference():
+def test_lattice_invariance_matches_solve_reference():
     # abelian R^n with r independent integer logs W_i: d maps W_i to
     # sum_j A[j][i] W_j (A integral, or with one half entry, or with an
     # image pushed off span(W)) and the unit vectors completing W anywhere;
-    # the action and each message match one `solve` per generator
+    # acceptance and the first failing generator match one `solve` each
     rng = random.Random(31)
     for _ in range(40):
         n = rng.randint(1, 4)
@@ -309,32 +333,148 @@ def test_lattice_action_matches_solve_reference():
         basis = transpose(logs + complement)  # columns W_1..W_r, then the units
         inverse = transpose([solve(basis, e) for e in identity_matrix(n)])
         d = mat_mul(transpose(columns), inverse)
-        expected = None
-        for i, w in enumerate(logs):
-            coords = solve(transpose(logs), mat_vec(d, w))
-            if coords is None:
-                expected = (f"lattice not preserved: image of generator {i} leaves the "
-                            "lattice span and admits no certified conjugation back into it")
-                break
-            if any(c.denominator != 1 for c in coords):
-                expected = (f"lattice not preserved: image of generator {i} has non-integer "
-                            f"coordinates {tuple(str(c) for c in coords)}")
-                break
+        failing = next((i for i, w in enumerate(logs)
+                        if (coords := solve(transpose(logs), mat_vec(d, w))) is None
+                        or any(c.denominator != 1 for c in coords)), None)
         group = abelian_group(n, logs)
-        if expected is None:
-            endo = validate_endomorphism(group, d)
-            assert endo.lattice_action == tuple(tuple(int(x) for x in row) for row in action)
+        if failing is None:
+            validate_endomorphism(group, d)
         else:
             with pytest.raises(ValidationError) as caught:
                 validate_endomorphism(group, d)
-            assert str(caught.value) == expected
+            assert str(caught.value) == (
+                f"lattice not preserved: image of generator {failing} is not a lattice "
+                "point and admits no certified conjugation back into the lattice")
+
+
+def _tagged_coordinate_rule(group, d):
+    """Reference invariance decision by lattice coordinates: the index of the
+    first generator whose image has no integer coordinates in the W_i, on
+    the nose or after a certified conjugation through the nilradical, or
+    None.  Coordinates come from eliminating tagged rows (W_i, e_i)."""
+    n, logs = group.dim, group.lattice_logs
+    units = identity_matrix(len(logs))
+    tagged = Subspace.from_vectors(n + len(logs), [(*w, *e) for w, e in zip(logs, units)])
+    for i, w in enumerate(logs):
+        image = mat_vec(d, w)
+        residue = tagged.reduce((*image, *(0,) * len(logs)))
+        coords = None if any(residue[:n]) else [-c for c in residue[n:]]
+        if coords is None:
+            coords = _coordinates_up_to_conjugation(group, image)
+        if coords is None or any(F(c).denominator != 1 for c in coords):
+            return i
+    return None
+
+
+def _coordinates_up_to_conjugation(group, image):
+    nil = nilradical(group.algebra).space
+    n, logs = group.dim, group.lattice_logs
+    if Subspace.from_vectors(n, logs).intersect(nil).dim:
+        return None
+    # image = v + r, v = sum a_i W_i, r in the nilradical: rows (W_i, W_i,
+    # e_i) and (r_j, 0, 0) leave (0, -v, -a)
+    zeros = (0,) * (n + len(logs))
+    rows = [(*w, *w, *e) for w, e in zip(logs, identity_matrix(len(logs)))]
+    rows += [(*r, *zeros) for r in nil.basis]
+    residue = Subspace.from_vectors(2 * n + len(logs), rows).reduce((*image, *zeros))
+    if any(residue[:n]):
+        return None
+    v = tuple(-x for x in residue[n:2 * n])
+    if _conjugate_correction(group.algebra, nil, v, tuple(image)) is None:
+        return None
+    return [-c for c in residue[2 * n:]]
+
+
+def _heisenberg_algebra(k):
+    brackets = [(i, k + i, 2 * k, 1) for i in range(k)]
+    return LieAlgebra.from_brackets(2 * k + 1, brackets)
+
+
+def test_lattice_membership_matches_the_tagged_coordinate_rule():
+    # seeded presentations whose generators need not be in HNF: E2 with
+    # lattice kH and d(H) = cH + shift, c = +-1 over a rotation or
+    # reflection of the plane, or c rational with the plane killed (then
+    # v = cH, and only membership of v decides); abelian R^n with integer
+    # generators and half-integer d; h(2k+1) with a rational central
+    # generator and d scaling X and Y
+    rng = random.Random(2931)
+    half = [Fraction(x, 2) for x in range(-6, 7)]
+    cases = []
+    for _ in range(60):
+        k = rng.choice([1, 2, 3, -1, -2])
+        group = PresentedGroup.build(e2_algebra(), [(k, 0, 0)], "E2")
+        shift = [rng.choice(half), rng.choice(half)]
+        if rng.random() < 0.5:
+            sign, a, b = rng.choice([1, -1]), rng.choice(half), rng.choice(half)
+            plane = [[a, -b], [b, a]] if sign == 1 else [[a, b], [b, -a]]
+        else:
+            sign, plane = rng.choice(half + [Fraction(1, 3), Fraction(-2, 3)]), [[0, 0], [0, 0]]
+        d = [[sign, 0, 0], [shift[0], *plane[0]], [shift[1], *plane[1]]]
+        cases.append((group, d))
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        logs = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        if Subspace.from_vectors(n, logs).dim < len(logs):
+            continue
+        d = [[rng.choice(half[4:9] + [0, 0, 1, 1, -1]) for _ in range(n)] for _ in range(n)]
+        cases.append((abelian_group(n, logs), d))
+    for _ in range(30):
+        k = rng.randint(1, 3)
+        group = PresentedGroup.build(
+            _heisenberg_algebra(k), [(0,) * 2 * k + (rng.choice([1, 2, Fraction(1, 2), -3]),)])
+        a, b = rng.choice(half[7:]), rng.choice(half[7:] + [3, 4])
+        d = [[0] * (2 * k + 1) for _ in range(2 * k + 1)]
+        for i in range(k):
+            d[i][i], d[k + i][k + i] = a, b
+            d[2 * k][i] = rng.choice(half)
+        d[2 * k][2 * k] = a * b
+        cases.append((group, d))
+    decided = Counter()
+    for group, d in cases:
+        assert validate_presentation(group).valid
+        expected = _tagged_coordinate_rule(group, d)
+        try:
+            validate_endomorphism(group, d)
+            found = None
+        except ValidationError as exc:
+            found = int(str(exc).split("generator ")[1].split()[0])
+        assert found == expected, (group.algebra.constants, group.lattice_logs, d)
+        first_image = mat_vec(d, group.lattice_logs[0])
+        decided[found is None, group.lattice.contains(first_image)] += 1
+    # accepted on the nose and through a conjugation; rejected both when
+    # the image leaves every lattice point and when its conjugation lands
+    # off the lattice
+    assert decided[True, True] >= 20 and decided[True, False] >= 10
+    assert decided[False, False] >= 40
+
+
+def test_lattice_is_formed_once_per_presentation(monkeypatch):
+    # over validation and analysis of every catalog entry, Gamma's HNF is
+    # formed once, and every cut reads that one lattice
+    formed = Counter()
+    from_generators = exactlinalg.Lattice.from_generators
+
+    def counted(ambient_dim, generators):
+        formed[ambient_dim, tuple(map(tuple, generators))] += 1
+        return from_generators(ambient_dim, generators)
+
+    monkeypatch.setattr(exactlinalg.Lattice, "from_generators", staticmethod(counted))
+    for entry in builtin_catalog():
+        group, derivative = build_group(entry.input_document())
+        formed.clear()
+        assert validate_presentation(group).valid
+        endo = validate_endomorphism(group, derivative)
+        analyze(group, endo, TOL)
+        assert formed[group.dim, group.lattice_logs] == 1, entry.name
 
 
 def test_endomorphism_respects_brackets_for_valid_family():
     group = e2_group()
     endo = e2_endo(group, -1, F("2/3"), F("1/5"), w=(F("1/2"), 3))
     assert endo.surjective_on_identity_component
-    assert endo.lattice_action == ((-1,),)
+    # d(H) = -H + X/2 + 3Y is no lattice point: a certified conjugation
+    # carries it back to -H
+    assert not group.lattice.contains(mat_vec(endo.d_phi_matrix(), group.lattice_logs[0]))
 
 
 # --- eventual image ------------------------------------------------------------
@@ -526,9 +666,9 @@ def test_toral_coincidence_with_radical_and_nilradical():
         rad = solvable_radical(group.algebra).space
         nil = nilradical(group.algebra).space
         lam_r = lattice_intersect_subspace(
-            group.lattice(), centralizer_in(group.algebra, rad))
+            group.lattice, centralizer_in(group.algebra, rad))
         lam_n = lattice_intersect_subspace(
-            group.lattice(), centralizer_in(group.algebra, nil))
+            group.lattice, centralizer_in(group.algebra, nil))
         assert lam.basis == lam_r.basis == lam_n.basis
 
 

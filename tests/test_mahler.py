@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -145,7 +146,9 @@ def _certificate_polynomials():
              product([1, ELL], [1, 1], [1, 1]), product([-1, ELL], [-2, 1], [-2, 1], [0, 1]),
              [1, 1, 2 * ELL], product([1, 1, ELL], [1, 0, 1], [1, 0, 1]),
              product([0, 1], list(cyclotomic(3)), [-2, 1]), product([0, 0, 1], [1, -3, 1]),
-             [Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(x, 3) for x in product([1, -3, 1], [1, 1])]]
+             [Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(x, 3) for x in product([1, -3, 1], [1, 1])],
+             # a root at the gate point 2^64: every candidate passes the gate
+             product([-2**64, 1], list(cyclotomic(3)), list(cyclotomic(4)), [1, 2, 2])]
     for _ in range(80):
         factors = [[rng.randint(-4, 4) for _ in range(rng.randint(2, 4))] for _ in range(3)]
         factors = [f for f in factors if f[-1]]
@@ -178,18 +181,35 @@ def test_modular_certificates_match_yun_and_trial_division():
 
 
 def test_certified_polynomials_skip_yun_and_trial_division(monkeypatch):
+    # the coprimality certificate skips Yun's gcds, and the value gate at
+    # 2^64 skips every trial division that fails: a random 12x12 char(d)
+    # divides by nothing, and times Phi_5^2 Phi_12 by exactly three Phi_m
+    import sys
+
     import lieentropy.mahler as mahler
 
     def forbidden(*args):
         raise AssertionError("the certificate should have decided")
 
+    divided_in = Counter()
+    poly_divmod = mahler.poly_divmod
+
+    def counted(p, q):
+        divided_in[sys._getframe(1).f_code.co_name] += 1
+        return poly_divmod(p, q)
+
     rng = random.Random(7)
     p = char_poly([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
-    expected = squarefree_decomposition(p), cyclotomic_factors(p)
+    rich = poly_mul(poly_mul(p, list(cyclotomic(5))), poly_mul(list(cyclotomic(5)),
+                                                                list(cyclotomic(12))))
+    expected = squarefree_decomposition(p), cyclotomic_factors(p), cyclotomic_factors(rich)
     monkeypatch.setattr(mahler, "poly_gcd", forbidden)
-    monkeypatch.setattr(mahler, "cyclotomic", forbidden)
-    assert (squarefree_decomposition(p), cyclotomic_factors(p)) == expected
-    assert expected == ([(p, 1)], ([], p))
+    monkeypatch.setattr(mahler, "poly_divmod", counted)
+    assert (squarefree_decomposition(p), cyclotomic_factors(p)) == expected[:2]
+    assert expected[:2] == ([(p, 1)], ([], p))
+    assert divided_in["cyclotomic_factors"] == 0
+    assert cyclotomic_factors(rich) == expected[2] == ([(5, 2), (12, 1)], p)
+    assert divided_in["cyclotomic_factors"] == 3
 
 
 def _poly_gcd_reference(p, q):
