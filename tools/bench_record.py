@@ -95,8 +95,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a labelled checkout to run; give one per tree, in order")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (default: all three)")
     parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5 (default 1-10)")
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="run length passed to benchmarks/run.py (default 40)")
@@ -119,7 +117,7 @@ def main(argv=None) -> int:
     runs = []
     for index, seed in enumerate(_seeds(args.seeds)):
         order = trees if index % 2 == 0 else trees[::-1]
-        for workload in args.workload or WORKLOADS:
+        for workload in WORKLOADS:
             for position, (label, tree) in enumerate(order):
                 run = run_once(tree, workload, seed, args.seconds, args.trace)
                 runs.append({"tree": label, "commit": info[label]["commit"],
