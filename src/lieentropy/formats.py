@@ -56,7 +56,7 @@ def parse_rational(value, where: str) -> Fraction | int:
 class InputDocument:
     name: str
     dim: int
-    basis_names: tuple[str, ...]
+    basis_names: tuple[str, ...] | None
     brackets: tuple[tuple[int, int, int, Fraction], ...]
     lattice: tuple[tuple[Fraction, ...], ...]
     endomorphism: tuple[tuple[Fraction, ...], ...]
@@ -98,8 +98,9 @@ def document_from_dict(raw) -> InputDocument:
     dim = algebra["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise InputError("dim must be a nonnegative integer", "algebra.dim")
-    basis = algebra.get("basis", [f"e{i}" for i in range(dim)])
-    if not isinstance(basis, list) or len(basis) != dim or not all(isinstance(b, str) for b in basis):
+    basis = algebra.get("basis")  # None when omitted: from_brackets names e0, e1, ...
+    if "basis" in algebra and (not isinstance(basis, list) or len(basis) != dim
+                               or not all(isinstance(b, str) for b in basis)):
         raise InputError(f"basis must be a list of {dim} names", "algebra.basis")
     if not isinstance(algebra["brackets"], list):
         raise InputError("brackets must be a list of [i, j, k, rational] triples",
@@ -147,7 +148,7 @@ def document_from_dict(raw) -> InputDocument:
     return InputDocument(
         name=name,
         dim=dim,
-        basis_names=tuple(basis),
+        basis_names=None if basis is None else tuple(basis),
         brackets=tuple(brackets),
         lattice=tuple(lattice),
         endomorphism=tuple(endomorphism),

@@ -2,15 +2,16 @@
 
 The quantity of interest is sum(log|z|) over the roots z of an integer
 polynomial with |z| > 1.  Roots of unity and zero roots contribute nothing,
-and both are detected symbolically: powers of t are stripped exactly and
-every cyclotomic factor is removed by trial division, gated by the value of
-p at 2^64, before any floating point enters.  Yun's squarefree split is
-skipped when Euclid over F_(2^61 - 1) certifies p coprime to p'; other gcds
-are taken over Z.  Only the strictly expanding/contracting moduli of the
-remaining factor are bounded numerically, by a Durand-Kerner iteration
-started on the root circle and certified with Weierstrass-correction disks,
-whose numerators are exact: a float approximation z is the dyadic point
-(x + iy)/2^e, so p(z) is evaluated by integer Horner scaled by 2^(e*deg p).
+and both are detected symbolically before any floating point enters: powers
+of t are stripped exactly, and each Phi_m with phi(m) <= deg p, listed by one
+sieve of phi, is divided out only when the integer Phi_m(2^64) divides
+p(2^64).  Yun's squarefree split is skipped when Euclid over F_(2^61 - 1)
+certifies p coprime to p'; other gcds are taken over Z.  Only the strictly
+expanding/contracting moduli of the remaining factor are bounded
+numerically, by a Durand-Kerner iteration started on the root circle and
+certified with Weierstrass-correction disks, whose numerators are exact: a
+float approximation z is the dyadic point (x + iy)/2^e, so p(z) is
+evaluated by integer Horner scaled by 2^(e*deg p).
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -176,32 +177,35 @@ def squarefree_decomposition(p):
 # cyclotomic detection
 
 @lru_cache(maxsize=None)
-def euler_phi(m: int) -> int:
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+def _cyclotomic_candidates(deg: int) -> tuple[tuple[int, int], ...]:
+    """The (m, phi(m)) with phi(m) <= deg, in increasing m, by one sieve of phi."""
+    bound = 2 * deg * deg + 1  # phi(m) >= sqrt(m/2) puts every such m below it
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    return tuple((m, phi[m]) for m in range(1, bound + 1) if phi[m] <= deg)
+
+
+def _spread(p, k: int):
+    """p(t^k)."""
+    out = [0] * (k * (len(p) - 1) + 1)
+    out[::k] = p
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> tuple[int, ...]:
-    """m-th cyclotomic polynomial, ascending integer coefficients."""
+    """m-th cyclotomic polynomial, ascending integer coefficients: Phi_r for
+    r the product of the primes of m, one prime at a time, then at t^(m/r)."""
     if m < 1:
         raise DomainError("cyclotomic index must be positive")
-    poly = [-1] + [0] * (m - 1) + [1]  # t^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = poly_divmod(poly, list(cyclotomic(d)))
-            assert not rem
-    return tuple(poly)
+    poly, radical = [-1, 1], 1  # Phi_1
+    for p in range(2, m + 1):
+        if m % p == 0 and math.gcd(radical, p) == 1:  # a prime of m
+            poly, _ = poly_divmod(_spread(poly, p), poly)  # Phi_rp(t) = Phi_r(t^p) / Phi_r(t)
+            radical *= p
+    return tuple(_spread(poly, m // radical))
 
 
 _GATE_X = 2**64  # the point at which the division gate evaluates
@@ -209,7 +213,9 @@ _GATE_X = 2**64  # the point at which the division gate evaluates
 
 @lru_cache(maxsize=None)
 def _cyclotomic_at_gate(m: int) -> int:
-    return poly_eval(cyclotomic(m), _GATE_X)
+    """Phi_m(X), X = 2^64, from X^m - 1 = prod of Phi_d(X) over all d | m."""
+    below = math.prod(_cyclotomic_at_gate(d) for d in range(1, m) if m % d == 0)
+    return (_GATE_X**m - 1) // below
 
 
 def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
@@ -217,33 +223,27 @@ def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
 
     Returns ([(index, multiplicity), ...], rest) with
     p = prod Phi_index^multiplicity * rest exactly.  Candidate indices m are
-    those with euler_phi(m) <= deg(p); phi(m) >= sqrt(m/2) makes
-    m <= 2*deg(p)^2 + 1 a sufficient search bound.  By Gauss's lemma
-    Phi_m | p forces Phi_m(X) | q(X), q the primitive integer form of the
-    rest and X = 2^64, so division is tried only then; q(X) is divided along
-    (a 0 lets every candidate through), and division decides every factor.
+    those with phi(m) <= deg(p), listed by one sieve of phi per degree.  By
+    Gauss's lemma Phi_m | p forces Phi_m(X) | q(X), q the primitive integer
+    form of the rest and X = 2^64, so Phi_m is built and divided only then;
+    the gate Phi_m(X) is an integer found from X^m - 1 without Phi_m.  q(X) is
+    divided along (a 0 lets every candidate through), and division decides.
     """
-    p = poly_trim(p)
-    if not p:
+    rest = poly_trim(p)  # trimmed throughout, so deg(rest) = len(rest) - 1
+    if not rest:
         raise DomainError("cyclotomic factors of the zero polynomial")
-    value = poly_eval(poly_primitive_int(p), _GATE_X)
-    rest = list(p)
+    value = poly_eval(poly_primitive_int(rest), _GATE_X)
     found = []
-    deg = poly_degree(rest)
-    for m in range(1, 2 * deg * deg + 2):
-        if euler_phi(m) > deg:
-            continue
-        gate = _cyclotomic_at_gate(m)
+    for m, phi in _cyclotomic_candidates(len(rest) - 1):
         mult = 0
-        while poly_degree(rest) >= euler_phi(m) and value % gate == 0:
+        while phi < len(rest) and value % _cyclotomic_at_gate(m) == 0:
             quot, rem = poly_divmod(rest, cyclotomic(m))
             if rem:
                 break
-            rest, value = quot, value // gate
+            rest, value = quot, value // _cyclotomic_at_gate(m)
             mult += 1
         if mult:
             found.append((m, mult))
-            deg = poly_degree(rest)
     return found, rest
 
 
@@ -317,15 +317,15 @@ def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:
     denominator outside the float range (0 or inf) gives an infinite radius.
     """
     n = len(zs)
-    lead = abs(coeffs[-1])
+    try:
+        lead = float(abs(coeffs[-1]))
+    except OverflowError:  # beyond the float range
+        lead = float("inf")
     radii = []
     for k, z in enumerate(zs):
         num = _exact_abs_upper(coeffs, z)
-        den = lead
-        for j, w in enumerate(zs):
-            if j != k:
-                den *= abs(z - w)
-        if den == 0.0 or math.isinf(num) or math.isinf(den):
+        den = math.prod((abs(z - w) for j, w in enumerate(zs) if j != k), start=lead)
+        if not 0.0 < den < float("inf") or math.isinf(num):  # nan too, from inf * 0
             radii.append(float("inf"))
         else:
             radii.append(n * num / (den * (1.0 - 1e-10)) * (1.0 + 1e-9))

@@ -67,6 +67,31 @@ def test_parse_rejects_unknown_fields_and_bad_json(tmp_path):
     assert "unknown fields ['mode']" in result.stderr
 
 
+def test_parse_omitted_basis_costs_nothing_before_the_shape_check():
+    # the default names are left to LieAlgebra.from_brackets, so a huge dim
+    # with a 1x1 endomorphism is rejected at once, with no dim-sized list
+    import tracemalloc
+
+    text = '{"algebra":{"dim":1000000,"brackets":[]},"lattice":[],"endomorphism":[[1]]}'
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as info:
+            parse_input(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.location == "endomorphism"
+    assert peak < 2**20
+    # omitted, the basis is named e0, e1, ...; an explicit null is still refused
+    doc = {"algebra": {"dim": 2, "brackets": []}, "lattice": [],
+           "endomorphism": [["1", "0"], ["0", "1"]]}
+    group, _ = build_group(parse_input(json.dumps(doc)))
+    assert group.algebra.basis_names == ("e0", "e1")
+    doc["algebra"]["basis"] = None
+    with pytest.raises(InputError, match="basis must be a list of 2 names"):
+        parse_input(json.dumps(doc))
+
+
 def test_parse_error_positions_name_fields():
     doc = {"algebra": {"dim": 2, "brackets": [[0, 5, 0, "1"]]},
            "lattice": [], "endomorphism": [["1", "0"], ["0", "1"]]}
@@ -228,6 +253,16 @@ def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"pipeline abort: stage '{stage}': ")
+    # R^2 with d = diag(1/(10^400 - 1), 3): the lead 10^400 - 1 of the integer
+    # char poly is beyond the float range, so the root certifier gives up
+    # rather than failing to convert it
+    tiny = {"algebra": {"dim": 2, "brackets": []}, "lattice": [],
+            "endomorphism": [[f"1/{10**400 - 1}", "0"], ["0", "3"]]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(tiny))
+    assert cli.main(["entropy", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == ("pipeline abort: stage 'eigenvalue_sum_bound': "
+                                       "root certification failed to converge\n")
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import Counter
@@ -9,17 +10,19 @@ from lieentropy.errors import DomainError
 from lieentropy.exactlinalg import char_poly
 from lieentropy.mahler import (
     _coprime_mod_prime,
+    _cyclotomic_at_gate,
+    _cyclotomic_candidates,
     _exact_abs_upper,
     _weierstrass_radii,
     cyclotomic,
     cyclotomic_factors,
     cyclotomic_part,
-    euler_phi,
     log_mahler,
     poly_add,
     poly_degree,
     poly_derivative,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_mul,
     poly_neg,
@@ -40,10 +43,82 @@ def test_cyclotomic_polynomials():
     assert cyclotomic(4) == (1, 0, 1)
     assert cyclotomic(6) == (1, -1, 1)
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
+    for m in [*range(1, 40), 48, 60, 64, 81, 105, 128, 165, 180, 195, 210]:
+        assert cyclotomic(m) == _cyclotomic_reference(m), m
+    with pytest.raises(DomainError):
+        cyclotomic(0)
 
 
-def test_euler_phi():
-    assert [euler_phi(m) for m in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+def _phi_at_most(m, bound):
+    """phi(m) as a count of the k <= m coprime to m, or None once the count
+    passes bound."""
+    count = 0
+    for k in range(1, m + 1):
+        count += math.gcd(k, m) == 1
+        if count > bound:
+            return None
+    return count
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_reference(m):
+    """Phi_m as t^m - 1 divided by every Phi_d, d a proper divisor of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = poly_divmod(poly, list(_cyclotomic_reference(d)))
+            assert not rem
+    return tuple(poly)
+
+
+def test_cyclotomic_candidates_match_a_gcd_count():
+    # every m <= 4*40^2 + 4 with phi(m) <= 40, by counting gcds; each degree's
+    # candidates are exactly those with phi(m) <= deg, so none lies beyond
+    # the sieve's bound 2*deg^2 + 1
+    counted = [(m, phi) for m in range(1, 4 * 40 * 40 + 5)
+               if (phi := _phi_at_most(m, 40)) is not None]
+    assert counted[:12] == [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (6, 2), (7, 6),
+                            (8, 4), (9, 6), (10, 4), (11, 10), (12, 4)]
+    for deg in range(41):
+        assert _cyclotomic_candidates(deg) == tuple((m, phi) for m, phi in counted
+                                                    if phi <= deg), deg
+
+
+def test_gate_value_is_phi_m_at_2_64():
+    for m in range(1, 301):
+        assert _cyclotomic_at_gate(m) == poly_eval(list(cyclotomic(m)), 2**64), m
+
+
+def test_cyclotomic_is_built_only_where_its_gate_divides(monkeypatch):
+    # with the caches cleared, Phi_m is built for exactly the candidates m
+    # whose gate value Phi_m(2^64) divides p(2^64), none to evaluate a gate
+    import lieentropy.mahler as mahler
+
+    rng = random.Random(97)
+    p = char_poly([[rng.randint(-3, 3) for _ in range(12)] for _ in range(12)])
+    rich = poly_mul(poly_mul(p, list(cyclotomic(5))),
+                    poly_mul(list(cyclotomic(5)), list(cyclotomic(12))))
+    product = [1]
+    for _ in range(97):
+        product = poly_mul(product, [-rng.randint(-9, 9), 1])
+    for poly, expected in ((rich, [(5, 2), (12, 1)]), (product, None)):
+        built = []
+
+        def build(m, plain=mahler.cyclotomic.__wrapped__):
+            built.append(m)
+            return plain(m)
+
+        mahler._cyclotomic_at_gate.cache_clear()
+        mahler.cyclotomic.cache_clear()
+        monkeypatch.setattr(mahler, "cyclotomic", functools.lru_cache(maxsize=None)(build))
+        found, rest = cyclotomic_factors(poly)
+        monkeypatch.undo()
+        value = poly_eval(poly_primitive_int(poly), 2**64)
+        dividing = [m for m, phi in _cyclotomic_candidates(poly_degree(poly))
+                    if value % _cyclotomic_at_gate(m) == 0]
+        assert built == dividing == [m for m, _ in found], (built, found)
+        assert expected is None or found == expected
+    assert found and {m for m, _ in found} <= {1, 2}  # integer roots: only +-1
 
 
 def test_cyclotomic_part_examples():
@@ -106,13 +181,14 @@ def _squarefree_reference(p):
 
 
 def _cyclotomic_factors_reference(p):
-    """Trial division by every Phi_m with euler_phi(m) <= deg p."""
+    """Trial division by every Phi_m with phi(m) <= deg p, phi counted by
+    gcds."""
     rest = poly_trim(p)
     found, deg = [], poly_degree(rest)
     for m in range(1, 2 * deg * deg + 2):
-        if euler_phi(m) > deg:
+        if _phi_at_most(m, deg) is None:
             continue
-        phi_m, mult = list(cyclotomic(m)), 0
+        phi_m, mult = list(_cyclotomic_reference(m)), 0
         while poly_degree(rest) >= poly_degree(phi_m):
             quot, rem = poly_divmod(rest, phi_m)
             if rem:
@@ -470,3 +546,5 @@ def test_weierstrass_radius_is_infinite_when_the_denominator_overflows():
     p = poly_mul([-3, 1], [-10**310, 0, 1])
     radii = _weierstrass_radii(p, [3 + 1e-12, 1e155, -1e155])
     assert radii[0] >= 1e-12
+    # a lead of 10^400 is itself outside the float range
+    assert _weierstrass_radii([1, 0, 10**400], [1j, -1j]) == [math.inf, math.inf]
