@@ -10,8 +10,11 @@ of the same type, as the equal Fraction.
 Products of matrices and vectors, row combinations included
 (`mat_vec(transpose(rows), c)`), go through `mat_vec` and `mat_mul`, which
 multiply only the nonzero entries of the vector and of the left matrix and
-start every sum from the int 0.  The elimination kernels (`rref`, `det`,
-`char_poly`) clear denominators once and then run fraction-free over Z:
+start every sum from the int 0.  One route leads from Q to Z: `integral`
+takes rational rows to integer rows over the lcm of their denominators, and
+every integer kernel enters through it once: `rref`, `det` and `char_poly`,
+the `Subspace` and `Lattice` rows, lattice generators and kernels, and the
+polynomials of `mahler`.  The elimination kernels then run fraction-free:
 Bareiss elimination (Math. Comp. 22 (1968)), with pending row scales, and
 Berkowitz's division-free recurrence (IPL 18 (1984)), so no gcd is taken
 until the rational result is formed.  The two canonical containers are:
@@ -59,6 +62,13 @@ def exact(x, d=1):
     return q.numerator if q.denominator == 1 else q
 
 
+def integral(rows) -> tuple[list[list[int]], int]:
+    """(w, d) with rows = w/d: d the lcm of every denominator and w integral.
+    The one place where rational entries are taken to integers."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
 def identity_matrix(n) -> Mat:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -96,17 +106,6 @@ def mat_pow(m: Mat, k: int) -> Mat:
 
 def transpose(m: Mat) -> Mat:
     return [list(col) for col in zip(*m)] if m else []
-
-
-def _integer_rows(mat: Mat) -> tuple[list[list[int]], int]:
-    """Each row times the lcm s_i of its denominators, and the product of
-    the s_i: integer rows with the same row space."""
-    rows, scale = [], 1
-    for row in mat:
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
-        scale *= s
-    return rows, scale
 
 
 def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
@@ -155,15 +154,15 @@ def _bareiss(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 def rref(rows) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices).
 
-    The nonzero rows are scaled to integers and eliminated fraction-free
-    (`_bareiss`); dividing the pivot rows by the last pivot gives the RREF,
-    which is unique.
+    The nonzero rows are scaled to integers (`integral`) and eliminated
+    fraction-free (`_bareiss`); dividing the pivot rows by the last pivot
+    gives the RREF, which is unique.
     """
     if not rows:
         return [], []
     if any(len(row) != len(rows[0]) for row in rows):
         raise DimensionError("ragged matrix rows")
-    ints, _ = _integer_rows([row for row in rows if any(row)])
+    ints, _ = integral([row for row in rows if any(row)])
     pivots, last, _ = _bareiss(ints, len(rows[0]))
     return [[exact(x, last) for x in row] for row in ints[:len(pivots)]], pivots
 
@@ -214,15 +213,15 @@ def solve(m, rhs) -> Vec | None:
 def det(m) -> Fraction:
     """Determinant by Bareiss elimination over Z.
 
-    Row i is scaled by s_i to integers, giving B; the last pivot is det(B)
-    up to the sign of the row swaps, and det(m) = det(B) / prod s_i.
+    m = B/s with B integral (`integral`); the last pivot is det(B) up to the
+    sign of the row swaps, and det(m) = det(B) / s^n.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("determinant needs a square matrix")
-    ints, scale = _integer_rows(m)
+    ints, s = integral(m)
     pivots, last, sign = _bareiss(ints, n)
-    return Fraction(sign * last, scale) if len(pivots) == n else Fraction(0)
+    return Fraction(sign * last, s**n) if len(pivots) == n else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +230,18 @@ def det(m) -> Fraction:
 def char_poly(m) -> list:
     """Monic characteristic polynomial det(tI - m), ascending coefficients.
 
-    Denominators are cleared once, m = B/s with B integral.  Berkowitz's
-    division-free recurrence gives det(tI - B) over Z: with B_k the leading
-    k x k block, B_{k+1} = [[B_k, col], [row, a]], the coefficients of
-    det(tI - B_{k+1}) are those of det(tI - B_k) convolved with the column
-    1, -a, -row.col, -row.B_k.col, ..., -row.B_k^(k-1).col.  The coefficient
-    of t^k for m is then c_k(B) / s^(n-k).  Integer output coefficients are
-    returned as ints.
+    Denominators are cleared once, m = B/s with B integral (`integral`).
+    Berkowitz's division-free recurrence gives det(tI - B) over Z: with B_k
+    the leading k x k block, B_{k+1} = [[B_k, col], [row, a]], the
+    coefficients of det(tI - B_{k+1}) are those of det(tI - B_k) convolved
+    with the column 1, -a, -row.col, -row.B_k.col, ..., -row.B_k^(k-1).col.
+    The coefficient of t^k for m is then c_k(B) / s^(n-k).  Integer output
+    coefficients are returned as ints.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise DimensionError("characteristic polynomial needs a square matrix")
-    s = lcm(*(x.denominator for row in m for x in row))
-    b = [[x.numerator * (s // x.denominator) for x in row] for row in m]
+    b, s = integral(m)
     poly = [1]  # descending coefficients of det(tI - B_k)
     for k in range(n):
         block = [row[:k] for row in b[:k]]
@@ -287,11 +285,8 @@ def min_poly(m) -> list:
             return [0] * d + [1]
         flats.append(flat)
         combo = solve(transpose(flats[:-1]), flat) if d > 0 else None
-        if combo is not None:
-            ascending = [-c for c in combo] + [1]
-            if all(c.denominator == 1 for c in ascending):
-                return [int(c) for c in ascending]
-            return ascending
+        if combo is not None:  # by the number rule, ints where integral
+            return [-c for c in combo] + [1]
         power = m if d == 0 else mat_mul(power, m)
     raise AssertionError("Cayley-Hamilton violated; unreachable")
 
@@ -326,16 +321,15 @@ class _Echelon:
     @cached_property
     def _int_rows(self) -> tuple[list[list[tuple[int, int]]], int]:
         """(rows, d): the nonzero (column, entry) pairs of each d * basis_i."""
-        d = lcm(*(x.denominator for row in self.basis for x in row))
-        return [[(j, x.numerator * (d // x.denominator)) for j, x in enumerate(row) if x]
-                for row in self.basis], d
+        rows, d = integral(self.basis)
+        return [[(j, x) for j, x in enumerate(row) if x] for row in rows], d
 
     def _integral(self, v) -> tuple[list[int], int]:
         """(w, e) with v = w/e and w integral."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector has wrong length")
-        e = lcm(*(x.denominator for x in v))
-        return [x.numerator * (e // x.denominator) for x in v], e
+        (w,), e = integral([v])
+        return w, e
 
     def where(self, images):
         """The points sum c_i basis_i where a linear map vanishes, given the
@@ -433,7 +427,7 @@ def _hnf_int_rows(rows: list[list[int]]) -> list[list[int]]:
     each pivot reduced into [0, pivot).  The output is the unique canonical
     basis of the generated Z-module.
     """
-    mat = [list(map(int, r)) for r in rows if any(r)]
+    mat = [list(r) for r in rows if any(r)]
     if not mat:
         return []
     ncols = len(mat[0])
@@ -491,11 +485,7 @@ class Lattice(_Echelon):
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionError("lattice generator has wrong length")
-        gens = [g for g in gens if any(x != 0 for x in g)]
-        if not gens:
-            return Lattice(ambient_dim, tuple())
-        scale = lcm(*[x.denominator for g in gens for x in g])
-        int_rows = [[int(x * scale) for x in g] for g in gens]
+        int_rows, scale = integral(gens)
         hnf = _hnf_int_rows(int_rows)
         basis = tuple(tuple(exact(x, scale) for x in row) for row in hnf)
         return Lattice(ambient_dim, basis)
@@ -536,8 +526,7 @@ class Lattice(_Echelon):
 
     @staticmethod
     def _left_kernel(images) -> list[list[int]]:
-        scale = lcm(*(x.denominator for row in images for x in row))
-        return _int_left_kernel([[int(x * scale) for x in row] for row in images])
+        return _int_left_kernel(integral(images)[0])
 
 
 def lattice_intersect_subspace(lattice: Lattice, subspace: Subspace) -> Lattice:

@@ -134,6 +134,12 @@ class PresentedGroup:
         lattice and a whole-algebra eventual image both need it."""
         return center(self.algebra).space
 
+    @cached_property
+    def central_lattice(self) -> Lattice:
+        """Gamma cut by the center, once per presentation: the toral lattice,
+        and the central sublattice when d is surjective, both read it."""
+        return lattice_intersect_subspace(self.lattice, self.center)
+
 
 @dataclass(frozen=True)
 class PresentationReport:
@@ -393,8 +399,7 @@ def toral_lattice(group: PresentedGroup) -> CentralTorus:
     group agrees with the one of its nilradical, so the torus directions are
     exactly the lattice points lying in the center.
     """
-    lam = lattice_intersect_subspace(group.lattice, group.center)
-    return CentralTorus(lam, lam.span())
+    return CentralTorus(group.central_lattice, group.central_lattice.span())
 
 
 @dataclass(frozen=True)
@@ -442,9 +447,12 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
     if endo.group != group:
         raise ValidationError("endomorphism was validated against a different presentation")
     g_phi = eventual_image(group, endo)
-    l_phi = lattice_intersect_subspace(group.lattice, g_phi)
-    z_phi = group.center if g_phi.dim == group.dim else centralizer_in(group.algebra, g_phi)
-    lam_phi = lattice_intersect_subspace(l_phi, z_phi)
+    if g_phi.dim == group.dim:
+        l_phi, z_phi, lam_phi = group.lattice, group.center, group.central_lattice
+    else:
+        l_phi = lattice_intersect_subspace(group.lattice, g_phi)
+        z_phi = centralizer_in(group.algebra, g_phi)
+        lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
         action = restrict_matrix_to_lattice(endo.d_phi_matrix(), lam_phi)
     except ValidationError as exc:

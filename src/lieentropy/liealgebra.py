@@ -283,11 +283,12 @@ def quotient_algebra(algebra: LieAlgebra, ideal: Ideal | Subspace):
 
     The projection sends x to the complement entries of its residue mod the
     ideal; the quotient constants are the projected constants of complement
-    pairs.  The Jacobi identity of the quotient is re-validated.
+    pairs.  The Jacobi identity of the quotient is re-validated.  An `Ideal`
+    was checked when it was built; a bare subspace is checked here.
     """
-    space = ideal.space if isinstance(ideal, Ideal) else ideal
-    if not is_ideal(algebra, space):
+    if not isinstance(ideal, Ideal) and not is_ideal(algebra, ideal):
         raise DomainError("quotient by a subspace that is not an ideal")
+    space = ideal.space if isinstance(ideal, Ideal) else ideal
     complement = space.complement
     position = {c: a for a, c in enumerate(complement)}
     columns = [[space.reduce(algebra.basis_vector(k))[c] for c in complement]

@@ -1,12 +1,15 @@
 """Integer polynomials, cyclotomic detection, and the logarithmic Mahler sum.
 
 The quantity of interest is sum(log|z|) over the roots z of an integer
-polynomial with |z| > 1.  Roots of unity and zero roots contribute nothing,
-and both are detected symbolically before any floating point enters: powers
-of t are stripped exactly, and each Phi_m with phi(m) <= deg p, listed by one
-sieve of phi, is divided out only when the integer Phi_m(2^64) divides
-p(2^64).  Yun's squarefree split is skipped when Euclid over F_(2^61 - 1)
-certifies p coprime to p'; other gcds are taken over Z.  Only the strictly
+polynomial with |z| > 1, computed over Z: rationals enter only through
+`exactlinalg.integral`, and a quotient coefficient is `exactlinalg.exact`,
+so exact divisions of integer lists stay integer.  Roots of unity and zero
+roots contribute nothing, and both are detected symbolically before any
+floating point enters: powers of t are stripped exactly, and each Phi_m
+with phi(m) <= deg p, listed by one sieve of phi, is divided out only when
+the integer Phi_m(2^64) divides p(2^64).  Yun's squarefree split runs on
+the primitive form, skipped when Euclid over F_(2^61 - 1) certifies p
+coprime to p'.  Only the strictly
 expanding/contracting moduli of the remaining factor are bounded
 numerically, by a Durand-Kerner iteration started on the root circle and
 certified with Weierstrass-correction disks, whose numerators are exact: a
@@ -21,10 +24,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .exactlinalg import exact, integral
 
 DEFAULT_TOL = 1e-9
 
@@ -58,15 +61,6 @@ def poly_mul(p, q):
     return out
 
 
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def poly_neg(p):
-    return [-a for a in p]
-
-
 def poly_eval(p, x):
     acc = 0
     for a in reversed(poly_trim(p)):
@@ -80,14 +74,15 @@ def poly_derivative(p):
 
 def poly_divmod(p, q):
     """Quotient and remainder over Q (exact).  A monic divisor needs no
-    division, so integer input gives integer output."""
+    division, and otherwise each quotient coefficient is `exact`, so an exact
+    division of integer lists gives integer lists whatever the divisor's lead."""
     p, q = poly_trim(p), poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [0] * max(len(p) - len(q) + 1, 0)
     while len(p) >= len(q):
         shift = len(p) - len(q)
-        factor = p[-1] if q[-1] == 1 else Fraction(p[-1], q[-1])
+        factor = p[-1] if q[-1] == 1 else exact(p[-1], q[-1])
         quot[shift] = factor
         for i, b in enumerate(q):
             p[shift + i] -= factor * b
@@ -96,8 +91,8 @@ def poly_divmod(p, q):
 
 
 def poly_gcd(p, q):
-    """Monic gcd over Q: a primitive remainder sequence over Z (integer
-    pseudo-remainders, content cleared), made monic at the end."""
+    """Primitive integer gcd with a positive lead: a primitive remainder
+    sequence over Z (integer pseudo-remainders, content cleared)."""
     a, b = poly_primitive_int(p), poly_primitive_int(q)
     while b:
         r = a
@@ -108,21 +103,14 @@ def poly_gcd(p, q):
                 r[shift + i] -= top * y
             r = poly_trim(r)
         a, b = b, poly_primitive_int(r)
-    return [Fraction(x, a[-1]) for x in a]
+    return a
 
 
 def poly_primitive_int(p):
-    """Integer polynomial with the same roots: denominators cleared, content removed."""
-    p = poly_trim(p)
-    if not p:
-        return []
-    scale = math.lcm(*[a.denominator for a in p])
-    ints = [int(a * scale) for a in p]
-    content = 0
-    for a in ints:
-        content = math.gcd(content, abs(a))
-    if ints[-1] < 0:
-        content = -content
+    """Integer polynomial with the same roots: denominators cleared
+    (`integral`), content removed, lead positive."""
+    (ints,), _ = integral([poly_trim(p)])
+    content = math.gcd(*ints) if ints and ints[-1] > 0 else -math.gcd(*ints)
     return [a // content for a in ints]
 
 
@@ -149,24 +137,26 @@ def squarefree_decomposition(p):
     Factors are primitive integer polynomials, pairwise coprime and
     squarefree; constant factors are dropped.  A p that a modular
     certificate shows coprime to p' is squarefree, [(primitive p, 1)].
+    Otherwise Yun's algorithm (SYMSAC '76) runs on the primitive form: each
+    gcd is primitive, so every quotient is exact over Z (Gauss's lemma).
     """
-    p = poly_trim(p)
-    if poly_degree(p) < 1:
+    p = poly_primitive_int(p)
+    if len(p) < 2:
         return []
-    primitive = poly_primitive_int(p)
-    if _coprime_mod_prime(primitive, poly_derivative(primitive)):
-        return [(primitive, 1)]
     d = poly_derivative(p)
+    if _coprime_mod_prime(p, d):
+        return [(p, 1)]
     a = poly_gcd(p, d)
     b, _ = poly_divmod(p, a)
     c, _ = poly_divmod(d, a)
     out = []
     k = 1
-    while poly_degree(b) > 0:
-        step = poly_add(c, poly_neg(poly_derivative(b)))
+    while len(b) > 1:
+        step = [-x for x in poly_derivative(b)]  # step = c - b', deg c < deg b
+        step[:len(c)] = [x + y for x, y in zip(c, step)]
         g = poly_gcd(b, step)
-        if poly_degree(g) > 0:
-            out.append((poly_primitive_int(g), k))
+        if len(g) > 1:
+            out.append((g, k))
         b, _ = poly_divmod(b, g)
         c, _ = poly_divmod(step, g)
         k += 1
@@ -178,13 +168,20 @@ def squarefree_decomposition(p):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_candidates(deg: int) -> tuple[tuple[int, int], ...]:
-    """The (m, phi(m)) with phi(m) <= deg, in increasing m, by one sieve of phi."""
-    bound = 2 * deg * deg + 1  # phi(m) >= sqrt(m/2) puts every such m below it
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
+    """The (m, phi(m)) with phi(m) <= deg, in increasing m, by one sieve of
+    phi over m < 2^(L-1), L least with 2^(L-1) > deg*L.  The i-th prime is
+    at least i + 1, so phi(m) >= m prod_(i<=k) i/(i+1) = m/(k+1) for the
+    k primes of m, and 2^k <= m puts k + 1 at most the bit length b of m:
+    phi(m) >= 2^(b-1)/b, which rises with b and exceeds deg once b >= L.
+    """
+    bound = 1
+    while bound <= deg * bound.bit_length():  # bound = 2^(L-1), L = its bit length
+        bound *= 2
+    phi = list(range(bound))
+    for p in range(2, bound):
         if phi[p] == p:  # no smaller prime divides p
             phi[p::p] = [x - x // p for x in phi[p::p]]
-    return tuple((m, phi[m]) for m in range(1, bound + 1) if phi[m] <= deg)
+    return tuple((m, phi[m]) for m in range(1, bound) if phi[m] <= deg)
 
 
 def _spread(p, k: int):
@@ -267,8 +264,7 @@ def noncyclotomic_part(p):
     work = poly_trim(p)
     while work and work[0] == 0:
         work = work[1:]
-    _, rest = cyclotomic_part(work)
-    return rest
+    return cyclotomic_factors(work)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +342,11 @@ def _certified_moduli(coeffs) -> list[tuple[float, float]]:
     2^-50 so that the rounding of the interval arithmetic itself stays
     inside the reported bounds.
     """
-    coeffs = [int(a) for a in poly_trim(coeffs)]
     n = poly_degree(coeffs)
     if n == 0:
         return []
     if n == 1:
-        m = float(Fraction(abs(coeffs[0]), abs(coeffs[1])))
+        m = abs(coeffs[0]) / abs(coeffs[1])  # int division rounds correctly
         return [(m * (1.0 - _WIDEN), m * (1.0 + _WIDEN))]
     monic = [a / coeffs[-1] for a in coeffs]
     radius = max(abs(a) ** (1.0 / k) for k, a in enumerate(reversed(monic[:-1]), 1))
@@ -438,11 +433,12 @@ def log_mahler(p, tol: float = DEFAULT_TOL) -> EntropyValue:
     p = poly_trim(p)
     if not p:
         raise DomainError("log-Mahler sum of the zero polynomial")
-    if any(Fraction(a).denominator != 1 for a in p):
+    (ints,), d = integral([[exact(a) for a in p]])
+    if d != 1:
         raise DomainError("log-Mahler sum needs integer coefficients")
     if not 0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
-    certificate = tuple(int(a) for a in p)
+    certificate = tuple(ints)
 
     rest = noncyclotomic_part(certificate)
     if poly_degree(rest) < 1:

@@ -15,6 +15,7 @@ from lieentropy.exactlinalg import (
     det,
     exact,
     identity_matrix,
+    integral,
     kernel_basis,
     lattice_intersect_subspace,
     mat_mul,
@@ -443,6 +444,25 @@ def test_fraction_free_kernels_match_fraction_references():
                 _lattice_intersect_subspace_reference(lattice, sub), m
 
 
+def test_integral_matches_the_denominator_formulas_it_replaced():
+    # over the whole matrix, the formulas that char_poly, the echelon rows,
+    # lattice generators and lattice kernels used; row by row, those of the
+    # rref and det rows, a vector's coordinates and primitive polynomials;
+    # entries by the number rule give the same integers
+    for m in _oracle_matrices():
+        scale = lcm(*(x.denominator for row in m for x in row))
+        w, d = integral(m)
+        assert (w, d) == ([[x.numerator * (scale // x.denominator) for x in row] for row in m],
+                          scale), m
+        assert w == [[int(x * scale) for x in row] for row in m], m
+        assert all(type(x) is int for row in w for x in row), m
+        assert integral([[exact(x) for x in row] for row in m]) == (w, d), m
+        for row in m:
+            s = lcm(*(x.denominator for x in row))
+            assert integral([row]) == ([[x.numerator * (s // x.denominator) for x in row]], s)
+            assert integral([row])[0] == [[int(x * s) for x in row]], row
+
+
 def _bareiss_reference(rows, ncols):
     """Bareiss elimination rebuilding every other row at every pivot, the
     elimination without pending row scales."""
@@ -503,7 +523,7 @@ def test_bareiss_pending_scales_match_the_full_rebuild(monkeypatch):
 
     for m in _bareiss_matrices():
         ncols = len(m[0])
-        rows, _ = exactlinalg._integer_rows(m)
+        rows, _ = exactlinalg.integral(m)
         expected = [row[:] for row in rows]
         assert exactlinalg._bareiss(rows, ncols) == _bareiss_reference(expected, ncols), m
         assert rows == expected, m

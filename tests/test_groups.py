@@ -247,8 +247,8 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
     # the first n = 12 torus of the seed-1 torus-entropy benchmark workload,
     # through the CLI: the center's ideal check tests nothing, the zero
     # adjoints' minimal polynomials solve nothing, the surjective derivative's
-    # eventual image eliminates nothing, the full-dimensional lattice cuts
-    # reduce nothing, and the one cut left, the center, has all images zero
+    # eventual image eliminates nothing and takes the lattice uncut, and the
+    # one cut, the center, has all images zero
     import lieentropy.exactlinalg as exactlinalg
     import lieentropy.liealgebra as liealgebra
     from lieentropy import cli
@@ -301,7 +301,7 @@ def test_torus_entropy_forms_no_zero_bracket(monkeypatch, tmp_path, capsys):
     assert calls["is_ideal", None] == 1 and calls["min_poly", None] == 12
     assert nested("contains") == 0 and nested("solve") == 0
     assert calls["eventual_image", None] == 1 and calls["rref", "eventual_image"] == 0
-    assert calls["lattice_intersect_subspace", None] == 2
+    assert calls["lattice_intersect_subspace", None] == 1
     assert calls["reduce", "lattice_intersect_subspace"] == 0
     # the center, by zero images
     assert cuts == [(False, True)]
@@ -958,31 +958,51 @@ def test_analyze_computes_the_center_once(monkeypatch):
 
 
 def test_analyze_runs_each_stage_once(monkeypatch):
+    import lieentropy.liealgebra as liealgebra
+
     calls = Counter()
-    for name in ("eventual_image", "nilradical", "log_mahler", "char_poly"):
-        original = getattr(lieentropy.groups, name)
+    for module, name in ((lieentropy.groups, "eventual_image"), (lieentropy.groups, "nilradical"),
+                         (lieentropy.groups, "log_mahler"), (lieentropy.groups, "char_poly"),
+                         (liealgebra, "is_ideal")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(lieentropy.groups, name, counted)
+        monkeypatch.setattr(module, name, counted)
     # counted over validation and analysis.  nilradical: calls for the
     # conjugation certificate and the toral-order check; log_mahler and
     # char_poly: calls for the eigenvalue-sum bound, which on a whole torus
-    # is the entropy itself
+    # is the entropy itself; is_ideal: one per ideal built (the center, and
+    # the radical and nilradical), none again for a quotient by one;
+    # center_cut: Gamma cut by the center, for the torus of a surjective d
+    # and for the toral-order precondition alike
     expected = {
-        "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
-        "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
-        "torus2-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1},
-        "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
-        "e2-shifted": {"nilradical": 1, "log_mahler": 1, "char_poly": 1},
+        "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
+                                      "is_ideal": 1, "center_cut": 1},
+        "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
+                           "is_ideal": 1, "center_cut": 1},
+        "torus2-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
+                            "is_ideal": 1, "center_cut": 1},
+        "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1,
+                         "is_ideal": 3, "center_cut": 1},
+        "e2-shifted": {"nilradical": 1, "log_mahler": 1, "char_poly": 1,
+                       "is_ideal": 3, "center_cut": 1},
     }
     cases = {name: build_group(get_entry(name).input_document())
              for name in expected if name != "e2-shifted"}
     # d(H) = H + X + 3Y leaves the lattice span, so validation certifies a
     # conjugation through the nilradical, which the toral-order check reuses
     cases["e2-shifted"] = (e2_group(), [[1, 0, 0], [1, 2, -1], [3, 1, 2]])
+    centers = {case: liealgebra.center(group.algebra).space for case, (group, _) in cases.items()}
+    cut = lieentropy.groups.lattice_intersect_subspace
+
+    def counted_cut(lattice, subspace):
+        calls["center_cut"] += subspace == centers[case]
+        return cut(lattice, subspace)
+
+    monkeypatch.setattr(lieentropy.groups, "lattice_intersect_subspace", counted_cut)
     for case, counts in expected.items():
         group, derivative = cases[case]
         calls.clear()

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -18,14 +19,12 @@ from lieentropy.mahler import (
     cyclotomic_factors,
     cyclotomic_part,
     log_mahler,
-    poly_add,
     poly_degree,
     poly_derivative,
     poly_divmod,
     poly_eval,
     poly_gcd,
     poly_mul,
-    poly_neg,
     poly_primitive_int,
     poly_trim,
     squarefree_decomposition,
@@ -71,10 +70,22 @@ def _cyclotomic_reference(m):
     return tuple(poly)
 
 
+def _candidates_reference(deg):
+    """The (m, phi(m)) with phi(m) <= deg from a sieve of phi up to
+    2*deg^2 + 1, a bound that phi(m) >= sqrt(m/2) justifies."""
+    bound = 2 * deg * deg + 1
+    phi = list(range(bound + 1))
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    return tuple((m, phi[m]) for m in range(1, bound + 1) if phi[m] <= deg)
+
+
 def test_cyclotomic_candidates_match_a_gcd_count():
     # every m <= 4*40^2 + 4 with phi(m) <= 40, by counting gcds; each degree's
     # candidates are exactly those with phi(m) <= deg, so none lies beyond
-    # the sieve's bound 2*deg^2 + 1
+    # the sieve's bound; up to degree 60 they are those of the sieve to
+    # 2*deg^2 + 1
     counted = [(m, phi) for m in range(1, 4 * 40 * 40 + 5)
                if (phi := _phi_at_most(m, 40)) is not None]
     assert counted[:12] == [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (6, 2), (7, 6),
@@ -82,6 +93,8 @@ def test_cyclotomic_candidates_match_a_gcd_count():
     for deg in range(41):
         assert _cyclotomic_candidates(deg) == tuple((m, phi) for m, phi in counted
                                                     if phi <= deg), deg
+    for deg in range(61):
+        assert _cyclotomic_candidates(deg) == _candidates_reference(deg), deg
 
 
 def test_gate_value_is_phi_m_at_2_64():
@@ -158,24 +171,76 @@ def test_squarefree_decomposition():
     assert parts == {(1, 1): 1, (1, -3, 1): 2}
 
 
-def _squarefree_reference(p):
-    """Yun's decomposition with no certificate: gcds by primitive remainder
-    sequences, every stage run."""
-    p = poly_trim(p)
-    if poly_degree(p) < 1:
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _derivative(p):
+    return _trim([i * a for i, a in enumerate(p)][1:])
+
+
+def _divmod_reference(p, q):
+    """Long division over Q; a quotient coefficient is a Fraction unless the
+    divisor is monic."""
+    p, q = _trim(p), _trim(q)
+    quot = [0] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
+        shift = len(p) - len(q)
+        factor = p[-1] if q[-1] == 1 else Fraction(p[-1], q[-1])
+        quot[shift] = factor
+        for i, b in enumerate(q):
+            p[shift + i] -= factor * b
+        p = _trim(p)
+    return _trim(quot), p
+
+
+def _primitive_reference(p):
+    """Denominators cleared by their lcm, content divided out, lead positive."""
+    p = _trim(p)
+    if not p:
         return []
-    d = poly_derivative(p)
-    a = poly_gcd(p, d)
-    b, _ = poly_divmod(p, a)
-    c, _ = poly_divmod(d, a)
+    scale = math.lcm(*[Fraction(a).denominator for a in p])
+    ints = [int(a * scale) for a in p]
+    content = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [a // content for a in ints]
+
+
+def _monic_gcd_reference(p, q):
+    """Monic gcd over Q: a primitive remainder sequence over Z, made monic."""
+    a, b = _primitive_reference(p), _primitive_reference(q)
+    while b:
+        r = a
+        while len(r) >= len(b):
+            shift, top = len(r) - len(b), r[-1]
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= top * y
+            r = _trim(r)
+        a, b = b, _primitive_reference(r)
+    return [Fraction(x, a[-1]) for x in a]
+
+
+def _squarefree_reference(p):
+    """Yun's decomposition over Q with no certificate, every stage run: monic
+    gcds, Fraction quotients, and each factor made primitive at the end."""
+    p = _trim(p)
+    if len(p) < 2:
+        return []
+    d = _derivative(p)
+    a = _monic_gcd_reference(p, d)
+    b, _ = _divmod_reference(p, a)
+    c, _ = _divmod_reference(d, a)
     out, k = [], 1
-    while poly_degree(b) > 0:
-        step = poly_add(c, poly_neg(poly_derivative(b)))
-        g = poly_gcd(b, step)
-        if poly_degree(g) > 0:
-            out.append((poly_primitive_int(g), k))
-        b, _ = poly_divmod(b, g)
-        c, _ = poly_divmod(step, g)
+    while len(b) > 1:
+        step = _trim([x - y for x, y in itertools.zip_longest(c, _derivative(b), fillvalue=0)])
+        g = _monic_gcd_reference(b, step)
+        if len(g) > 1:
+            out.append((_primitive_reference(g), k))
+        b, _ = _divmod_reference(b, g)
+        c, _ = _divmod_reference(step, g)
         k += 1
     return out
 
@@ -239,9 +304,27 @@ def _certificate_polynomials():
     return polys
 
 
+def _typed_factors(factors):
+    return [([type(x) for x in q], q, k) for q, k in factors]
+
+
 def test_modular_certificates_match_yun_and_trial_division():
+    rng = random.Random(1976)
+    # products of up to four small factors, each to a power 1-9
+    products = []
+    for _ in range(40):
+        p = [rng.choice((1, -2, 3))]
+        for _ in range(rng.randint(1, 4)):
+            factor = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
+            if factor[-1]:
+                p = poly_mul(p, functools.reduce(poly_mul, [factor] * rng.randint(1, 9)))
+        products.append(p)
+    for p in products:
+        assert _typed_factors(squarefree_decomposition(p)) == \
+            _typed_factors(_squarefree_reference(p)), p
     for p in _certificate_polynomials():
-        assert squarefree_decomposition(p) == _squarefree_reference(p), p
+        assert _typed_factors(squarefree_decomposition(p)) == \
+            _typed_factors(_squarefree_reference(p)), p
         if poly_trim(p):
             found, rest = cyclotomic_factors(p)
             assert (found, rest) == _cyclotomic_factors_reference(p), p
@@ -290,9 +373,9 @@ def test_certified_polynomials_skip_yun_and_trial_division(monkeypatch):
 
 def _poly_gcd_reference(p, q):
     """Monic gcd by Euclid's algorithm over Q."""
-    a, b = poly_trim(p), poly_trim(q)
+    a, b = _trim(p), _trim(q)
     while b:
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, _divmod_reference(a, b)[1]
     return [Fraction(x, a[-1]) for x in a]
 
 
@@ -311,9 +394,10 @@ def test_poly_gcd_matches_euclid_over_q():
             q = [Fraction(x, rng.choice((1, 4, 5))) for x in q]
         cases.append((p, q))
     for p, q in cases:
+        # the primitive integer form of the monic gcd, lead positive
         got = poly_gcd(p, q)
-        assert got == _poly_gcd_reference(p, q), (p, q)
-        assert all(type(x) is Fraction for x in got)
+        assert got == _primitive_reference(_poly_gcd_reference(p, q)), (p, q)
+        assert all(type(x) is int for x in got)
 
 
 # --- log-Mahler sums -----------------------------------------------------------
