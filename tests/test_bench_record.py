@@ -17,13 +17,13 @@ def test_summarize_takes_inclusive_quartiles_per_workload_metric_and_tree():
     def run(tree, workload, **metrics):
         return {"tree": tree, "workload": workload, "metrics": metrics}
 
-    runs = [run("parent", "torus", rate=x, p50=10 * x) for x in (5, 1, 4, 2, 3)]
-    runs += [run("change", "torus", rate=x, p50=10 * x) for x in (6, 8)]
-    runs += [run("change", "lie", rate=7)]
+    runs = [run("before", "torus", rate=x, p50=10 * x) for x in (5, 1, 4, 2, 3)]
+    runs += [run("after", "torus", rate=x, p50=10 * x) for x in (6, 8)]
+    runs += [run("after", "lie", rate=7)]
     summary = bench_record.summarize(runs)
-    assert summary["torus"]["rate"]["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
-    assert summary["torus"]["rate"]["change"] == {"median": 7.0, "q1": 6.5, "q3": 7.5, "n": 2}
-    assert summary["torus"]["p50"]["parent"]["median"] == 30.0
+    assert summary["torus"]["rate"]["before"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    assert summary["torus"]["rate"]["after"] == {"median": 7.0, "q1": 6.5, "q3": 7.5, "n": 2}
+    assert summary["torus"]["p50"]["before"]["median"] == 30.0
     # one run: its value is the median and both quartiles
-    assert summary["lie"] == {"rate": {"change": {"median": 7, "q1": 7, "q3": 7, "n": 1}}}
+    assert summary["lie"] == {"rate": {"after": {"median": 7, "q1": 7, "q3": 7, "n": 1}}}
     assert bench_record.summarize([]) == {}
