@@ -3,7 +3,7 @@
 Subcommands: validate, entropy, analyze, estimate, catalog.  Exit codes
 distinguish what went wrong: 0 success, 1 input or validation failure,
 2 pipeline abort (input outside the supported class or a violated internal
-invariant).
+invariant, or `estimate` on a valid group with a trivial central torus).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def _cmd_estimate(args) -> int:
     report = topological_entropy(group, endo, tol)
     action = report.torus.action
     if action.dim == 0:
-        raise ValidationError("the central torus is trivial; nothing to estimate")
+        raise PipelineError("estimate", "the central torus is trivial; nothing to estimate")
     dynamics = GridDynamics.from_torus(action)
     resolution = args.resolution
     if resolution is None:

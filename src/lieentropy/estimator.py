@@ -4,9 +4,10 @@ This is the falsification oracle for the exact pipeline: it can refute an
 exact entropy value at desk scale but never certify one.  Dynamics are run
 on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
-floats appear only when distances are compared against epsilon.  The orbits
-of all sampled pairs, or of all points of a Bowen ball, run at once as exact
-integer arrays: int64 below 2^62, else `object` (pairs) or a refusal (balls).
+floats appear only when distances are compared against epsilon.  Half of
+each Bowen box (v -> -v gives the rest) and the pair orbits over all steps,
+built by doubling, run at once as exact integer arrays: int64 below 2^62,
+else `object` (pairs) or a refusal (balls).
 
 For a group endomorphism A the Bowen metric is translation invariant, so
 every Bowen ball is a translate of one difference set
@@ -39,6 +40,7 @@ from .exactlinalg import exact
 from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_BALL_CELLS = 5 * 10**7
+_ORBIT_BLOCK = 256  # steps of the pair orbits held at once; a power of two
 
 
 @dataclass(frozen=True)
@@ -82,26 +84,29 @@ class SpanningEstimate:
 
 
 def _ball_sizes(dynamics: GridDynamics, resolution: int, eps_cells: int, n_max: int) -> list[int]:
-    """|D_n(eps_cells)| for n = 1..n_max.  Each coordinate of the points left is
-    an int64 array of centred representatives x, |x| the circle distance."""
-    if (2 * eps_cells + 1) ** dynamics.dim > _MAX_BALL_CELLS:
+    """|D_n(eps_cells)| for n = 1..n_max.  D_n is symmetric under v -> -v and
+    holds 0, and C-order flat indices i and N - 1 - i of the box [-e, e]^d are
+    negatives, so only the points after the centre are kept, as int64 arrays
+    of s = x + e mod R: circle|y| <= e is (y + e) mod R <= 2e."""
+    side, dim = 2 * eps_cells + 1, dynamics.dim
+    if side**dim > _MAX_BALL_CELLS:
         raise ParameterError("epsilon ball does not fit in memory at this resolution")
-    line = np.arange(-eps_cells, eps_cells + 1, dtype=np.int64)
-    coords = [g.ravel() for g in np.meshgrid(*([line] * dynamics.dim), indexing="ij")]
-    sizes = [len(line) ** dynamics.dim]
+    coords = np.unravel_index(np.arange((side**dim + 1) // 2, side**dim), (side,) * dim)
+    # A(s - e) + e = A s + e (1 - row sum): one constant per row keeps images shifted
+    offsets = [eps_cells * (1 - sum(row)) % resolution for row in dynamics.matrix]
+    sizes = [side**dim]
     for _ in range(1, n_max):
         images = []
-        for row in dynamics.matrix:
-            image = np.full(sizes[-1], resolution // 2, dtype=np.int64)
+        for row, offset in zip(dynamics.matrix, offsets):
+            image = np.full(len(coords[0]), offset, dtype=np.int64)
             for a, x in zip(row, coords):
                 if a:
                     image += x if a == 1 else a * x
             image %= resolution
-            image -= resolution // 2
             images.append(image)
-        keep = np.logical_and.reduce([np.abs(image) <= eps_cells for image in images])
+        keep = np.logical_and.reduce([image <= 2 * eps_cells for image in images])
         coords = [image[keep] for image in images]
-        sizes.append(len(coords[0]))
+        sizes.append(2 * len(coords[0]) + 1)
     return sizes
 
 
@@ -264,8 +269,10 @@ def li_yorke_search(dynamics: GridDynamics, horizon: int = 64, pair_budget: int 
     eps_low is below 1/denominator, so "proximal" requires the orbits to
     actually collide on the sample grid; isometric and shear-like systems
     therefore return nothing, while collapsing dyadic differences (as under
-    the doubling map) are found immediately.  All pairs run at once, as rows
-    of one integer array: int64 while dim*(q-1)^2 < 2^62, `object` beyond.
+    the doubling map) are found immediately.  All pairs and up to
+    _ORBIT_BLOCK steps run at once, orbit[k] = A^k delta built by doubling,
+    so memory is bounded for any horizon: int64 while dim*(q-1)^2 < 2^62,
+    `object` beyond.
     """
     if horizon <= 0 or pair_budget <= 0:
         raise ParameterError("horizon and pair budget must be positive")
@@ -281,10 +288,16 @@ def li_yorke_search(dynamics: GridDynamics, horizon: int = 64, pair_budget: int 
     delta = np.array([[(x - y) % q for x, y in zip(a, b)] for a, b in pairs],
                      dtype=dtype).reshape(len(pairs), dim)
     lo, hi = np.full(len(pairs), q, dtype=dtype), np.zeros(len(pairs), dtype=dtype)
-    for _ in range(horizon):
-        dist = np.minimum(delta, q - delta).max(axis=1)
-        lo, hi = np.minimum(lo, dist), np.maximum(hi, dist)
-        delta = (delta @ matrix.T) % q
+    for start in range(0, horizon, _ORBIT_BLOCK):
+        # orbit[k] = A^k delta: each round appends A^len(orbit) times the
+        # whole orbit and squares the step matrix, step = (A^len(orbit))^T
+        orbit, step, length = delta[None], matrix.T, min(horizon - start, _ORBIT_BLOCK)
+        while len(orbit) < length:
+            orbit = np.concatenate([orbit, (orbit[:length - len(orbit)] @ step) % q])
+            step = (step @ step) % q
+        dist = np.minimum(orbit, q - orbit).max(axis=2)
+        lo, hi = np.minimum(lo, dist.min(axis=0)), np.maximum(hi, dist.max(axis=0))
+        delta = (delta @ step) % q
     return [PairCandidate(tuple(Fraction(x, q) for x in a), tuple(Fraction(x, q) for x in b),
                           low / q, high / q)
             for (a, b), low, high in zip(pairs, lo.tolist(), hi.tolist())

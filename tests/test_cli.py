@@ -379,9 +379,13 @@ def test_cli_rejects_non_finite_tolerances(tmp_path):
 
 
 def test_cli_estimate_trivial_torus_rejected():
-    result = run_cli("estimate", "--catalog", "plane-doubling")
-    assert result.returncode == 1
-    assert "trivial" in result.stderr
+    # valid documents with nothing to estimate abort at the estimate stage
+    for name in ("plane-doubling", "euclidean-e2", "euclidean-e2-flip"):
+        result = run_cli("estimate", "--catalog", name)
+        assert result.returncode == 2, name
+        assert result.stdout == ""
+        assert result.stderr == ("pipeline abort: stage 'estimate': "
+                                 "the central torus is trivial; nothing to estimate\n"), name
 
 
 def test_cli_catalog_list_and_run_all():

@@ -7,7 +7,9 @@ import pytest
 
 from lieentropy.errors import DomainError, ParameterError
 from lieentropy.estimator import (
+    _ORBIT_BLOCK,
     GridDynamics,
+    _ball_sizes,
     bundle_inequality_check,
     li_yorke_search,
     spanning_entropy_estimate,
@@ -300,15 +302,33 @@ def test_pair_search_matches_the_per_pair_reference(rows):
     # 2^40 and 2^40 + 1 take the object path; wrapped int64 products would
     # still be right mod 2^40, not mod 2^40 + 1
     for q in (2, 3, 4096, 4097, 2**40, 2**40 + 1):
-        for horizon in (1, 64):
-            # eps_low 1 and eps_high 0 return every pair, so every extreme is compared
+        # the orbit is built by doubling: powers of two, one step either
+        # side of them, and a horizon that ends partway through a round
+        for horizon in (1, 2, 3, 63, 64, 65, 100):
+            seed = q + horizon
+            # eps_low 1 and eps_high 0 return every pair, so every extreme is
+            # compared; the reference runs once and is filtered for the other
+            every = li_yorke_reference(rows, horizon, q, 1.0, 0.0, seed)
             for eps_low, eps_high in ((1e-4, 0.25), (1.0, 0.0)):
-                seed = q + horizon
                 got = [(c.a, c.b, c.liminf_estimate, c.limsup_estimate)
                        for c in li_yorke_search(dynamics, horizon=horizon, denominator=q,
                                                 eps_low=eps_low, eps_high=eps_high, seed=seed)]
-                assert got == li_yorke_reference(rows, horizon, q, eps_low, eps_high, seed), \
+                assert got == [c for c in every if c[2] < eps_low and c[3] > eps_high], \
                     (q, horizon, eps_low)
+
+
+def test_pair_search_past_one_orbit_block():
+    # 5000 steps are many blocks of _ORBIT_BLOCK steps, the last one partial;
+    # delta is carried from block to block by the block's power of A
+    assert 5000 > 2 * _ORBIT_BLOCK and 5000 % _ORBIT_BLOCK
+    for rows in ([[3]], [[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]):
+        for q in (4097, 2**40 + 1):
+            got = [(c.a, c.b, c.liminf_estimate, c.limsup_estimate)
+                   for c in li_yorke_search(GridDynamics.from_rows(rows), horizon=5000,
+                                            pair_budget=4, denominator=q,
+                                            eps_low=1.0, eps_high=0.0, seed=q)]
+            assert got == li_yorke_reference(rows, 5000, q, 1.0, 0.0, q, pair_budget=4), \
+                (rows, q)
 
 
 def test_pair_search_stays_exact_beyond_int64():
@@ -350,6 +370,61 @@ def test_ball_sizes_match_the_row_major_reference(rows):
             assert est.separated_counts == tuple(
                 -(-cells // size)
                 for size in ball_sizes_reference(rows, resolution, eps2_cells, 6))
+
+
+# (rows, n_max, epsilon, resolution, spanning_counts, separated_counts) as the
+# full-box meshgrid count gave them: the seven cases of the estimate-falsify
+# benchmark, then n_max 9 at epsilon 0.3, where the 2e box is capped at R // 2,
+# on odd and even resolutions
+PINNED_COUNTS = [
+    ([[2]], 10, 0.05, 65536,
+     (10, 19, 39, 80, 160, 319, 636, 1285, 2621, 5041),
+     (6, 11, 20, 40, 81, 161, 320, 637, 1286, 2622)),
+    ([[3]], 7, 0.05, 65536,
+     (10, 29, 89, 269, 809, 2427, 7281),
+     (6, 16, 45, 136, 408, 1237, 3856)),
+    ([[2, 1], [1, 1]], 6, 0.05, 512,
+     (100, 201, 503, 1304, 3404, 9039),
+     (26, 52, 129, 334, 871, 2320)),
+    ([[2, 0], [0, 2]], 4, 0.1, 1024,
+     (24, 98, 403, 1677),
+     (7, 25, 99, 404)),
+    ([[1, 1], [0, 1]], 40, 0.1, 256,
+     (25, 33, 50, 75, 100, 125, 150, 175, 200, 225, 251, 274, 299, 326, 346, 370, 397, 428,
+      445, 464, 485, 508, 532, 560, 590, 624, 648, 661, 675, 689, 704, 720, 736, 753, 771,
+      789, 809, 829, 851, 873),
+     (7, 9, 13, 20, 26, 33, 39, 45, 52, 58, 65, 71, 77, 84, 90, 96, 103, 110, 115, 122, 129,
+      135, 140, 146, 153, 161, 166, 172, 177, 183, 189, 196, 203, 211, 218, 223, 227, 232,
+      237, 242)),
+    ([[0, -1], [1, 0]], 8, 0.05, 512, (100,) * 8, (26,) * 8),
+    ([[-1]], 8, 0.05, 4096, (10,) * 8, (6,) * 8),
+    ([[2]], 9, 0.3, 63, (1, 3, 7, 12, 21, 63, 63, 63, 63), (1,) * 9),
+    ([[2]], 9, 0.3, 64, (1, 3, 7, 12, 21, 64, 64, 64, 64), (1,) * 9),
+    ([[3]], 9, 0.3, 63, (1, 3, 4, 9, 63, 63, 63, 63, 63), (1,) * 9),
+    ([[3]], 9, 0.3, 64, (1, 2, 4, 9, 21, 21, 21, 21, 21), (1,) * 9),
+    ([[2, 1], [1, 1]], 9, 0.3, 63, (2, 5, 14, 37, 96, 233, 793, 3969, 3969), (1,) * 9),
+    ([[2, 1], [1, 1]], 9, 0.3, 64, (2, 5, 13, 35, 91, 240, 819, 4096, 4096), (1,) * 9),
+    ([[1, 1], [0, 1]], 9, 0.3, 63, (2, 3, 5, 8, 11, 14, 17, 20, 22), (1,) * 9),
+    ([[1, 1], [0, 1]], 9, 0.3, 64, (2, 3, 5, 8, 10, 13, 16, 18, 21), (1,) * 9),
+    ([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 9, 0.3, 33,
+     (5, 8, 17, 35, 61, 100, 158, 228, 342), (1,) * 9),
+    ([[1, 0, 0], [1, 1, 0], [0, 1, 1]], 9, 0.3, 32,
+     (4, 8, 15, 32, 56, 91, 144, 208, 312), (1,) * 9),
+]
+
+
+@pytest.mark.parametrize("rows, n_max, epsilon, resolution, spanning, separated", PINNED_COUNTS)
+def test_ball_counts_are_pinned(rows, n_max, epsilon, resolution, spanning, separated):
+    dynamics = GridDynamics.from_rows(rows)
+    est = spanning_entropy_estimate(dynamics, n_max=n_max, epsilon=epsilon,
+                                    resolution=resolution)
+    assert est.spanning_counts == spanning
+    assert est.separated_counts == separated
+    # at the R // 2 cap every box point is within reach, the two ends of an
+    # even box (the same residue) each counted, so the counts above are 1
+    # however the box is counted; the sizes themselves are not
+    side = 2 * (resolution // 2) + 1
+    assert _ball_sizes(dynamics, resolution, resolution // 2, n_max) == [side ** len(rows)] * n_max
 
 
 def test_grid_dynamics_takes_integral_entries_only():
