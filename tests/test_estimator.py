@@ -366,8 +366,8 @@ def test_ball_sizes_match_the_row_major_reference(rows):
                 for size in ball_sizes_reference(rows, resolution, eps2_cells, 6))
 
 
-# (rows, n_max, epsilon, resolution, spanning_counts, separated_counts) as the
-# full-box meshgrid count gave them: the seven cases of the estimate-falsify
+# (rows, n_max, epsilon, resolution, spanning_counts, separated_counts), counted
+# point by point on the whole box: the seven cases of the estimate-falsify
 # benchmark, then n_max 9 at epsilon 0.3, where the 2e box is capped at R // 2,
 # on odd and even resolutions
 PINNED_COUNTS = [
