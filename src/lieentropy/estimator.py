@@ -83,18 +83,23 @@ class SpanningEstimate:
     slope_band: tuple[float, float]
 
 
-def _ball_sizes(dynamics: GridDynamics, resolution: int, eps_cells: int, n_max: int) -> list[int]:
-    """|D_n(eps_cells)| for n = 1..n_max.  D_n is symmetric under v -> -v and
-    holds 0, and C-order flat indices i and N - 1 - i of the box [-e, e]^d are
-    negatives, so only the points after the centre are kept, as int64 arrays
-    of s = x + e mod R: circle|y| <= e is (y + e) mod R <= 2e."""
-    side, dim = 2 * eps_cells + 1, dynamics.dim
+def _ball_sizes(dynamics: GridDynamics, resolution: int, inner: int, outer: int,
+                n_max: int) -> tuple[list[int], list[int]]:
+    """(|D_n(inner)|, |D_n(outer)|) for n = 1..n_max, inner <= outer <= R//2,
+    in one pass over the outer box, as D_n(inner) lies in D_n(outer).  D_n is
+    symmetric under v -> -v and holds 0, and C-order flat indices i and
+    N - 1 - i of the box [-E, E]^d are negatives, so only the points after
+    the centre are kept, as int64 arrays of s = x + E mod R: circle|y| <= E is
+    (y + E) mod R <= 2E, and then circle|y| <= e is |s - E| <= e."""
+    side, dim = 2 * outer + 1, dynamics.dim
     if side**dim > _MAX_BALL_CELLS:
         raise ParameterError("epsilon ball does not fit in memory at this resolution")
     coords = np.unravel_index(np.arange((side**dim + 1) // 2, side**dim), (side,) * dim)
-    # A(s - e) + e = A s + e (1 - row sum): one constant per row keeps images shifted
-    offsets = [eps_cells * (1 - sum(row)) % resolution for row in dynamics.matrix]
-    sizes = [side**dim]
+    # A(s - E) + E = A s + E (1 - row sum): one constant per row keeps images shifted
+    offsets = [outer * (1 - sum(row)) % resolution for row in dynamics.matrix]
+    inside = np.abs(np.arange(side) - outer) <= inner  # s -> circle|s - E| <= e, s <= 2E
+    near = np.logical_and.reduce([inside[x] for x in coords])
+    small, large = [2 * int(near.sum()) + 1], [side**dim]
     for _ in range(1, n_max):
         images = []
         for row, offset in zip(dynamics.matrix, offsets):
@@ -104,10 +109,12 @@ def _ball_sizes(dynamics: GridDynamics, resolution: int, eps_cells: int, n_max: 
                     image += x if a == 1 else a * x
             image %= resolution
             images.append(image)
-        keep = np.logical_and.reduce([image <= 2 * eps_cells for image in images])
+        keep = np.logical_and.reduce([image <= 2 * outer for image in images])
         coords = [image[keep] for image in images]
-        sizes.append(2 * len(coords[0]) + 1)
-    return sizes
+        near = np.logical_and.reduce([near[keep]] + [inside[x] for x in coords])
+        small.append(2 * int(near.sum()) + 1)
+        large.append(2 * len(coords[0]) + 1)
+    return small, large
 
 
 def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float,
@@ -133,9 +140,10 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
     eps_cells = int(epsilon * resolution)
     cells = resolution**dynamics.dim
     n_values = list(range(1, n_max + 1))
-    upper = [cells // size for size in _ball_sizes(dynamics, resolution, eps_cells, n_max)]
-    eps2_cells = min(2 * eps_cells, resolution // 2)
-    lower = [-(-cells // size) for size in _ball_sizes(dynamics, resolution, eps2_cells, n_max)]
+    small, large = _ball_sizes(dynamics, resolution, eps_cells,
+                               min(2 * eps_cells, resolution // 2), n_max)
+    upper = [cells // size for size in small]
+    lower = [-(-cells // size) for size in large]
     slope, stderr = _fit_log_growth(n_values, upper)
     return SpanningEstimate(
         tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution,

@@ -4,25 +4,27 @@ The quantity of interest is sum(log|z|) over the roots z of an integer
 polynomial with |z| > 1, computed over Z: rationals enter only through
 `exactlinalg.integral`, and a quotient coefficient is `exactlinalg.exact`,
 so exact divisions of integer lists stay integer.  Roots of unity and zero
-roots contribute nothing, and both are detected symbolically before any
-floating point enters: powers of t are stripped exactly, and each Phi_m
-with phi(m) <= deg p, listed by one sieve of phi, is divided out only when
-the integer Phi_m(2^64) divides p(2^64).  Yun's squarefree split runs on
-the primitive form, skipped when Euclid over F_(2^61 - 1) certifies p
-coprime to p'.  Only the strictly
-expanding/contracting moduli of the remaining factor are bounded
-numerically, by a Durand-Kerner iteration started on the root circle and
-certified with Weierstrass-correction disks, whose numerators are exact: a
-float approximation z is the dyadic point (x + iy)/2^e, so p(z) is
-evaluated by integer Horner scaled by 2^(e*deg p).
+roots contribute nothing, and both are detected symbolically: powers of t
+are stripped exactly, and each Phi_m with phi(m) <= deg p, listed by one
+sieve of phi, is divided out only when the integer Phi_m(2^64) divides
+p(2^64).  The rest is bracketed without roots, by Graeffe's root squaring
+on integer balls (Cerlienco, Mignotte & Piras, "Computing the measure of a
+polynomial", J. Symbolic Comput. 4 (1987)): coefficient bounds on the
+iterates bracket its Mahler measure, and Pellet's test on them counts the
+roots outside the unit circle.  Roots on the circle are roots of the
+self-reciprocal gcd of p and its reversal, counted by Sturm's theorem.
+Floats enter only at the final logs, so no coefficient size, degree or
+root cluster leaves the float range; a bracket that stays too wide up to a
+fixed precision is an ArithmeticError.
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +33,6 @@ from .exactlinalg import exact, integral
 
 DEFAULT_TOL = 1e-9
 
-_MAX_NEWTON_SWEEPS = 512
 _PRIME = 2**61 - 1  # the modulus of the coprimality certificate
 
 
@@ -268,131 +269,123 @@ def noncyclotomic_part(p):
 
 
 # ---------------------------------------------------------------------------
-# certified root moduli
+# the log-Mahler sum by root squaring
 
-_SQUARE_LIMIT = 10**600  # |p(z)|^2 at or above this counts as infinite
+_MAX_BITS = 2**12  # the precision of the Graeffe iterates at which to give up
+_LN2 = math.log(2.0)
 
 
-def _exact_abs_upper(coeffs, z: complex) -> float:
-    """Upper bound on |p(z)| with p evaluated exactly.
-
-    The float z is exactly (x + iy)/D with integers x, y and D a power of
-    two, so integer Horner gives D^n p(z), n = deg p, and |p(z)|^2 is the
-    exact rational (re^2 + im^2)/D^(2n), scaled by 4^-k (k of either sign)
-    into the float range before the root is taken.  The slack is rounding,
-    covered by one part in 1e12 and one subnormal step: a nonzero p(z) never
-    gets the bound 0.
+def _circle_count(h):
+    """Roots of h on the unit circle, with multiplicity, for h self-reciprocal
+    with h(+-1) != 0, so of even degree 2m.  Then h(z) = z^m q(z + 1/z), as
+    z^i + z^-i = D_i(z + 1/z) with D_0 = 2, D_1 = w and D_(i+1) = w D_i -
+    D_(i-1).  A root w of q in (-2, 2) of multiplicity mu gives the two roots
+    of z^2 - wz + 1, both on the circle with multiplicity mu, and Sturm's
+    theorem counts the distinct roots of each squarefree part of q there.
     """
-    x, dx = z.real.as_integer_ratio()
-    y, dy = z.imag.as_integer_ratio()
-    denom = max(dx, dy)  # both are powers of two
-    x, y = x * (denom // dx), y * (denom // dy)
-    re, im, scale = 0, 0, 1
-    for a in reversed(coeffs):
-        re, im = re * x - im * y + a * scale, re * y + im * x
-        scale *= denom
-    sq = re * re + im * im
-    if sq == 0:
-        return 0.0
-    den = (scale // denom) ** 2
-    if sq >= _SQUARE_LIMIT * den:
-        return float("inf")
-    k = (sq.bit_length() - den.bit_length()) // 2 - 510  # 2^1019 <= sq / (den 4^k) < 2^1022
-    ratio = sq / (den << 2 * k) if k >= 0 else (sq << -2 * k) / den
-    return math.ldexp(math.sqrt(ratio), k) * (1.0 + 1e-12) + 5e-324
+    m = (len(h) - 1) // 2
+    q, low, high = [h[m]] + [0] * m, [2], [0, 1]
+    for c in h[m + 1:]:
+        q[:len(high)] = [x + c * y for x, y in zip(q, high)]
+        low, high = high, [a - b for a, b in itertools.zip_longest([0] + high, low, fillvalue=0)]
+    count = 0
+    for part, mult in squarefree_decomposition(q):
+        chain = [part, poly_derivative(part)]
+        while len(chain[-1]) > 1:
+            chain.append([-x for x in poly_divmod(chain[-2], chain[-1])[1]])
+        changes = []
+        for w in (-2, 2):
+            signs = [v > 0 for v in (poly_eval(s, w) for s in chain) if v]
+            changes.append(sum(a != b for a, b in zip(signs, signs[1:])))
+        count += 2 * mult * (changes[0] - changes[1])
+    return count
 
 
-def _weierstrass_radii(coeffs, zs: list[complex]) -> list[float]:
-    """Certified per-root inclusion radii for approximations zs.
+def _circle_split(f):
+    """[(factor, its roots outside the unit circle or None)], the factors
+    multiplying to f, which has f(0) != 0 and f(+-1) != 0.  Every root of f
+    on the circle is one of h = gcd(f, f*), f* being f reversed, and the
+    other roots of h pair off as z, 1/z, one of each pair outside.  So f
+    stays whole unless h has a root on the circle; then it splits into h,
+    whose count is known, and f/h, which has no root on the circle."""
+    if _coprime_mod_prime(f, f[::-1]):
+        return [(f, None)]
+    h = poly_gcd(f, f[::-1])
+    circle = _circle_count(h)
+    if not circle:
+        return [(f, None)]
+    rest, _ = poly_divmod(f, h)
+    return [(h, (len(h) - 1 - circle) // 2)] + ([(rest, None)] if len(rest) > 1 else [])
 
-    For monic p of degree n and pairwise distinct z_k, every root lies in the
-    union of disks D(z_k, n*|W_k|) with W_k = p(z_k)/prod_{j!=k}(z_k - z_j);
-    when the disks are pairwise disjoint each contains exactly one root.
-    The numerator is evaluated exactly, the denominator deflated for float
-    rounding, and the radius inflated to keep the bound honest; a
-    denominator outside the float range (0 or inf) gives an infinite radius.
+
+def _graeffe_step(mids, rad, p):
+    """The next Graeffe iterate of the ball polynomial g = (mids +- rad) 2^e:
+    g'(x^2) = (-1)^n g(x) g(-x), whose roots are the squares of g's.  Each
+    coefficient sums at most n + 1 products, so its radius is at most
+    2 rad |mids|_1 + (n + 1) rad^2; then all are cut to p bits, rounding
+    outward.  Returns (mids, rad, shift), the new exponent being 2e + shift.
     """
-    n = len(zs)
-    try:
-        lead = float(abs(coeffs[-1]))
-    except OverflowError:  # beyond the float range
-        lead = float("inf")
-    radii = []
-    for k, z in enumerate(zs):
-        num = _exact_abs_upper(coeffs, z)
-        den = math.prod((abs(z - w) for j, w in enumerate(zs) if j != k), start=lead)
-        if not 0.0 < den < float("inf") or math.isinf(num):  # nan too, from inf * 0
-            radii.append(float("inf"))
-        else:
-            radii.append(n * num / (den * (1.0 - 1e-10)) * (1.0 + 1e-9))
-    return radii
+    n = len(mids) - 1
+    alt = [-x if i % 2 else x for i, x in enumerate(mids)]  # g(-x)
+    sign = -1 if n % 2 else 1
+    out = [sign * (alt[i] * mids[i] + 2 * sum(map(operator.mul, alt[:i][::-1], mids[i + 1:])))
+           for i in range(n + 1)]
+    rad = 2 * rad * sum(map(abs, mids)) + (n + 1) * rad * rad
+    shift = max(max(map(abs, out)).bit_length() - p, 0)
+    if shift:  # floor moves each midpoint by less than 1, the new unit
+        out, rad = [x >> shift for x in out], (rad >> shift) + 2
+    return out, rad, shift
 
 
-_WIDEN = 2.0**-50  # relative endpoint widening covering float rounding
-
-
-def _certified_moduli(coeffs) -> list[tuple[float, float]]:
-    """Intervals [lo, hi] bounding root moduli of a squarefree integer poly.
-
-    The iteration starts on the circle of radius max_k |a_(n-k)/a_n|^(1/k),
-    between half the largest root modulus (Fujiwara, Tohoku Math. J. 10
-    (1916)) and n times it.  The sweep is deterministic, so iterates back
-    at an earlier state only repeat its cycle: each state of it is tested
-    once, then the iteration gives up.  Endpoints are widened by a relative
-    2^-50 so that the rounding of the interval arithmetic itself stays
-    inside the reported bounds.
+def _expanding_sum(f, budget, count):
+    """(value, error, count): the sum of log|z| over the roots z of f with
+    |z| > 1 within error <= budget, and how many they are, counted by the
+    caller or here.  M(f) = |lead| prod max(1, |z|) is Mahler's measure, and
+    the k-th Graeffe iterate g of f has M(g) = M(f)^(2^k), bracketed by
+    max_i |g_i|/C(n, i) <= M(g) <= |g|_2 (Mahler; Landau).  Once Pellet's
+    test |g_j| > S = sum_(i != j) |g_i| holds, g has exactly j roots inside
+    the circle and none on it (Rouche), and |g_j| - S <= M(g) (Jensen's
+    formula, as |g| >= |g_j| - S on the circle).  The iterates are integer
+    balls at p bits, p doubling from 64 whenever fewer than p/2 bits of the
+    largest coefficient stay significant.  Floats enter only at the logs.
     """
-    n = poly_degree(coeffs)
-    if n == 0:
-        return []
-    if n == 1:
-        m = abs(coeffs[0]) / abs(coeffs[1])  # int division rounds correctly
-        return [(m * (1.0 - _WIDEN), m * (1.0 + _WIDEN))]
-    monic = [a / coeffs[-1] for a in coeffs]
-    radius = max(abs(a) ** (1.0 / k) for k, a in enumerate(reversed(monic[:-1]), 1))
-    zs = [radius * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
-    tested: dict[tuple, bool] = {}  # every state reached, in order: tested yet?
-
-    def certify(state):
-        tested[state] = True
-        radii = _weierstrass_radii(coeffs, state)
-        disjoint = all(abs(state[i] - state[j]) > radii[i] + radii[j]
-                       for i in range(n) for j in range(i + 1, n))
-        if disjoint and all(math.isfinite(r) for r in radii):
-            return [(max((abs(z) - r) * (1.0 - _WIDEN), 0.0), (abs(z) + r) * (1.0 + _WIDEN))
-                    for z, r in zip(state, radii)]
-        return None
-
-    for sweep in range(_MAX_NEWTON_SWEEPS):
-        # one Durand-Kerner sweep
-        moved = 0.0
-        for k in range(n):
-            z = zs[k]
-            den = 1.0 + 0.0j
-            for j in range(n):
-                if j != k:
-                    den *= z - zs[j]
-            if den == 0:
-                zs[k] = z + (1e-6 + 1e-6j) * (k + 1)
-                moved = float("inf")
-                continue
-            w = poly_eval(monic, z) / den
-            zs[k] = z - w
-            moved = max(moved, abs(w))
-        if not all(map(cmath.isfinite, zs)):
-            break  # the double-precision iteration overflowed
-        state = tuple(zs)
-        if state in tested:
-            for earlier in list(tested)[list(tested).index(state):]:
-                if not tested[earlier] and (found := certify(earlier)):
-                    return found
-            break
-        tested[state] = False
-        if moved > 1e-13 and sweep < _MAX_NEWTON_SWEEPS - 1:
-            continue
-        if found := certify(state):
-            return found
-    raise ArithmeticError("root certification failed to converge")
+    n = len(f) - 1
+    log_binom = [math.log(math.comb(n, i)) for i in range(n + 1)]
+    log_lead = math.log(abs(f[-1]))
+    p = 64
+    while count != 0 and p <= _MAX_BITS:
+        mids, rad, e = list(f), 0, 0
+        for k in range(p):
+            mags = [abs(x) for x in mids]
+            top = max(mags)
+            if rad and top.bit_length() - rad.bit_length() < p // 2:
+                break
+            j, others = mags.index(top), sum(mags) - top + n * rad
+            pellet = top - rad > others
+            if pellet:
+                count = n - j
+            if count == 0:
+                break
+            if count is not None:
+                if budget < 2.0**-48 * (log_lead + 1.0):
+                    raise ArithmeticError(f"tolerance {budget:.3e} is below the rounding of the logs")
+                lower = max(math.log(a - rad) - b for a, b in zip(mags, log_binom) if a > rad)
+                if pellet:
+                    lower = max(lower, math.log(top - rad - others))
+                upper = math.log(sum((a + rad) ** 2 for a in mags)) / 2
+                unit = e / (1 << k) * _LN2  # log(2^e) / 2^k
+                lo, hi = math.ldexp(lower, -k) + unit, math.ldexp(upper, -k) + unit
+                # 16 units in the last place of every term, for the logs and sums
+                slack = 2.0**-48 * (math.ldexp(abs(lower) + abs(upper) + n, -k)
+                                    + abs(unit) + log_lead + 1.0)
+                if (hi - lo) / 2 + slack <= budget:
+                    return (lo + hi) / 2 - log_lead, (hi - lo) / 2 + slack, count
+            mids, rad, shift = _graeffe_step(mids, rad, p)
+            e = 2 * e + shift
+        p *= 2
+    if count != 0:
+        raise ArithmeticError(f"Graeffe bracket wider than {budget:.3e} at {_MAX_BITS} bits")
+    return 0.0, 0.0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -445,24 +438,10 @@ def log_mahler(p, tol: float = DEFAULT_TOL) -> EntropyValue:
         return EntropyValue(0.0, certificate, 0, 0.0, True, False)
 
     monic = abs(rest[-1]) == 1
-    value = 0.0
-    error = 0.0
-    expanding = 0
-    factors = squarefree_decomposition(rest)
-    for q, mult in factors:
-        for lo, hi in _certified_moduli(q):
-            c_lo = math.log(lo) if lo > 1.0 else 0.0
-            c_hi = math.log(hi) if hi > 1.0 else 0.0
-            # math.log is within an ulp: widen [c_lo, c_hi] by an ulp of its
-            # larger end on both sides, which keeps the midpoint
-            slack = math.ulp(c_hi) if hi > 1.0 else 0.0
-            value += mult * (c_lo + c_hi) / 2.0
-            error += mult * ((c_hi - c_lo) / 2.0 + slack)
-            if lo > 1.0:
-                expanding += mult
-    if error > tol:
-        raise ArithmeticError(
-            f"certified error {error:.3e} exceeds the requested tolerance {tol:.3e}"
-        )
+    value, error, expanding = 0.0, 0.0, 0
+    parts = _circle_split(rest)
+    for part, count in parts:  # each to tol/8, so that sums of a few values stay within tol
+        v, err, count = _expanding_sum(part, tol / 8 / len(parts), count)
+        value, error, expanding = value + v, error + err, expanding + count
     return EntropyValue(max(value, 0.0), certificate, expanding, error, False,
                         True if monic else None)

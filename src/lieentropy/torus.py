@@ -55,10 +55,6 @@ class TorusEndo:
     def determinant(self) -> int:
         return int(det([list(r) for r in self.matrix])) if self.dim else 1
 
-    @property
-    def is_surjective(self) -> bool:
-        return self.determinant != 0
-
     def power(self, k: int) -> "TorusEndo":
         rows = mat_pow([list(r) for r in self.matrix], k)
         return TorusEndo.from_rows(rows)

@@ -15,6 +15,7 @@ from lieentropy.catalog import builtin_catalog, get_entry
 from lieentropy.errors import InputError
 from lieentropy.formats import build_group, parse_input, report_to_dict
 from lieentropy.groups import analyze, validate_endomorphism
+from lieentropy.mahler import log_mahler
 
 
 def run_cli(*args, cwd=None):
@@ -213,9 +214,8 @@ def test_cli_pipeline_abort_exit_code(tmp_path):
 
 
 def test_cli_root_certifier_overflow_exit_code(tmp_path):
-    # companion matrix of t^5 + 10^300 t^2 + 1: three roots of modulus 10^100,
-    # so the double-precision root iteration overflows (z^5 > 10^308), which
-    # is a pipeline abort (exit 2), not bad input
+    # companion matrix of t^5 + 10^300 t^2 + 1: three roots of modulus ~10^100,
+    # so z^5 leaves the float range; the entropy is 300 log 10 all the same
     coeffs = [1, 0, 10**300, 0, 0]
     companion = [["1" if j == i - 1 else "0" for j in range(4)] + [str(-coeffs[i])]
                  for i in range(5)]
@@ -225,44 +225,78 @@ def test_cli_root_certifier_overflow_exit_code(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(doc))
     result = run_cli("entropy", "--input", str(path))
-    assert result.returncode == 2
-    assert "pipeline abort" in result.stderr
+    assert result.returncode == 0, result.stderr
+    entropy = json.loads(result.stdout)["entropy"]
+    assert entropy["expanding_count"] == 3 and entropy["error_bound"] <= 1e-9
+    assert abs(entropy["value"] - 300 * math.log(10)) <= entropy["error_bound"] + 1e-12
 
 
-def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys):
-    # Mignotte's t^16 - 2(10t - 1)^2 as a companion torus: the whole group
-    # is the central torus, so its entropy value is the one that aborts
+def _numeric_documents():
+    """Documents whose log-Mahler sums once aborted, with their entropy,
+    expanding count and eigenvalue-sum bound."""
+    # Mignotte's t^16 - 2(10t - 1)^2 as a companion torus: the whole group is
+    # the central torus; its two roots near 1/10 are sqrt(2) 10^-9 apart
     mignotte = [-2, 40, -200] + [0] * 13 + [1]
     companion = [["1" if j == i - 1 else "0" for j in range(15)] + [str(-mignotte[i])]
                  for i in range(16)]
     torus = {"algebra": {"dim": 16, "brackets": []},
              "lattice": [["1" if j == i else "0" for j in range(16)] for i in range(16)],
              "endomorphism": companion}
+    # the sum over its 14 roots outside the circle, by mpmath at 60 digits
+    mignotte_value = 5.298317366548035927
     # R^11 with d = diag(2, ..., 12) and no lattice: the central torus is
-    # trivial and the entropy exactly 0, but the eigenvalue-sum bound of
-    # prod (t - j) misses the tolerance.  This pins an abort that root
-    # refinement should turn into an answer; rewrite it then.
+    # trivial, and the eigenvalue-sum bound is log 12!
     line = {"algebra": {"dim": 11, "brackets": []}, "lattice": [],
             "endomorphism": [[str(i + 2 if i == j else 0) for j in range(11)]
                              for i in range(11)]}
-    for doc, stage in ((torus, "torus_entropy"), (line, "eigenvalue_sum_bound")):
-        path = tmp_path / f"{stage}.json"
+    # R^2 with d = diag(1/(10^400 - 1), 3): the integer char poly
+    # ((10^400 - 1) t - 1)(t - 3) has a lead beyond the float range; the
+    # bound is log 3
+    tiny = {"algebra": {"dim": 2, "brackets": []}, "lattice": [],
+            "endomorphism": [[f"1/{10**400 - 1}", "0"], ["0", "3"]]}
+    return {"torus_entropy": (torus, mignotte_value, 14, mignotte_value),
+            "eigenvalue_sum_bound": (line, 0.0, 0, math.log(math.factorial(12))),
+            "tiny": (tiny, 0.0, 0, math.log(3))}
+
+
+def test_cli_numeric_inputs_are_answered(tmp_path, capsys):
+    for name, (doc, value, count, bound) in _numeric_documents().items():
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
+        for command in ("entropy", "analyze"):
+            assert cli.main([command, "--input", str(path)]) == 0, (name, command)
+            report = json.loads(capsys.readouterr().out)
+            entropy, upper = report["entropy"], report["bowen_upper_bound"]
+            assert abs(entropy["value"] - value) <= entropy["error_bound"] + 1e-12, name
+            assert entropy["expanding_count"] == count, name
+            assert abs(upper["value"] - bound) <= upper["error_bound"] + 1e-12, name
+
+
+def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys, monkeypatch):
+    # a log-Mahler sum that cannot be certified aborts with exit 2 and names
+    # the stage that asked for it: the torus entropy where the whole group is
+    # the torus, and otherwise the eigenvalue-sum bound
+    import lieentropy.groups
+    import lieentropy.torus
+
+    def refuse(p, tol):
+        if len(p) > 1:
+            raise ArithmeticError("injected")
+        return log_mahler(p, tol)
+
+    monkeypatch.setattr(lieentropy.groups, "log_mahler", refuse)
+    monkeypatch.setattr(lieentropy.torus, "log_mahler", refuse)
+    documents = _numeric_documents()
+    for key, stage in (("torus_entropy", "torus_entropy"),
+                       ("eigenvalue_sum_bound", "eigenvalue_sum_bound"),
+                       ("tiny", "eigenvalue_sum_bound")):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(documents[key][0]))
         for command in ("entropy", "analyze"):
             assert cli.main([command, "--input", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith(f"pipeline abort: stage '{stage}': ")
-    # R^2 with d = diag(1/(10^400 - 1), 3): the lead 10^400 - 1 of the integer
-    # char poly is beyond the float range, so the root certifier gives up
-    # rather than failing to convert it
-    tiny = {"algebra": {"dim": 2, "brackets": []}, "lattice": [],
-            "endomorphism": [[f"1/{10**400 - 1}", "0"], ["0", "3"]]}
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(tiny))
-    assert cli.main(["entropy", "--input", str(path)]) == 2
-    assert capsys.readouterr().err == ("pipeline abort: stage 'eigenvalue_sum_bound': "
-                                       "root certification failed to converge\n")
+            assert captured.err == f"pipeline abort: stage '{stage}': injected\n"
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

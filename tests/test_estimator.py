@@ -418,7 +418,8 @@ def test_ball_counts_are_pinned(rows, n_max, epsilon, resolution, spanning, sepa
     # even box (the same residue) each counted, so the counts above are 1
     # however the box is counted; the sizes themselves are not
     side = 2 * (resolution // 2) + 1
-    assert _ball_sizes(dynamics, resolution, resolution // 2, n_max) == [side ** len(rows)] * n_max
+    cap = resolution // 2
+    assert _ball_sizes(dynamics, resolution, cap, cap, n_max) == ([side ** len(rows)] * n_max,) * 2
 
 
 def test_grid_dynamics_takes_integral_entries_only():

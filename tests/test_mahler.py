@@ -13,8 +13,8 @@ from lieentropy.mahler import (
     _coprime_mod_prime,
     _cyclotomic_at_gate,
     _cyclotomic_candidates,
-    _exact_abs_upper,
-    _weierstrass_radii,
+    _circle_count,
+    _graeffe_step,
     cyclotomic,
     cyclotomic_factors,
     cyclotomic_part,
@@ -425,8 +425,8 @@ def test_log_mahler_zero_decided_symbolically():
 
 
 def test_log_mahler_bound_counts_the_rounding_of_log():
-    # t^5 + 10^160 t^2 + 1 has three roots of modulus ~10^(160/3), certified
-    # so tightly that the float logs of both ends of each interval are equal
+    # t^5 + 10^160 t^2 + 1 has three roots of modulus ~10^(160/3); the bound
+    # covers the rounding of the float logs, so it stays positive
     ev = log_mahler([1, 0, 10**160, 0, 0, 1])
     assert not ev.exact_zero and ev.expanding_count == 3
     assert ev.error_bound > 0.0
@@ -516,24 +516,9 @@ def test_log_mahler_matches_lapack_roots():
         checked += 1
 
 
-MIGNOTTE = [-2, 40, -200] + [0] * 13 + [1]  # t^16 - 2(10t - 1)^2
-
-
-def test_log_mahler_overflow_aborts_as_arithmetic_error():
-    # the double-precision Durand-Kerner iterates overflow on t^5 + 10^300 t^2
-    # + 1 (three roots of modulus 10^100, so z^5 leaves the float range), and
-    # Mignotte's two roots near 1/10, sqrt(2) * 10^-9 apart, cannot be
-    # separated in double precision; that is non-convergence of the
-    # certifier, not a malformed input
-    for p in ([1, 0, 10**300, 0, 0, 1], MIGNOTTE):
-        with pytest.raises(ArithmeticError, match="failed to converge"):
-            log_mahler(p)
-
-
 def test_log_mahler_certifies_large_coefficients():
-    # started on the root circle, the iteration stays in range on these; both
-    # aborted while it started on the Cauchy circle 1 + max|a_i|, and the
-    # first also needs |p(z)| beyond sqrt(float max) in its Weierstrass disks
+    # roots of modulus ~10^(160/3) and a degree-31 polynomial with a 10^20
+    # coefficient: one coefficient soon dominates the Graeffe iterates
     mpmath = pytest.importorskip("mpmath")
     for p in ([1, 0, 10**160, 0, 0, 1], [1, 10**20] + [0] * 29 + [1]):
         with mpmath.workdps(60):
@@ -542,93 +527,139 @@ def test_log_mahler_certifies_large_coefficients():
         assert abs(log_mahler(p, TOL).value - reference) <= TOL
 
 
-def test_mignotte_abort_tests_each_iterate_once(monkeypatch):
-    import lieentropy.mahler as mahler
-
-    states = []
-    original = mahler._weierstrass_radii
-
-    def counted(coeffs, zs):
-        states.append(tuple(zs))
-        return original(coeffs, zs)
-
-    monkeypatch.setattr(mahler, "_weierstrass_radii", counted)
-    with pytest.raises(ArithmeticError, match="failed to converge"):
-        log_mahler(MIGNOTTE)
-    # the iterates fall into a cycle after a few sweeps; the Cauchy start
-    # tested 399 states before giving up
-    assert len(states) == len(set(states))
-    assert len(states) <= 16
-
-
 def test_log_mahler_rejects_non_finite_tolerance():
     for tol in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="finite"):
             log_mahler([1, -3, 1], tol=tol)
 
 
-def _square_modulus(coeffs, z):
-    """|p(z)|^2 by Horner over Fraction at the rational point z."""
-    zr, zi = Fraction(z.real), Fraction(z.imag)
-    re, im = Fraction(0), Fraction(0)
-    for a in reversed(coeffs):
-        re, im = re * zr - im * zi + a, re * zi + im * zr
-    return re * re + im * im
+def test_log_mahler_answers_where_floats_overflow():
+    # t^5 + 10^300 t^2 + 1 has three roots of modulus ~10^100, so z^5 leaves
+    # the float range, and (t - 3)(t^2 - 10^310) has roots of modulus 10^155;
+    # the Graeffe iterates are integers, so neither needs a float root
+    for p, roots in (([1, 0, 10**300, 0, 0, 1], [Fraction(10**100)] * 3),
+                     (poly_mul([-3, 1], [-10**310, 0, 1]), [3, 10**155, 10**155])):
+        ev = log_mahler(p)
+        assert ev.expanding_count == 3 and 0 < ev.error_bound <= TOL
+        # the small roots of the first are ~ +-i 10^-150, and its large roots
+        # are 10^100 to a relative 10^-300
+        assert abs(ev.value - sum(math.log(r) for r in roots)) <= ev.error_bound + 1e-12
 
 
-def _exact_abs_upper_reference(coeffs, z):
-    """|p(z)| bound from the exact square: infinite from 10^600 on, and below
-    that the square root of the square scaled by 4^-k into [2^1019, 2^1022),
-    k of either sign, plus one subnormal step."""
-    sq = _square_modulus(coeffs, z)
-    if sq == 0:
-        return 0.0
-    if sq >= Fraction(10) ** 600:
-        return float("inf")
-    k = (sq.numerator.bit_length() - sq.denominator.bit_length()) // 2 - 510
-    assert 2**1019 <= sq / Fraction(4) ** k < 2**1022
-    return math.ldexp(math.sqrt(float(sq / Fraction(4) ** k)), k) * (1.0 + 1e-12) + 5e-324
+def _mignotte(a, n):
+    """t^n - 2(at - 1)^2: two roots near 1/a, about a^(-n/2) apart."""
+    return [-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1]
 
 
-def test_exact_abs_upper_matches_fraction_horner():
-    rng = random.Random(600)
-    points = [0j, 1 + 0j, -1 + 0j, 2.5 + 0j, 1e-300 + 0j, 1e-300j, -1e-300 - 1e-300j,
-              1e150 + 1e150j, -1e150 + 0.75j, 0.1 + 1e-17j, -2.5e-200 + 3e10j,
-              complex(5e-324, -1.5), 1.5 - 0.25j, -0.5 - 3j]
-    for _ in range(40):
-        def part():
-            return rng.choice((0.0, rng.uniform(-4, 4) * 10.0 ** rng.randint(-300, 150)))
-        points.append(complex(part(), part()))
-    polys = [[1, -3, 1], MIGNOTTE, [1, 0, 10**160, 0, 0, 1],
-             [7], [0, 0, 1], [3, 0, 0, -7, 2], [0, 0, 10**160]]
-    polys += [[rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 21))]
-              for _ in range(6)]
-    beyond_float_squares = 0
-    for p in polys:
-        for z in points:
-            got = _exact_abs_upper(p, z)
-            assert got == _exact_abs_upper_reference(p, z), (p, z)
-            if got < math.inf:
-                # an upper bound on |p(z)|, also where |p(z)|^2 leaves the
-                # float range at either end, and positive where p(z) != 0
-                assert Fraction(got) ** 2 >= _square_modulus(p, z), (p, z)
-                assert (got > 0) is (_square_modulus(p, z) != 0), (p, z)
-                beyond_float_squares += got > 1e155 or got < 1e-155
-    assert beyond_float_squares
-    # |z^2| underflows as a square (1e-200) and as a value (1e-600)
-    for z in (1e-100, 1e-300):
-        got = _exact_abs_upper([0, 0, 1], complex(z))
-        assert got > 0 and Fraction(got) ** 2 >= Fraction(z) ** 4
-    assert math.isclose(_exact_abs_upper([0, 0, 1], 1e-100 + 0j), 1e-200, rel_tol=1e-11)
-    assert math.isclose(_exact_abs_upper([0, 0, 10**160], 1e20 + 0j), 1e200, rel_tol=1e-11)
+def _random_monic(degree, bits):
+    rng = random.Random(1)
+    return [rng.randint(-2**bits, 2**bits) for _ in range(degree)] + [1]
 
 
-def test_weierstrass_radius_is_infinite_when_the_denominator_overflows():
-    # (t - 3)(t^2 - 10^310): the product of the distances from 3 + 1e-12 to
-    # the other approximations, 1e310, overflows; 3 + 1e-12 is 1e-12 from
-    # its root, so its radius must be at least that
-    p = poly_mul([-3, 1], [-10**310, 0, 1])
-    radii = _weierstrass_radii(p, [3 + 1e-12, 1e155, -1e155])
-    assert radii[0] >= 1e-12
-    # a lead of 10^400 is itself outside the float range
-    assert _weierstrass_radii([1, 0, 10**400], [1j, -1j]) == [math.inf, math.inf]
+def _product(factors):
+    return functools.reduce(poly_mul, factors, [1])
+
+
+# The north star's hard class: degree >= 20, ~50-bit coefficients, clustered
+# roots, coefficients beyond the float range, and roots on the unit circle.
+# Each entry: the polynomial, then mpmath's maxsteps and extraprec.
+HARD_CLASS = {
+    "mignotte-10-16": (_mignotte(10, 16), 100, 100),
+    "mignotte-100-24": (_mignotte(100, 24), 100, 100),
+    "mignotte-10-30": (_mignotte(10, 30), 100, 100),
+    "mignotte-1000-40": (_mignotte(1000, 40), 300, 60),
+    "degree-20-bits-50": (_random_monic(20, 50), 100, 100),
+    "degree-60-bits-20": (_random_monic(60, 20), 100, 100),
+    "linear-2-to-12": (_product([[-j, 1] for j in range(2, 13)]), 100, 100),
+    "beyond-floats": (poly_mul([-3, 1], [-10**310, 0, 1]), 500, 600),
+    "float-overflow": ([1, 0, 10**300, 0, 0, 1], 500, 600),
+    "lehmer": (LEHMER, 100, 100),
+    "circle-2-3-2": ([2, 3, 2], 100, 100),
+    "circle-5-6-5": ([5, -6, 5], 100, 100),
+}
+
+
+@pytest.mark.parametrize("name", HARD_CLASS)
+def test_hard_class_matches_mpmath(name):
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    p, maxsteps, extraprec = HARD_CLASS[name]
+    ev = log_mahler(p, TOL)
+    assert ev.error_bound <= TOL
+    # LAPACK's roots start mpmath's iteration where the coefficients are
+    # small enough for them to be good
+    start = np.roots([float(c) for c in p[::-1]]) if max(map(abs, p)) < 2**64 else None
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(p[::-1], maxsteps=maxsteps, extraprec=extraprec,
+                                 roots_init=None if start is None else list(map(complex, start)))
+        # roots on the circle come back within 10^-60 of it
+        outside = [z for z in roots if abs(z) > 1 + mpmath.mpf(10) ** -40]
+        assert abs(ev.value - sum(mpmath.log(abs(z)) for z in outside)) <= ev.error_bound
+    assert ev.expanding_count == len(outside)
+
+
+def _graeffe_reference(g):
+    """(-1)^n g(x) g(-x) at x^(2i), exactly."""
+    n = len(g) - 1
+    full = poly_mul(g, [-c if i % 2 else c for i, c in enumerate(g)])
+    return [(-1) ** n * full[2 * i] for i in range(n + 1)]
+
+
+def test_graeffe_balls_hold_the_exact_iterates():
+    # at 24 bits the cut starts at once; every coefficient of each exact
+    # iterate lies in its ball (mid +- rad) 2^e
+    for p in ([-2, 1], [1, -3, 1], LEHMER, _mignotte(10, 16), [7, -5, 0, 3, -2],
+              _random_monic(8, 30)):
+        exact, (mids, rad, e) = p, (p, 0, 0)
+        for _ in range(12):
+            exact = _graeffe_reference(exact)
+            mids, rad, shift = _graeffe_step(mids, rad, 24)
+            e = 2 * e + shift
+            assert all(abs(x - (m << e)) <= rad << e for x, m in zip(exact, mids)), p
+            assert max(map(abs, mids)).bit_length() <= 24 or rad == 0
+
+
+def test_circle_count_with_multiplicity():
+    # Lehmer's polynomial has 8 roots on the circle and a pair r, 1/r; the
+    # quadratics 2t^2 + 3t + 2 and 5t^2 - 6t + 5 have both roots on it
+    assert _circle_count(LEHMER) == 8
+    assert _circle_count([2, 3, 2]) == _circle_count([5, -6, 5]) == 2
+    assert _circle_count([1, -3, 1]) == 0
+    assert _circle_count(_product([[2, 3, 2], [2, 3, 2], [1, -3, 1], [5, -6, 5]])) == 6
+    assert _circle_count(_product([LEHMER, LEHMER, [1, -3, 1]])) == 16
+
+
+def test_pellet_test_is_strict():
+    # (t - 2)(t - 3) = t^2 - 5t + 6 has |6| = 1 + 5: the test passes from the
+    # first Graeffe iterate on, where Jensen's bound is positive
+    ev = log_mahler([6, -5, 1])
+    assert ev.expanding_count == 2 and abs(ev.value - math.log(6)) <= ev.error_bound <= TOL
+
+
+def test_expanding_count_zero_gives_an_exact_value():
+    # every root in the closed unit disc: the value is exactly 0, though the
+    # polynomial is not cyclotomic
+    for p in ([1, 2], [2, 3, 2], [1, 2, 3], poly_mul([5, -6, 5], [1, 0, 3])):
+        ev = log_mahler(p)
+        assert (ev.value, ev.error_bound, ev.expanding_count) == (0.0, 0.0, 0), p
+        assert not ev.exact_zero and ev.exact_positive is None
+
+
+def test_bracket_holds_at_coarse_tolerances():
+    # a coarse tol stops the iteration after a step or two, while the
+    # coefficient bounds are still far from tight; roots a/b, some of them
+    # times 2t^2 + 3t + 2 with its two roots on the circle
+    rng = random.Random(5)
+    for _ in range(60):
+        roots = {Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 4))} - {1, -1}
+        p = _product([[-r.numerator, r.denominator] for r in roots]
+                     + [[2, 3, 2]] * rng.randint(0, 1))
+        if poly_degree(p) < 1:
+            continue
+        outside = [r for r in roots if abs(r) > 1]
+        truth = sum(math.log(abs(r)) for r in outside)
+        for tol in (1.0, 0.1, 1e-3, 1e-6):
+            ev = log_mahler(p, tol)
+            assert abs(ev.value - truth) <= ev.error_bound + 1e-12, (p, tol)
+            assert ev.error_bound <= tol and ev.expanding_count == len(outside), (p, tol)
