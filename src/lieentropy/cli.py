@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: validate, entropy, analyze, estimate, catalog.  Exit codes
-distinguish what went wrong: 0 success, 1 input or validation failure,
-2 pipeline abort (input outside the supported class or a violated internal
-invariant, or `estimate` on a valid group with a trivial central torus).
+distinguish what went wrong: 0 success, 1 input, validation, parameter or
+usage error, 2 pipeline abort (input outside the supported class, a violated
+internal invariant, any other error raised inside a stage, such as a
+`DomainError`, or `estimate` on a valid group with a trivial central torus).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import sys
 
 from . import catalog as catalog_mod
-from .errors import InputError, PipelineError, ValidationError
-from .estimator import GridDynamics, _auto_resolution, spanning_entropy_estimate
+from .errors import InputError, ParameterError, PipelineError, ValidationError
+from .estimator import _auto_resolution, spanning_entropy_estimate
 from .formats import (
     build_group,
     estimate_to_csv,
@@ -152,11 +153,10 @@ def _cmd_estimate(args) -> int:
     action = report.torus.action
     if action.dim == 0:
         raise PipelineError("estimate", "the central torus is trivial; nothing to estimate")
-    dynamics = GridDynamics.from_torus(action)
     resolution = args.resolution
     if resolution is None:
-        resolution = _auto_resolution(dynamics, args.n_max, args.epsilon, report.entropy.value)
-    estimate = spanning_entropy_estimate(dynamics, args.n_max, args.epsilon, resolution)
+        resolution = _auto_resolution(action, args.n_max, args.epsilon, report.entropy.value)
+    estimate = spanning_entropy_estimate(action, args.n_max, args.epsilon, resolution)
     if args.format == "csv":
         _emit(estimate_to_csv(estimate), args)
     else:
@@ -201,10 +201,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:  # input, validation, parameter, and domain errors
+    except (InputError, ValidationError, ParameterError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (PipelineError, ArithmeticError) as exc:
+    except (PipelineError, ArithmeticError, ValueError) as exc:  # any other ValueError is internal
         print(f"pipeline abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
 

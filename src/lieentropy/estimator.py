@@ -1,7 +1,9 @@
 """Spanning-set entropy estimation and Li-Yorke pair search on tori.
 
 This is the falsification oracle for the exact pipeline: it can refute an
-exact entropy value at desk scale but never certify one.  Dynamics are run
+exact entropy value at desk scale but never certify one.  It runs the
+pipeline's `torus.TorusEndo` (also named `GridDynamics`); each entry point
+first refuses dimensions outside 1..3 with `ParameterError`.  Dynamics run
 on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
 floats appear only when distances are compared against epsilon.  Half of
@@ -28,47 +30,20 @@ the upper volume count over the last half of the time range.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
-from .exactlinalg import exact
+from .errors import DomainError, ParameterError
 from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_BALL_CELLS = 5 * 10**7
 _ORBIT_BLOCK = 256  # steps of the pair orbits held at once; a power of two
 
 
-@dataclass(frozen=True)
-class GridDynamics:
-    """Integer matrix acting on the rational grid of a torus of dim <= 3."""
-
-    dim: int
-    matrix: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_rows(rows) -> "GridDynamics":
-        try:  # index() takes the ints and refuses the Fractions exact() leaves
-            rows = [[operator.index(exact(x)) for x in r] for r in rows]
-        except (TypeError, ValueError, ArithmeticError):
-            raise DomainError("grid dynamics needs an integer matrix") from None
-        dim = len(rows)
-        if dim == 0 or any(len(r) != dim for r in rows):
-            raise DimensionError("grid dynamics needs a nonempty square integer matrix")
-        if dim > 3:
-            raise ParameterError("grid estimation is limited to tori of dimension <= 3")
-        return GridDynamics(dim, tuple(tuple(r) for r in rows))
-
-    @staticmethod
-    def from_torus(endo: TorusEndo) -> "GridDynamics":
-        return GridDynamics.from_rows([list(r) for r in endo.matrix])
-
-    def torus_endo(self) -> TorusEndo:
-        return TorusEndo.from_rows([list(r) for r in self.matrix])
+GridDynamics = TorusEndo  # a public name, kept for the callers that use it
 
 
 @dataclass(frozen=True)
@@ -83,7 +58,7 @@ class SpanningEstimate:
     slope_band: tuple[float, float]
 
 
-def _ball_sizes(dynamics: GridDynamics, resolution: int, inner: int, outer: int,
+def _ball_sizes(dynamics: TorusEndo, resolution: int, inner: int, outer: int,
                 n_max: int) -> tuple[list[int], list[int]]:
     """(|D_n(inner)|, |D_n(outer)|) for n = 1..n_max, inner <= outer <= R//2,
     in one pass over the outer box, as D_n(inner) lies in D_n(outer).  D_n is
@@ -117,7 +92,7 @@ def _ball_sizes(dynamics: GridDynamics, resolution: int, inner: int, outer: int,
     return small, large
 
 
-def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float,
+def spanning_entropy_estimate(dynamics: TorusEndo, n_max: int, epsilon: float,
                               resolution: int) -> SpanningEstimate:
     """Bracket the spanning-set growth of the dynamics under the Bowen metric.
 
@@ -131,7 +106,7 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
     The fitted slope uses the upper counts over the last half of the time
     range; the band is two standard errors of the fit.
     """
-    _check_parameters(n_max, epsilon)
+    _check_parameters(dynamics, n_max, epsilon)
     if resolution <= 4 / epsilon:
         raise ParameterError("resolution too coarse: need resolution > 4/epsilon")
     largest = max(abs(x) for row in dynamics.matrix for x in row)
@@ -150,7 +125,14 @@ def spanning_entropy_estimate(dynamics: GridDynamics, n_max: int, epsilon: float
         slope, stderr, (slope - 2 * stderr, slope + 2 * stderr))
 
 
-def _check_parameters(n_max: int, epsilon: float) -> None:
+def _check_dim(endo: TorusEndo) -> None:
+    if not 1 <= endo.dim <= 3:  # the CLI's message for dim > 3
+        raise ParameterError("grid estimation is limited to tori of dimension <= 3" if endo.dim
+                             else "grid estimation needs a torus of positive dimension")
+
+
+def _check_parameters(dynamics: TorusEndo, n_max: int, epsilon: float) -> None:
+    _check_dim(dynamics)
     if n_max < 2:
         raise ParameterError("n_max must be at least 2")
     if not 0 < epsilon < 0.5:
@@ -188,27 +170,27 @@ class BundleInequalityReport:
     exact_base: float
 
 
-def bundle_inequality_check(total: GridDynamics, base: GridDynamics, fiber: TorusEndo,
+def bundle_inequality_check(total: TorusEndo, base: TorusEndo, fiber: TorusEndo,
                             n_max: int = 6, epsilon: float = 0.05,
                             resolution: int | None = None) -> BundleInequalityReport:
     """Numerical check of entropy(total) <= entropy(base) + entropy(fiber)
     for a torus bundle: the total matrix must be block-triangular with the
     base block on top, zero upper-right block, and the fiber action below.
     """
+    _check_dim(total)
+    _check_dim(base)
     a, b = base.dim, fiber.dim
     if total.dim != a + b:
         raise DomainError("total dimension must be base dim + fiber dim")
-    mat = total.matrix
-    for i in range(a):
-        for j in range(a, a + b):
-            if mat[i][j] != 0:
-                raise DomainError("total matrix is not block-triangular over the base")
-    if any(mat[i][j] != base.matrix[i][j] for i in range(a) for j in range(a)):
+    top, bottom = total.matrix[:a], total.matrix[a:]
+    if any(row[a:] != (0,) * b for row in top):
+        raise DomainError("total matrix is not block-triangular over the base")
+    if tuple(row[:a] for row in top) != base.matrix:
         raise DomainError("top-left block differs from the base matrix")
-    if any(mat[a + i][a + j] != fiber.matrix[i][j] for i in range(b) for j in range(b)):
+    if tuple(row[a:] for row in bottom) != fiber.matrix:
         raise DomainError("bottom-right block differs from the fiber matrix")
 
-    exact_total = exact_entropy(total.torus_endo()).value
+    exact_total = exact_entropy(total).value
     if resolution is None:
         resolution = _auto_resolution(total, n_max, epsilon, exact_total)
     total_est = spanning_entropy_estimate(total, n_max, epsilon, resolution)
@@ -226,7 +208,7 @@ def bundle_inequality_check(total: GridDynamics, base: GridDynamics, fiber: Toru
         slack=slack,
         passes=passes,
         exact_total=exact_total,
-        exact_base=exact_entropy(base.torus_endo()).value,
+        exact_base=exact_entropy(base).value,
     )
 
 
@@ -234,11 +216,11 @@ def _grid_cap_for_dim(dim: int) -> int:
     return {1: 1 << 22, 2: 1 << 12, 3: 1 << 8}[dim]
 
 
-def _auto_resolution(dynamics: GridDynamics, n_max: int, epsilon: float, h: float) -> int:
+def _auto_resolution(dynamics: TorusEndo, n_max: int, epsilon: float, h: float) -> int:
     """Power-of-two resolution keeping the deepest Bowen ball a few cells
     wide at exact entropy h, capped by memory; saturated counts flatten the
     fitted slope, so explicit resolutions are preferable for sharp checks."""
-    _check_parameters(n_max, epsilon)
+    _check_parameters(dynamics, n_max, epsilon)
     cap, r = _grid_cap_for_dim(dynamics.dim), 1
     # a target past the cap is found in the log domain, where no horizon overflows
     if (math.log(8.0) + h * (n_max - 1)) / dynamics.dim > math.log(2 * epsilon * cap):
@@ -267,7 +249,7 @@ class PairCandidate:
     limsup_estimate: float
 
 
-def li_yorke_search(dynamics: GridDynamics, horizon: int = 64, pair_budget: int = 64,
+def li_yorke_search(dynamics: TorusEndo, horizon: int = 64, pair_budget: int = 64,
                     denominator: int = 4096, eps_low: float = 1e-4,
                     eps_high: float = 0.25, seed: int = 0) -> list[PairCandidate]:
     """Sample rational pairs and track their orbit distances exactly.
@@ -282,6 +264,7 @@ def li_yorke_search(dynamics: GridDynamics, horizon: int = 64, pair_budget: int 
     so memory is bounded for any horizon: int64 while dim*(q-1)^2 < 2^62,
     `object` beyond.
     """
+    _check_dim(dynamics)
     if horizon <= 0 or pair_budget <= 0:
         raise ParameterError("horizon and pair budget must be positive")
     if denominator < 2:

@@ -199,12 +199,9 @@ def solve(m, rhs) -> Vec | None:
     ncols = len(m[0]) if m else 0
     aug = [[*row, b] for row, b in zip(m, rhs)]
     red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
     x = [0] * ncols
     for r, p in enumerate(pivots):
-        if p == ncols:
+        if p == ncols:  # the row 0 = 1: inconsistent
             return None
         x[p] = red[r][ncols]
     return tuple(x)

@@ -182,25 +182,21 @@ def entropy_value_to_dict(value: EntropyValue) -> dict:
     }
 
 
-def subspace_to_dict(space: Subspace) -> dict:
-    return {"ambient_dim": space.ambient_dim, "basis": _vectors(space.basis)}
+def span_to_dict(span: Subspace | Lattice) -> dict:
+    return {"ambient_dim": span.ambient_dim, "basis": _vectors(span.basis)}
 
 
-def lattice_to_dict(lattice: Lattice) -> dict:
-    return {"ambient_dim": lattice.ambient_dim, "basis": _vectors(lattice.basis)}
-
-
-def torus_endo_to_dict(endo: TorusEndo) -> dict:
+def action_to_dict(endo: TorusEndo) -> dict:
     return {"dim": endo.dim, "matrix": [list(r) for r in endo.matrix]}
 
 
 def central_torus_to_dict(torus: CentralTorus) -> dict:
     out = {
-        "lattice": lattice_to_dict(torus.lattice),
-        "subspace": subspace_to_dict(torus.subspace),
+        "lattice": span_to_dict(torus.lattice),
+        "subspace": span_to_dict(torus.subspace),
     }
     if torus.action is not None:
-        out["action"] = torus_endo_to_dict(torus.action)
+        out["action"] = action_to_dict(torus.action)
     return out
 
 
@@ -216,7 +212,7 @@ def toral_order_to_dict(check: ToralOrderCheck) -> dict:
     return {
         "order": check.order,
         "torus_dim": check.torus_dim,
-        "action": torus_endo_to_dict(check.action),
+        "action": action_to_dict(check.action),
     }
 
 
@@ -227,9 +223,9 @@ def report_to_dict(report: AnalysisReport, document: InputDocument | None = None
         "entropy": entropy_value_to_dict(report.entropy),
         "bowen_upper_bound": entropy_value_to_dict(report.bowen_upper_bound),
         "stages": {
-            "eventual_image": subspace_to_dict(report.eventual_image),
-            "lattice_in_image": lattice_to_dict(report.lattice_in_image),
-            "center_of_image": subspace_to_dict(report.center_of_image),
+            "eventual_image": span_to_dict(report.eventual_image),
+            "lattice_in_image": span_to_dict(report.lattice_in_image),
+            "center_of_image": span_to_dict(report.center_of_image),
             "central_torus": central_torus_to_dict(report.torus),
         },
         "validations": list(report.validations),

@@ -233,20 +233,17 @@ class GroupEndomorphism:
     group: PresentedGroup
     d_phi: tuple[tuple[Fraction, ...], ...]
 
-    def d_phi_matrix(self) -> list[list[Fraction]]:
-        return [list(row) for row in self.d_phi]
-
     @cached_property
     def characteristic_polynomial(self) -> list:
         """char(d) = det(tI - d), ascending, computed once per endomorphism."""
-        return char_poly(self.d_phi_matrix())
+        return char_poly(self.d_phi)
 
     @property
     def surjective_on_identity_component(self) -> bool:  # char(d)(0) = +-det d
         return self.characteristic_polynomial[0] != 0
 
     def power(self, k: int) -> "GroupEndomorphism":
-        return validate_endomorphism(self.group, mat_pow(self.d_phi_matrix(), k))
+        return validate_endomorphism(self.group, mat_pow(self.d_phi, k))
 
 
 def _exp_ad(algebra, u, v):
@@ -273,11 +270,10 @@ def _conjugate_correction(algebra, nil_space, v, target):
     if all(x == 0 for x in v):
         return None
     dim = algebra.dim
-    nil_basis = [list(b) for b in nil_space.basis]
-    if not nil_basis:
+    if not nil_space.basis:
         return None
-    matrix = transpose([algebra.bracket(b, v) for b in nil_basis])
-    nil_columns = transpose(nil_basis)
+    matrix = transpose([algebra.bracket(b, v) for b in nil_space.basis])
+    nil_columns = transpose(nil_space.basis)
     u = [0] * dim
     for _ in range(dim + 1):
         current = _exp_ad(algebra, u, v)
@@ -305,7 +301,7 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
     exp of the image an inner conjugate of the central element exp(2 pi v_i)
     and hence again a lattice element.
     """
-    d = [[exact(x) for x in row] for row in derivative]
+    d = tuple(tuple(exact(x) for x in row) for row in derivative)
     algebra, n = group.algebra, group.algebra.dim
     if len(d) != n or any(len(row) != n for row in d):
         raise DimensionError(f"derivative must be {n}x{n}")
@@ -329,7 +325,7 @@ def validate_endomorphism(group: PresentedGroup, derivative) -> GroupEndomorphis
             raise ValidationError(
                 f"lattice not preserved: image of generator {i} is not a lattice point "
                 "and admits no certified conjugation back into the lattice")
-    return GroupEndomorphism(group, tuple(tuple(row) for row in d))
+    return GroupEndomorphism(group, d)
 
 
 def _conjugates_into_lattice(group: PresentedGroup, image) -> bool:
@@ -370,7 +366,7 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     a = next(k for k, c in enumerate(endo.characteristic_polynomial) if c)
     if not a:
         return Subspace.full(group.dim)
-    image = Subspace.from_vectors(group.dim, transpose(mat_pow(endo.d_phi_matrix(), a)))
+    image = Subspace.from_vectors(group.dim, transpose(mat_pow(endo.d_phi, a)))
     if not is_subalgebra(group.algebra, image):
         raise InvariantViolationError(
             "eventual_image", "stabilized image is not closed under the bracket")
@@ -454,7 +450,7 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
         z_phi = centralizer_in(group.algebra, g_phi)
         lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
-        action = restrict_matrix_to_lattice(endo.d_phi_matrix(), lam_phi)
+        action = restrict_matrix_to_lattice(endo.d_phi, lam_phi)
     except ValidationError as exc:
         raise PipelineError("restrict_action", str(exc)) from exc
     torus = CentralTorus(lam_phi, lam_phi.span(), action)
@@ -567,7 +563,7 @@ def check_toral_induced_finite_order(group: PresentedGroup,
             "precondition failed: nilradical is not simply-connected "
             "(the lattice meets the nilradical)")
     nil = group.nilradical
-    d = endo.d_phi_matrix()
+    d = endo.d_phi
     for v in nil.space.basis:
         if not nil.space.contains(mat_vec(d, v)):
             raise InvariantViolationError(

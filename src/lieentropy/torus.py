@@ -1,23 +1,27 @@
 """Exact dynamics of torus endomorphisms given by integer matrices.
 
 A torus endomorphism is the action of an integer matrix on R^n/Z^n through
-its lattice of periods.  Entropy is the log-Mahler sum of the characteristic
-polynomial; finite order and positivity of the entropy are decided
-symbolically through cyclotomic factors, never by float comparison.  The
-Li-Yorke verdict built on positivity is `groups.li_yorke_report`'s.
+its lattice of periods; `TorusEndo`, its one type, is what the exact pipeline
+certifies and the estimator runs, with each entry read as
+`operator.index(exactlinalg.exact(x))`.  Entropy is the log-Mahler sum of
+the characteristic polynomial; finite order and positivity of the entropy
+are decided symbolically through cyclotomic factors, never by float
+comparison.  The Li-Yorke verdict built on positivity is
+`groups.li_yorke_report`'s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 from .exactlinalg import (
     Lattice,
     char_poly,
     det,
+    exact,
     identity_matrix,
     mat_pow,
     mat_vec,
@@ -41,26 +45,23 @@ class TorusEndo:
 
     @staticmethod
     def from_rows(rows) -> "TorusEndo":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        for r in rows:
-            if len(r) != n:
-                raise DimensionError("torus endomorphism matrix must be square")
-            for x in r:
-                if Fraction(x).denominator != 1:
-                    raise ValidationError("torus endomorphism matrix must be integral")
-        return TorusEndo(n, tuple(tuple(int(x) for x in r) for r in rows))
+        try:  # index() takes the ints and refuses the Fractions exact() leaves
+            matrix = tuple(tuple(operator.index(exact(x)) for x in r) for r in rows)
+        except (TypeError, ValueError, ArithmeticError):
+            raise DomainError("torus endomorphism matrix must be integral") from None
+        if any(len(r) != len(matrix) for r in matrix):
+            raise DimensionError("torus endomorphism matrix must be square")
+        return TorusEndo(len(matrix), matrix)
 
     @property
     def determinant(self) -> int:
-        return int(det([list(r) for r in self.matrix])) if self.dim else 1
+        return int(det(self.matrix))
 
     def power(self, k: int) -> "TorusEndo":
-        rows = mat_pow([list(r) for r in self.matrix], k)
-        return TorusEndo.from_rows(rows)
+        return TorusEndo.from_rows(mat_pow(self.matrix, k))
 
     def char_poly(self) -> list[int]:
-        return [int(c) for c in char_poly([list(r) for r in self.matrix])]
+        return char_poly(self.matrix)
 
 
 def entropy(endo: TorusEndo, tol: float = DEFAULT_TOL) -> EntropyValue:
@@ -89,8 +90,7 @@ def finite_order(endo: TorusEndo) -> int | None:
     if poly_degree(rest) >= 1:
         return None
     order = math.lcm(*[m for m, _ in indices])
-    mat = [list(r) for r in endo.matrix]
-    return order if mat_pow(mat, order) == identity_matrix(endo.dim) else None
+    return order if mat_pow(endo.matrix, order) == identity_matrix(endo.dim) else None
 
 
 LI_YORKE_ALL_POWERS = "li_yorke_all_powers"

@@ -2,6 +2,9 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -27,3 +30,17 @@ def test_every_traced_function_resolves():
                 assert attr in vars(getattr(module, owner)), f"{layer}.{entry}"
             else:
                 assert callable(getattr(module, attr, None)), f"{layer}.{entry}"
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # benchmarks/run.py imports lieentropy.cli alone and then reads the
+    # catalog, groups and estimator modules from sys.modules, and the tracer
+    # reads each wrapped layer's module there: a layer the CLI imported
+    # lazily would fail every benchmark set-up with KeyError
+    layers = sorted(set(_wrapped()) | {"catalog", "groups", "estimator"})
+    code = ("import sys, lieentropy.cli\n"
+            f"print([m for m in {layers!r} if 'lieentropy.' + m not in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

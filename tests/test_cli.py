@@ -12,7 +12,7 @@ import pytest
 
 from lieentropy import cli
 from lieentropy.catalog import builtin_catalog, get_entry
-from lieentropy.errors import InputError
+from lieentropy.errors import DimensionError, DomainError, InputError
 from lieentropy.formats import build_group, parse_input, report_to_dict
 from lieentropy.groups import analyze, validate_endomorphism
 from lieentropy.mahler import log_mahler
@@ -297,6 +297,26 @@ def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys, monkeypatch):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"pipeline abort: stage '{stage}': injected\n"
+
+
+@pytest.mark.parametrize("error", [DomainError, DimensionError])
+def test_cli_internal_value_errors_are_pipeline_aborts(error, monkeypatch, capsys):
+    # the parser checks shapes, indices and tol, so a DomainError or
+    # DimensionError raised inside a stage is the program's failure, not
+    # the input's: exit 2
+    import lieentropy.groups
+
+    def refuse(p, tol):
+        raise error("injected")
+
+    # a parameter error stays exit 1, as do input and validation errors
+    assert cli.main(["estimate", "--catalog", "cat-map", "--n-max", "1"]) == 1
+    assert capsys.readouterr().err == "invalid input: n_max must be at least 2\n"
+    monkeypatch.setattr(lieentropy.groups, "log_mahler", refuse)
+    for command in ("entropy", "analyze", "estimate"):
+        assert cli.main([command, "--catalog", "cat-map"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "pipeline abort: injected\n")
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])

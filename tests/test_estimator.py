@@ -9,6 +9,7 @@ from lieentropy.errors import DomainError, ParameterError
 from lieentropy.estimator import (
     _ORBIT_BLOCK,
     GridDynamics,
+    _auto_resolution,
     _ball_sizes,
     bundle_inequality_check,
     li_yorke_search,
@@ -155,8 +156,9 @@ def test_parameter_errors():
         spanning_entropy_estimate(g, n_max=1, epsilon=0.01, resolution=4096)
     with pytest.raises(ParameterError):
         spanning_entropy_estimate(g, n_max=6, epsilon=0.9, resolution=4096)
-    with pytest.raises(ParameterError):
-        GridDynamics.from_rows([[1, 0, 0, 0]] + [[0] * 4] * 3)
+    with pytest.raises(ParameterError, match="dimension <= 3"):
+        spanning_entropy_estimate(GridDynamics.from_rows([[1, 0, 0, 0]] + [[0] * 4] * 3),
+                                  n_max=6, epsilon=0.01, resolution=4096)
 
 
 def test_slope_band_contains_slope():
@@ -423,9 +425,32 @@ def test_ball_counts_are_pinned(rows, n_max, epsilon, resolution, spanning, sepa
 
 
 def test_grid_dynamics_takes_integral_entries_only():
+    # one integer torus map: the estimator's name is the pipeline's class,
+    # under its integrality rule (spelled out in test_torus)
+    assert GridDynamics is TorusEndo
     dynamics = GridDynamics.from_rows([[2.0, Fraction(4, 2)], ["6/3", np.int64(-1)]])
     assert dynamics.matrix == ((2, 2), (2, -1))
     assert all(type(x) is int for row in dynamics.matrix for x in row)
     for bad in (2.5, Fraction(5, 2), "1/3", float("nan"), float("inf"), None):
-        with pytest.raises(DomainError, match="grid dynamics needs an integer matrix"):
+        with pytest.raises(DomainError, match="torus endomorphism matrix must be integral"):
             GridDynamics.from_rows([[bad]])
+
+
+@pytest.mark.parametrize("dim", [0, 4])
+def test_every_entry_point_refuses_dims_outside_one_to_three(dim):
+    # the check comes first: each call below is also wrong in another way,
+    # and the dimension is what is reported
+    endo = TorusEndo.from_rows([[int(i == j) for j in range(dim)] for i in range(dim)])
+    message = "dimension <= 3" if dim else "positive dimension"
+    one = TorusEndo.from_rows([[2]])
+    calls = [
+        lambda: spanning_entropy_estimate(endo, n_max=1, epsilon=0.9, resolution=1),
+        lambda: _auto_resolution(endo, 1, 0.9, 0.0),
+        lambda: li_yorke_search(endo, horizon=0, denominator=1),
+        # the total and the base are both run on grids
+        lambda: bundle_inequality_check(endo, one, one, n_max=1),
+        lambda: bundle_inequality_check(TorusEndo.from_rows([[2]]), endo, one, n_max=1),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=message):
+            call()

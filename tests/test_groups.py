@@ -153,7 +153,7 @@ def test_compact_spectrum_certificate_peels_distinct_squares():
 def test_validate_endomorphism_examples():
     cstar = abelian_group(2, [(0, 1)], "Cstar")
     endo = validate_endomorphism(cstar, [[2, 0], [0, 2]])
-    assert restrict_matrix_to_lattice(endo.d_phi_matrix(), cstar.lattice).matrix == ((2,),)
+    assert restrict_matrix_to_lattice(endo.d_phi, cstar.lattice).matrix == ((2,),)
     assert endo.surjective_on_identity_component
 
     with pytest.raises(ValidationError) as caught:
@@ -164,7 +164,7 @@ def test_validate_endomorphism_examples():
 
     e2 = e2_group()
     ident = validate_endomorphism(e2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert restrict_matrix_to_lattice(ident.d_phi_matrix(), e2.lattice).matrix == ((1,),)
+    assert restrict_matrix_to_lattice(ident.d_phi, e2.lattice).matrix == ((1,),)
 
 
 def test_validate_endomorphism_bracket_compat():
@@ -239,7 +239,7 @@ def test_bracket_check_applies_no_matrix_to_the_basis(monkeypatch):
     endo = validate_endomorphism(group, matrix)
     assert len(calls) <= 12  # one per lattice generator
     monkeypatch.undo()
-    action = restrict_matrix_to_lattice(endo.d_phi_matrix(), group.lattice)
+    action = restrict_matrix_to_lattice(endo.d_phi, group.lattice)
     assert action.matrix == tuple(tuple(row) for row in matrix)
 
 
@@ -474,7 +474,7 @@ def test_endomorphism_respects_brackets_for_valid_family():
     assert endo.surjective_on_identity_component
     # d(H) = -H + X/2 + 3Y is no lattice point: a certified conjugation
     # carries it back to -H
-    assert not group.lattice.contains(mat_vec(endo.d_phi_matrix(), group.lattice_logs[0]))
+    assert not group.lattice.contains(mat_vec(endo.d_phi, group.lattice_logs[0]))
 
 
 # --- eventual image ------------------------------------------------------------
@@ -503,7 +503,7 @@ def test_eventual_image_stabilizes():
 
 def _iterated_image(group, endo):
     """d^k(g) for k = 0, 1, ... until d keeps the dimension."""
-    d, image = endo.d_phi_matrix(), Subspace.full(group.algebra.dim)
+    d, image = endo.d_phi, Subspace.full(group.algebra.dim)
     while True:
         mapped = Subspace.from_vectors(image.ambient_dim, [mat_vec(d, v) for v in image.basis])
         if mapped.dim == image.dim:

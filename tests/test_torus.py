@@ -1,9 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lieentropy.errors import ValidationError
+from lieentropy.errors import DimensionError, DomainError, ValidationError
 from lieentropy.exactlinalg import (
     Lattice,
     companion_matrix,
@@ -30,6 +32,34 @@ def T(rows):
 
 def rand_matrix(rng, n, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+# --- construction ------------------------------------------------------------
+
+def test_from_rows_reads_integral_entries_by_one_rule():
+    # exactlinalg.exact, then operator.index: any spelling of an integer is
+    # stored as an int; every other entry is one DomainError
+    endo = T([[2.0, Fraction(4, 2)], ["6/3", np.int64(-1)]])
+    assert endo.matrix == ((2, 2), (2, -1))
+    assert all(type(x) is int for row in endo.matrix for x in row)
+    for bad in (2.5, Fraction(5, 2), "1/3", "two", float("nan"), float("inf"), None):
+        with pytest.raises(DomainError, match="torus endomorphism matrix must be integral"):
+            T([[bad]])
+    for ragged in ([[1, 2]], [[1, 0], [0]], [[1], [2]]):
+        with pytest.raises(DimensionError, match="torus endomorphism matrix must be square"):
+            T(ragged)
+
+
+def test_matrix_invariants_read_the_stored_rows():
+    cat = T([[2, 1], [1, 1]])
+    assert type(cat.determinant) is int and cat.determinant == 1
+    assert cat.char_poly() == [1, -3, 1]
+    assert all(type(c) is int for c in cat.char_poly())
+    assert cat.power(3).matrix == ((13, 8), (8, 5))
+    assert cat.power(0).matrix == ((1, 0), (0, 1))
+    empty = T([])
+    assert (empty.dim, empty.matrix, empty.determinant, empty.char_poly()) == (0, (), 1, [1])
+    assert finite_order(empty) == 1 and finite_order(T([[0, -1], [1, 0]])) == 4
 
 
 # --- entropy -----------------------------------------------------------------
