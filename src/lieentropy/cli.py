@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: validate, entropy, analyze, estimate, catalog.  Exit codes
-distinguish what went wrong: 0 success, 1 input, validation, parameter or
-usage error, 2 pipeline abort (input outside the supported class, a violated
-internal invariant, any other error raised inside a stage, such as a
-`DomainError`, or `estimate` on a valid group with a trivial central torus).
+Subcommands: validate, entropy and analyze (one report handler), estimate,
+catalog.  Exit codes distinguish what went wrong: 0 success, 1 input,
+validation, parameter or usage error, 2 pipeline abort (input outside the
+supported class, a violated internal invariant, any other error raised
+inside a stage, such as a `DomainError`, or `estimate` on a valid group
+whose central torus has dimension 0 or above 3).
 """
 
 from __future__ import annotations
@@ -124,35 +125,27 @@ def _cmd_validate(args) -> int:
 
 
 def _validated(args):
-    """The document, its validated group and endomorphism, and the entropy
-    tolerance: the document's `options.tol`, else `--tol`."""
+    """The document, its validated endomorphism, and the entropy tolerance:
+    the document's `options.tol`, else `--tol`."""
     document = _load_document(args)
     group, derivative = build_group(document)
     presentation = validate_presentation(group)
     if not presentation.valid:
         raise ValidationError("invalid presentation: " + presentation.describe())
     endo = validate_endomorphism(group, derivative)
-    return document, group, endo, document.options.get("tol", args.tol)
+    return document, endo, document.options.get("tol", args.tol)
 
 
-def _cmd_entropy(args) -> int:
-    document, group, endo, tol = _validated(args)
-    _emit(report_to_dict(topological_entropy(group, endo, tol), document), args)
-    return EXIT_OK
-
-
-def _cmd_analyze(args) -> int:
-    document, group, endo, tol = _validated(args)
-    _emit(report_to_dict(analyze(group, endo, tol), document), args)
+def _cmd_report(stage, args) -> int:
+    document, endo, tol = _validated(args)
+    _emit(report_to_dict(stage(endo, tol), document), args)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    _, group, endo, tol = _validated(args)
-    report = topological_entropy(group, endo, tol)
+    _, endo, tol = _validated(args)
+    report = topological_entropy(endo, tol)
     action = report.torus.action
-    if action.dim == 0:
-        raise PipelineError("estimate", "the central torus is trivial; nothing to estimate")
     resolution = args.resolution
     if resolution is None:
         resolution = _auto_resolution(action, args.n_max, args.epsilon, report.entropy.value)
@@ -192,8 +185,8 @@ def main(argv=None) -> int:
             parser.error(f"argument --tol: must be finite and positive, got {args.tol!r}")
         handler = {
             "validate": _cmd_validate,
-            "entropy": _cmd_entropy,
-            "analyze": _cmd_analyze,
+            "entropy": functools.partial(_cmd_report, topological_entropy),
+            "analyze": functools.partial(_cmd_report, analyze),
             "estimate": _cmd_estimate,
             "catalog": _cmd_catalog,
         }[args.command]

@@ -3,7 +3,8 @@
 This is the falsification oracle for the exact pipeline: it can refute an
 exact entropy value at desk scale but never certify one.  It runs the
 pipeline's `torus.TorusEndo` (also named `GridDynamics`); each entry point
-first refuses dimensions outside 1..3 with `ParameterError`.  Dynamics run
+first refuses dimensions outside 1..3 at stage "estimate", and numpy is
+imported only inside the functions that compute with it.  Dynamics run
 on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
 floats appear only when distances are compared against epsilon.  Half of
@@ -34,9 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, PipelineError
 from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_BALL_CELLS = 5 * 10**7
@@ -55,7 +54,10 @@ class SpanningEstimate:
     resolution: int
     slope: float
     slope_stderr: float
-    slope_band: tuple[float, float]
+
+    @property
+    def slope_band(self) -> tuple[float, float]:
+        return self.slope - 2 * self.slope_stderr, self.slope + 2 * self.slope_stderr
 
 
 def _ball_sizes(dynamics: TorusEndo, resolution: int, inner: int, outer: int,
@@ -66,6 +68,8 @@ def _ball_sizes(dynamics: TorusEndo, resolution: int, inner: int, outer: int,
     N - 1 - i of the box [-E, E]^d are negatives, so only the points after
     the centre are kept, as int64 arrays of s = x + E mod R: circle|y| <= E is
     (y + E) mod R <= 2E, and then circle|y| <= e is |s - E| <= e."""
+    import numpy as np
+
     side, dim = 2 * outer + 1, dynamics.dim
     if side**dim > _MAX_BALL_CELLS:
         raise ParameterError("epsilon ball does not fit in memory at this resolution")
@@ -121,14 +125,13 @@ def spanning_entropy_estimate(dynamics: TorusEndo, n_max: int, epsilon: float,
     lower = [-(-cells // size) for size in large]
     slope, stderr = _fit_log_growth(n_values, upper)
     return SpanningEstimate(
-        tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution,
-        slope, stderr, (slope - 2 * stderr, slope + 2 * stderr))
+        tuple(n_values), tuple(upper), tuple(lower), epsilon, resolution, slope, stderr)
 
 
 def _check_dim(endo: TorusEndo) -> None:
-    if not 1 <= endo.dim <= 3:  # the CLI's message for dim > 3
-        raise ParameterError("grid estimation is limited to tori of dimension <= 3" if endo.dim
-                             else "grid estimation needs a torus of positive dimension")
+    if not 1 <= endo.dim <= 3:
+        raise PipelineError("estimate", "grid estimation is limited to tori of dimension <= 3"
+                            if endo.dim else "the central torus is trivial; nothing to estimate")
 
 
 def _check_parameters(dynamics: TorusEndo, n_max: int, epsilon: float) -> None:
@@ -141,6 +144,8 @@ def _check_parameters(dynamics: TorusEndo, n_max: int, epsilon: float) -> None:
 
 def _fit_log_growth(ns, counts) -> tuple[float, float]:
     """Least-squares slope of log(count) against n over the last half."""
+    import numpy as np
+
     start = len(ns) // 2
     xs = np.array(ns[start:], dtype=float)
     ys = np.log(np.array(counts[start:], dtype=float))
@@ -163,11 +168,20 @@ class BundleInequalityReport:
     total_slope: float
     base_slope: float
     fiber_entropy: float
-    bound: float            # base_slope + fiber_entropy
-    slack: float            # 20% of the bound
-    passes: bool
     exact_total: float
     exact_base: float
+
+    @property
+    def bound(self) -> float:
+        return self.base_slope + self.fiber_entropy
+
+    @property
+    def slack(self) -> float:
+        return 0.2 * self.bound
+
+    @property
+    def passes(self) -> bool:
+        return self.total_slope <= self.bound + self.slack
 
 
 def bundle_inequality_check(total: TorusEndo, base: TorusEndo, fiber: TorusEndo,
@@ -196,17 +210,10 @@ def bundle_inequality_check(total: TorusEndo, base: TorusEndo, fiber: TorusEndo,
     total_est = spanning_entropy_estimate(total, n_max, epsilon, resolution)
     base_res = min(resolution, _grid_cap_for_dim(base.dim))
     base_est = spanning_entropy_estimate(base, n_max, epsilon, base_res)
-    fiber_h = exact_entropy(fiber).value if fiber.dim else 0.0
-    bound = base_est.slope + fiber_h
-    slack = 0.2 * bound
-    passes = total_est.slope <= bound + slack
     return BundleInequalityReport(
         total_slope=total_est.slope,
         base_slope=base_est.slope,
-        fiber_entropy=fiber_h,
-        bound=bound,
-        slack=slack,
-        passes=passes,
+        fiber_entropy=exact_entropy(fiber).value if fiber.dim else 0.0,
         exact_total=exact_total,
         exact_base=exact_entropy(base).value,
     )
@@ -264,6 +271,8 @@ def li_yorke_search(dynamics: TorusEndo, horizon: int = 64, pair_budget: int = 6
     so memory is bounded for any horizon: int64 while dim*(q-1)^2 < 2^62,
     `object` beyond.
     """
+    import numpy as np
+
     _check_dim(dynamics)
     if horizon <= 0 or pair_budget <= 0:
         raise ParameterError("horizon and pair budget must be positive")

@@ -288,22 +288,6 @@ def min_poly(m) -> list:
     raise AssertionError("Cayley-Hamilton violated; unreachable")
 
 
-def companion_matrix(coeffs) -> list[list[int]]:
-    """Companion matrix of a monic integer polynomial (ascending coeffs)."""
-    coeffs = [int(c) for c in coeffs]
-    if not coeffs or abs(coeffs[-1]) != 1:
-        raise DomainError("companion matrix needs a monic polynomial")
-    if coeffs[-1] == -1:
-        coeffs = [-c for c in coeffs]
-    n = len(coeffs) - 1
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        mat[i][i - 1] = 1
-    for i in range(n):
-        mat[i][n - 1] = -coeffs[i]
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # echelon containers
 

@@ -20,8 +20,8 @@ the maximal central torus of the eventual image:
     eventual image  ->  lattice inside it  ->  center of the image
     ->  central sublattice  ->  integer action  ->  log-Mahler sum
 
-Every stage is exact; a stage that cannot complete aborts with its name
-instead of guessing.
+Each stage takes the validated endomorphism alone (its presentation is
+`endo.group`), is exact, and aborts with its name rather than guess.
 """
 
 from __future__ import annotations
@@ -143,8 +143,11 @@ class PresentedGroup:
 
 @dataclass(frozen=True)
 class PresentationReport:
-    valid: bool
     issues: tuple[str, ...]
+
+    @property
+    def valid(self) -> bool:
+        return not self.issues
 
     def describe(self) -> str:
         return "valid presentation" if self.valid else "; ".join(self.issues)
@@ -218,7 +221,7 @@ def validate_presentation(group: PresentedGroup) -> PresentationReport:
             issues.append(f"lattice generator {i}: {reason}")
     if group.lattice.rank != len(logs):
         issues.append("lattice generators are linearly dependent")
-    return PresentationReport(not issues, tuple(issues))
+    return PresentationReport(tuple(issues))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +357,7 @@ def _conjugates_into_lattice(group: PresentedGroup, image) -> bool:
 # ---------------------------------------------------------------------------
 # pipeline stages
 
-def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
+def eventual_image(endo: GroupEndomorphism) -> Subspace:
     """Stabilized image of the derivative: the algebra of the maximal
     connected subgroup mapped onto itself.
 
@@ -365,9 +368,9 @@ def eventual_image(group: PresentedGroup, endo: GroupEndomorphism) -> Subspace:
     """
     a = next(k for k, c in enumerate(endo.characteristic_polynomial) if c)
     if not a:
-        return Subspace.full(group.dim)
-    image = Subspace.from_vectors(group.dim, transpose(mat_pow(endo.d_phi, a)))
-    if not is_subalgebra(group.algebra, image):
+        return Subspace.full(endo.group.dim)
+    image = Subspace.from_vectors(endo.group.dim, transpose(mat_pow(endo.d_phi, a)))
+    if not is_subalgebra(endo.group.algebra, image):
         raise InvariantViolationError(
             "eventual_image", "stabilized image is not closed under the bracket")
     return image
@@ -378,12 +381,15 @@ class CentralTorus:
     """Maximal central torus data: its lattice, span, and attached action."""
 
     lattice: Lattice
-    subspace: Subspace
     action: TorusEndo | None = None
 
     @property
     def dim(self) -> int:
         return self.lattice.rank
+
+    @cached_property
+    def subspace(self) -> Subspace:
+        return self.lattice.span()
 
 
 def toral_lattice(group: PresentedGroup) -> CentralTorus:
@@ -395,7 +401,7 @@ def toral_lattice(group: PresentedGroup) -> CentralTorus:
     group agrees with the one of its nilradical, so the torus directions are
     exactly the lattice points lying in the center.
     """
-    return CentralTorus(group.central_lattice, group.central_lattice.span())
+    return CentralTorus(group.central_lattice)
 
 
 @dataclass(frozen=True)
@@ -404,8 +410,11 @@ class LiYorkeChain:
     (result-tag, statement) pair."""
 
     verdict: str
-    entropy_positive: bool
     links: tuple[tuple[str, str], ...]
+
+    @property
+    def entropy_positive(self) -> bool:
+        return self.verdict == LI_YORKE_ALL_POWERS
 
     @property
     def citations(self) -> tuple[str, ...]:
@@ -415,8 +424,11 @@ class LiYorkeChain:
 @dataclass(frozen=True)
 class ToralOrderCheck:
     order: int
-    torus_dim: int
     action: TorusEndo
+
+    @property
+    def torus_dim(self) -> int:
+        return self.action.dim
 
 
 @dataclass(frozen=True)
@@ -437,12 +449,17 @@ class AnalysisReport:
     toral_order: ToralOrderCheck | None = None
 
 
-def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
-    """Stages 1-5: eventual image, its lattice, its center, the central
-    sublattice, and the integer action on it."""
-    if endo.group != group:
-        raise ValidationError("endomorphism was validated against a different presentation")
-    g_phi = eventual_image(group, endo)
+def topological_entropy(endo: GroupEndomorphism, tol: float = DEFAULT_TOL) -> AnalysisReport:
+    """Entropy of the endomorphism through stages 1-5 (eventual image, its
+    lattice, its center, the central sublattice, the integer action on it).
+    The report also carries the eigenvalue-sum upper bound, the log-Mahler
+    sum of char(d), strict whenever expansion happens outside the central
+    torus of the eventual image; when that torus is the whole group its
+    action has char(d) too, so the entropy is the bound, computed once.  A
+    numeric failure of either value aborts with the name of its stage.
+    """
+    group = endo.group
+    g_phi = eventual_image(endo)
     if g_phi.dim == group.dim:
         l_phi, z_phi, lam_phi = group.lattice, group.center, group.central_lattice
     else:
@@ -450,24 +467,9 @@ def _central_torus_action(group: PresentedGroup, endo: GroupEndomorphism):
         z_phi = centralizer_in(group.algebra, g_phi)
         lam_phi = lattice_intersect_subspace(l_phi, z_phi)
     try:
-        action = restrict_matrix_to_lattice(endo.d_phi, lam_phi)
+        torus = CentralTorus(lam_phi, restrict_matrix_to_lattice(endo.d_phi, lam_phi))
     except ValidationError as exc:
         raise PipelineError("restrict_action", str(exc)) from exc
-    torus = CentralTorus(lam_phi, lam_phi.span(), action)
-    return g_phi, l_phi, z_phi, torus
-
-
-def topological_entropy(group: PresentedGroup, endo: GroupEndomorphism,
-                        tol: float = DEFAULT_TOL) -> AnalysisReport:
-    """Entropy of the endomorphism, with the full reduction recorded.
-
-    The report also carries the eigenvalue-sum upper bound, the log-Mahler
-    sum of char(d), which is strict whenever expansion happens outside the
-    central torus of the eventual image.  When that torus is the whole group
-    its action has char(d) too, so the entropy is the bound, computed once.
-    A numeric failure of either value aborts with the name of its stage.
-    """
-    g_phi, l_phi, z_phi, torus = _central_torus_action(group, endo)
     whole = torus.dim == group.dim
     try:
         ent = None if whole else torus_entropy(torus.action, tol)
@@ -520,14 +522,14 @@ def li_yorke_report(endo: GroupEndomorphism, report: AnalysisReport) -> LiYorkeC
              "that torus action has positive entropy, so every power of the "
              "endomorphism has a Li-Yorke pair"),
         )
-        return LiYorkeChain(LI_YORKE_ALL_POWERS, True, links)
+        return LiYorkeChain(LI_YORKE_ALL_POWERS, links)
     if torus.lattice.is_empty():
         links = (
             (TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,
              "the maximal central torus is trivial, so some power of the endomorphism "
              "has no Li-Yorke pair"),
         )
-        return LiYorkeChain(SOME_POWER_LI_YORKE_FREE, False, links)
+        return LiYorkeChain(SOME_POWER_LI_YORKE_FREE, links)
     links = (
         (ZERO_ENTROPY_TORUS_SOME_POWER_FREE,
          "the central torus action has zero entropy, so some power of the torus factor "
@@ -538,11 +540,10 @@ def li_yorke_report(endo: GroupEndomorphism, report: AnalysisReport) -> LiYorkeC
          "hence some power of the induced quotient endomorphism has no Li-Yorke pair, "
          "and the two reductions combine"),
     )
-    return LiYorkeChain(SOME_POWER_LI_YORKE_FREE, False, links)
+    return LiYorkeChain(SOME_POWER_LI_YORKE_FREE, links)
 
 
-def check_toral_induced_finite_order(group: PresentedGroup,
-                                     endo: GroupEndomorphism) -> ToralOrderCheck:
+def check_toral_induced_finite_order(endo: GroupEndomorphism) -> ToralOrderCheck:
     """Order of the endomorphism induced on the maximal torus of R/N.
 
     Preconditions: solvable algebra, surjective endomorphism, and a
@@ -554,6 +555,7 @@ def check_toral_induced_finite_order(group: PresentedGroup,
     Under these preconditions the induced toral map must have finite order;
     an infinite answer is a theorem violation, not a result.
     """
+    group = endo.group
     if not is_solvable(group.algebra):
         raise ValidationError("precondition failed: the algebra is not solvable")
     if not endo.surjective_on_identity_component:
@@ -568,14 +570,12 @@ def check_toral_induced_finite_order(group: PresentedGroup,
         if not nil.space.contains(mat_vec(d, v)):
             raise InvariantViolationError(
                 "toral_order", "derivative does not preserve the nilradical")
-    quotient, projection = quotient_algebra(group.algebra, nil)
-    if quotient.constants:
+    quotient, projection = _quotient_presentation(group, nil, f"{group.name}/N")
+    if quotient.algebra.constants:
         raise InvariantViolationError("toral_order", "quotient by the nilradical is not abelian")
     induced = mat_mul(projection, [[row[c] for c in nil.space.complement] for row in d])
-    projected_logs = [mat_vec(projection, w) for w in group.lattice_logs]
-    lattice_a = Lattice.from_generators(quotient.dim, projected_logs)
     try:
-        action = restrict_matrix_to_lattice(induced, lattice_a)
+        action = restrict_matrix_to_lattice(induced, quotient.lattice)
     except ValidationError as exc:
         raise InvariantViolationError("toral_order", str(exc)) from exc
     order = finite_order(action)
@@ -584,7 +584,15 @@ def check_toral_induced_finite_order(group: PresentedGroup,
             "toral_order",
             "induced toral map has infinite order; "
             f"expected {INDUCED_TORAL_MAP_FINITE_ORDER}")
-    return ToralOrderCheck(order, lattice_a.rank, action)
+    return ToralOrderCheck(order, action)
+
+
+def _quotient_presentation(group: PresentedGroup, ideal, name: str):
+    """(G/ideal, projection), the lattice generators projected and re-canonicalized."""
+    quotient, projection = quotient_algebra(group.algebra, ideal)
+    projected = [mat_vec(projection, w) for w in group.lattice_logs]
+    lattice = Lattice.from_generators(quotient.dim, projected)
+    return PresentedGroup(quotient, lattice.basis, name), projection
 
 
 def quotient_by_torus(group: PresentedGroup) -> PresentedGroup:
@@ -597,10 +605,7 @@ def quotient_by_torus(group: PresentedGroup) -> PresentedGroup:
     if torus.lattice.is_empty():
         result = group
     else:
-        quotient, projection = quotient_algebra(group.algebra, torus.subspace)
-        projected = [mat_vec(projection, w) for w in group.lattice_logs]
-        lattice = Lattice.from_generators(quotient.dim, projected)
-        result = PresentedGroup(quotient, lattice.basis, f"{group.name}/T")
+        result, _ = _quotient_presentation(group, torus.subspace, f"{group.name}/T")
     post = toral_lattice(result)
     if not post.lattice.is_empty():
         raise InvariantViolationError(
@@ -609,18 +614,17 @@ def quotient_by_torus(group: PresentedGroup) -> PresentedGroup:
     return result
 
 
-def analyze(group: PresentedGroup, endo: GroupEndomorphism,
-            tol: float = DEFAULT_TOL) -> AnalysisReport:
+def analyze(endo: GroupEndomorphism, tol: float = DEFAULT_TOL) -> AnalysisReport:
     """Entropy report extended, for an endomorphism surjective on the
     identity component, with the Li-Yorke chain read off that report and,
     when the group is solvable with trivial central torus, the induced
     toral order check."""
-    report = topological_entropy(group, endo, tol)
+    report = topological_entropy(endo, tol)
     li = toral = None
     if endo.surjective_on_identity_component:
         li = li_yorke_report(endo, report)
         try:
-            toral = check_toral_induced_finite_order(group, endo)
+            toral = check_toral_induced_finite_order(endo)
         except ValidationError:
             pass  # preconditions not met; the check simply does not apply
     citations = report.citations

@@ -85,8 +85,11 @@ class LieAlgebra:
 
 @dataclass(frozen=True)
 class AlgebraValidation:
-    valid: bool
     violations: tuple[tuple[str, tuple, str], ...]  # (kind, witness, detail)
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def describe(self) -> str:
         if self.valid:
@@ -120,7 +123,7 @@ def validate_algebra(algebra: LieAlgebra) -> AlgebraValidation:
     failing = sorted({key[:3] for key, total in jacobi.items() if total != 0})
     violations += [("jacobi", tuple(names[t] for t in triple), "Jacobi identity fails")
                    for triple in failing]
-    return AlgebraValidation(not violations, tuple(violations))
+    return AlgebraValidation(tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .errors import DimensionError, DomainError, ValidationError
 from .exactlinalg import (
     Lattice,
     char_poly,
-    det,
     exact,
     identity_matrix,
     mat_pow,
@@ -40,7 +39,6 @@ from .mahler import (
 class TorusEndo:
     """Integer matrix acting on the lattice Z^n of a torus R^n/Z^n."""
 
-    dim: int
     matrix: tuple[tuple[int, ...], ...]
 
     @staticmethod
@@ -51,11 +49,11 @@ class TorusEndo:
             raise DomainError("torus endomorphism matrix must be integral") from None
         if any(len(r) != len(matrix) for r in matrix):
             raise DimensionError("torus endomorphism matrix must be square")
-        return TorusEndo(len(matrix), matrix)
+        return TorusEndo(matrix)
 
     @property
-    def determinant(self) -> int:
-        return int(det(self.matrix))
+    def dim(self) -> int:
+        return len(self.matrix)
 
     def power(self, k: int) -> "TorusEndo":
         return TorusEndo.from_rows(mat_pow(self.matrix, k))
@@ -111,4 +109,4 @@ def restrict_matrix_to_lattice(matrix, sub: Lattice) -> TorusEndo:
         if coords is None:
             raise ValidationError("sublattice not invariant under the endomorphism")
         columns.append(coords)
-    return TorusEndo(len(columns), tuple(zip(*columns)))
+    return TorusEndo(tuple(zip(*columns)))

@@ -114,11 +114,11 @@ def test_report_round_trip():
     document = parse_input(json.dumps(entry.document))
     group, derivative = build_group(document)
     endo = validate_endomorphism(group, derivative)
-    first = report_to_dict(analyze(group, endo, 1e-9), document)
+    first = report_to_dict(analyze(endo, 1e-9), document)
     embedded = parse_input(json.dumps(first["input"]))
     group2, derivative2 = build_group(embedded)
     endo2 = validate_endomorphism(group2, derivative2)
-    second = report_to_dict(analyze(group2, endo2, 1e-9), embedded)
+    second = report_to_dict(analyze(endo2, 1e-9), embedded)
     assert first == second
 
 
@@ -442,6 +442,44 @@ def test_cli_estimate_trivial_torus_rejected():
                                  "the central torus is trivial; nothing to estimate\n"), name
 
 
+def test_cli_estimate_refuses_tori_above_dimension_three(tmp_path):
+    # a valid 4-torus: the grid estimator's dimension rule aborts the stage
+    document = {"name": "T4", "algebra": {"dim": 4, "brackets": []},
+                "lattice": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+                "endomorphism": [[str(2 * int(i == j)) for j in range(4)] for i in range(4)]}
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps(document))
+    result = run_cli("estimate", "--input", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == ("pipeline abort: stage 'estimate': "
+                             "grid estimation is limited to tori of dimension <= 3\n")
+
+
+def test_the_exact_path_never_imports_numpy():
+    # numpy is the estimator's alone: validate, entropy, analyze and the
+    # catalog run leave it unloaded in a fresh interpreter, and estimate
+    # loads it when it needs it
+    code = """
+import contextlib, io, sys
+from lieentropy import cli
+from lieentropy.catalog import builtin_catalog
+with contextlib.redirect_stdout(io.StringIO()):
+    for entry in builtin_catalog():
+        for command in ("validate", "entropy", "analyze"):
+            assert cli.main([command, "--catalog", entry.name]) == 0, (command, entry.name)
+    assert cli.main(["catalog", "--run-all"]) == 0
+assert "numpy" not in sys.modules
+from lieentropy import GridDynamics
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["estimate", "--catalog", "cat-map"]) == 0
+assert "numpy" in sys.modules and '"slope"' in out.getvalue()
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_catalog_list_and_run_all():
     result = run_cli("catalog")
     assert result.returncode == 0
@@ -461,8 +499,13 @@ def test_cli_usage_errors_exit_one():
 
 def test_cli_parser_is_built_once_and_keeps_no_arguments(monkeypatch, capsys):
     seen = []
-    for name in ("_cmd_validate", "_cmd_entropy", "_cmd_estimate", "_cmd_catalog"):
-        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or cli.EXIT_OK)
+    def record(args):
+        seen.append(vars(args))
+        return cli.EXIT_OK
+
+    for name in ("_cmd_validate", "_cmd_estimate", "_cmd_catalog"):
+        monkeypatch.setattr(cli, name, record)
+    monkeypatch.setattr(cli, "_cmd_report", lambda stage, args: record(args))
     source = {"input": None, "catalog": "cat-map", "tol": cli.DEFAULT_TOL}
     estimate = {"n_max": 10, "epsilon": 0.05, "resolution": None, "format": "json",
                 "output": None}

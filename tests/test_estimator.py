@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lieentropy.errors import DomainError, ParameterError
+from lieentropy.errors import DomainError, ParameterError, PipelineError
 from lieentropy.estimator import (
     _ORBIT_BLOCK,
     GridDynamics,
@@ -156,7 +156,7 @@ def test_parameter_errors():
         spanning_entropy_estimate(g, n_max=1, epsilon=0.01, resolution=4096)
     with pytest.raises(ParameterError):
         spanning_entropy_estimate(g, n_max=6, epsilon=0.9, resolution=4096)
-    with pytest.raises(ParameterError, match="dimension <= 3"):
+    with pytest.raises(PipelineError, match="stage 'estimate': .*dimension <= 3"):
         spanning_entropy_estimate(GridDynamics.from_rows([[1, 0, 0, 0]] + [[0] * 4] * 3),
                                   n_max=6, epsilon=0.01, resolution=4096)
 
@@ -441,7 +441,7 @@ def test_every_entry_point_refuses_dims_outside_one_to_three(dim):
     # the check comes first: each call below is also wrong in another way,
     # and the dimension is what is reported
     endo = TorusEndo.from_rows([[int(i == j) for j in range(dim)] for i in range(dim)])
-    message = "dimension <= 3" if dim else "positive dimension"
+    message = "dimension <= 3" if dim else "central torus is trivial"
     one = TorusEndo.from_rows([[2]])
     calls = [
         lambda: spanning_entropy_estimate(endo, n_max=1, epsilon=0.9, resolution=1),
@@ -452,5 +452,6 @@ def test_every_entry_point_refuses_dims_outside_one_to_three(dim):
         lambda: bundle_inequality_check(TorusEndo.from_rows([[2]]), endo, one, n_max=1),
     ]
     for call in calls:
-        with pytest.raises(ParameterError, match=message):
+        with pytest.raises(PipelineError, match=message) as raised:
             call()
+        assert raised.value.stage == "estimate"

@@ -1,11 +1,12 @@
-"""Pinned CLI reports: `validate`, `entropy` and `analyze` on every catalog
-entry and on a few inline documents must print exactly the recorded report
-and exit with the recorded code.
+"""Pinned CLI reports: `validate`, `entropy`, `analyze` and `estimate` (as
+JSON and as CSV) on every catalog entry and on a few inline documents must
+print exactly the recorded report and exit with the recorded code.
 
 The fixture `data/golden_reports.json` holds the inline documents and, per
-run, the exit code, the stderr text and the stdout report as parsed JSON.
-Reports are compared exactly, key order included, except floats, which must
-agree to a relative 1e-12 so that a different libm cannot fail the test.
+run, the exit code, the stderr text and the stdout report: parsed JSON, or
+the text itself for CSV.  Reports are compared exactly, key order included,
+except floats, which must agree to a relative 1e-12 so that a different libm
+cannot fail the test.
 
 Regenerate the fixture (only when an output change is intended) with
 
@@ -26,7 +27,9 @@ from lieentropy import cli
 from lieentropy.catalog import builtin_catalog
 
 FIXTURE = Path(__file__).parent / "data" / "golden_reports.json"
-COMMANDS = ("validate", "entropy", "analyze")
+# (command, --format or None): estimate prints JSON or CSV
+COMMANDS = (("validate", None), ("entropy", None), ("analyze", None),
+            ("estimate", "json"), ("estimate", "csv"))
 FLOAT_RTOL = 1e-12
 
 
@@ -107,8 +110,11 @@ def _source_args(case, documents, workdir: Path) -> list[str]:
 
 
 def _outcome(case, documents, workdir: Path) -> dict:
-    code, out, err = _run([case["command"], *_source_args(case, documents, workdir)])
-    return {"exit": code, "stderr": err, "stdout": json.loads(out) if out else None}
+    fmt = case.get("format")
+    argv = [case["command"], *_source_args(case, documents, workdir)]
+    code, out, err = _run(argv + (["--format", fmt] if fmt else []))
+    stdout = out if fmt == "csv" else json.loads(out) if out else None
+    return {"exit": code, "stderr": err, "stdout": stdout}
 
 
 def _assert_same(got, want, where="stdout"):
@@ -133,7 +139,8 @@ def _load():
 
 
 def _case_id(case):
-    return f"{case['command']}-{case.get('catalog') or case['document']}"
+    command = "-".join(filter(None, (case["command"], case.get("format"))))
+    return f"{command}-{case.get('catalog') or case['document']}"
 
 
 _GOLDEN = _load() if FIXTURE.exists() else {"documents": {}, "cases": []}
@@ -161,8 +168,8 @@ def _regenerate():
     cases = []
     with tempfile.TemporaryDirectory() as workdir:
         for source in sources:
-            for command in COMMANDS:
-                case = {"command": command, **source}
+            for command, fmt in COMMANDS:
+                case = {"command": command, **({"format": fmt} if fmt else {}), **source}
                 case.update(_outcome(case, documents, Path(workdir)))
                 cases.append(case)
     FIXTURE.parent.mkdir(exist_ok=True)

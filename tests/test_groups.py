@@ -464,7 +464,7 @@ def test_lattice_is_formed_once_per_presentation(monkeypatch):
         formed.clear()
         assert validate_presentation(group).valid
         endo = validate_endomorphism(group, derivative)
-        analyze(group, endo, TOL)
+        analyze(endo, TOL)
         assert formed[group.dim, group.lattice_logs] == 1, entry.name
 
 
@@ -482,22 +482,22 @@ def test_endomorphism_respects_brackets_for_valid_family():
 def test_eventual_image_examples():
     plane = abelian_group(2, [])
     endo = validate_endomorphism(plane, [[2, 0], [0, 0]])
-    assert eventual_image(plane, endo) == Subspace.from_vectors(2, [(1, 0)])
+    assert eventual_image(endo) == Subspace.from_vectors(2, [(1, 0)])
     inv = validate_endomorphism(plane, [[2, 1], [1, 1]])
-    assert eventual_image(plane, inv) == Subspace.full(2)
+    assert eventual_image(inv) == Subspace.full(2)
     nil = validate_endomorphism(plane, [[0, 1], [0, 0]])
-    assert eventual_image(plane, nil).dim == 0
+    assert eventual_image(nil).dim == 0
     # J_3(0) + (2): the image shrinks for three steps before it stabilizes
     space = abelian_group(4, [])
     jordan = validate_endomorphism(
         space, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 2]])
-    assert eventual_image(space, jordan) == Subspace.from_vectors(4, [(0, 0, 0, 1)])
+    assert eventual_image(jordan) == Subspace.from_vectors(4, [(0, 0, 0, 1)])
 
 
 def test_eventual_image_stabilizes():
     group = abelian_group(3, [])
     endo = validate_endomorphism(group, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    image = eventual_image(group, endo)
+    image = eventual_image(endo)
     assert image.dim == 0
 
 
@@ -531,7 +531,7 @@ def test_surjective_eventual_image_is_the_iterated_image():
         cases.append((heis, validate_endomorphism(heis, d)))
     surjective = 0
     for group, endo in cases:
-        assert eventual_image(group, endo) == _iterated_image(group, endo)
+        assert eventual_image(endo) == _iterated_image(group, endo)
         surjective += endo.surjective_on_identity_component
     assert 10 <= surjective < len(cases)
 
@@ -587,7 +587,7 @@ def test_eventual_image_is_the_iterated_image_off_surjectivity():
     for group, d, image_dim in cases:
         endo = validate_endomorphism(group, d)
         assert not endo.surjective_on_identity_component
-        image = eventual_image(group, endo)
+        image = eventual_image(endo)
         assert image == _iterated_image(group, endo)
         assert image.dim == image_dim
 
@@ -611,16 +611,15 @@ def test_each_derivative_has_one_characteristic_polynomial(monkeypatch, capsys):
 
     for module in (exactlinalg, lieentropy.torus, lieentropy.groups):
         monkeypatch.setattr(module, "char_poly", counted(polys, original_char_poly))
-    for module in (exactlinalg, lieentropy.torus):
-        monkeypatch.setattr(module, "det", counted(dets, original_det))
-    assert not hasattr(lieentropy.groups, "det")
+    monkeypatch.setattr(exactlinalg, "det", counted(dets, original_det))
+    assert not hasattr(lieentropy.groups, "det") and not hasattr(lieentropy.torus, "det")
     cases = [build_group(entry.input_document()) for entry in builtin_catalog()]
     cases.append(_heisenberg_plus_shift(2))
     proper = 0
     for group, derivative in cases:
         polys.clear()
         endo = validate_endomorphism(group, derivative)
-        report = analyze(group, endo, TOL)
+        report = analyze(endo, TOL)
         d = [[F(x) for x in row] for row in endo.d_phi]
         action = [[F(x) for x in row] for row in report.torus.action.matrix]
         assert polys.count(d) == 1, group.name
@@ -677,7 +676,7 @@ def test_toral_coincidence_with_radical_and_nilradical():
 def test_pipeline_torus_squaring():
     group = abelian_group(2, [(1, 0), (0, 1)], "T2")
     endo = validate_endomorphism(group, [[2, 0], [0, 2]])
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert abs(report.entropy.value - 2 * math.log(2)) <= TOL
     assert report.torus.action.dim == 2
     assert report.torus.action.matrix == ((2, 0), (0, 2))
@@ -686,7 +685,7 @@ def test_pipeline_torus_squaring():
 def test_pipeline_plane_doubling_exact_zero():
     group = abelian_group(2, [], "R2")
     endo = validate_endomorphism(group, [[2, 0], [0, 2]])
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert report.entropy.exact_zero and report.entropy.value == 0.0
     assert abs(report.bowen_upper_bound.value - 2 * math.log(2)) <= TOL
 
@@ -694,7 +693,7 @@ def test_pipeline_plane_doubling_exact_zero():
 def test_pipeline_cstar_squaring():
     group = abelian_group(2, [(0, 1)], "Cstar")
     endo = validate_endomorphism(group, [[2, 0], [0, 2]])
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert abs(report.entropy.value - math.log(2)) <= TOL
     assert abs(report.bowen_upper_bound.value - 2 * math.log(2)) <= TOL
     assert report.entropy.value < report.bowen_upper_bound.value
@@ -703,7 +702,7 @@ def test_pipeline_cstar_squaring():
 def test_pipeline_e2_zero_entropy():
     group = e2_group()
     endo = e2_endo(group, 1, 2, 1)
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert report.entropy.exact_zero and report.entropy.value == 0.0
     assert report.torus.dim == 0
 
@@ -711,7 +710,7 @@ def test_pipeline_e2_zero_entropy():
 def test_pipeline_heisenberg_central_circle():
     group = heisenberg_group([(0, 0, 1)])
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert abs(report.entropy.value - math.log(2)) <= TOL
     assert report.torus.action.matrix == ((2,),)
 
@@ -722,11 +721,11 @@ def test_pipeline_non_surjective_eventual_image():
     group = abelian_group(2, [(1, 0), (0, 1)], "T2")
     endo = validate_endomorphism(group, [[2, 0], [0, 0]])
     assert not endo.surjective_on_identity_component
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert report.eventual_image == Subspace.from_vectors(2, [(1, 0)])
     assert report.torus.action.matrix == ((2,),)
     assert abs(report.entropy.value - math.log(2)) <= TOL
-    full = analyze(group, endo, TOL)
+    full = analyze(endo, TOL)
     assert full.li_yorke is None  # dichotomy hypotheses need surjectivity
 
 
@@ -736,7 +735,7 @@ def test_main_reduction_contract():
 
     group = abelian_group(2, [(1, 0), (0, 1)], "T2")
     endo = validate_endomorphism(group, [[2, 1], [1, 1]])
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     again = torus_entropy(report.torus.action, TOL)
     assert report.entropy == again
 
@@ -744,10 +743,10 @@ def test_main_reduction_contract():
 def test_group_level_power_law():
     group = abelian_group(2, [(1, 0), (0, 1)], "T2")
     endo = validate_endomorphism(group, [[2, 1], [1, 1]])
-    base = topological_entropy(group, endo, TOL).entropy.value
+    base = topological_entropy(endo, TOL).entropy.value
     for k in range(1, 5):
         powered = endo.power(k)
-        value = topological_entropy(group, powered, TOL).entropy.value
+        value = topological_entropy(powered, TOL).entropy.value
         assert abs(value - k * base) <= 2 * TOL
 
 
@@ -758,9 +757,9 @@ def test_group_level_power_law_across_catalog():
     for entry in builtin_catalog():
         group, derivative = build_group(entry.input_document())
         endo = validate_endomorphism(group, derivative)
-        base = topological_entropy(group, endo, TOL).entropy.value
+        base = topological_entropy(endo, TOL).entropy.value
         for k in (2, 4):
-            value = topological_entropy(group, endo.power(k), TOL).entropy.value
+            value = topological_entropy(endo.power(k), TOL).entropy.value
             assert abs(value - k * base) <= 2 * TOL, entry.name
 
 
@@ -768,7 +767,7 @@ def test_dimension_zero_group_is_legal():
     trivial = PresentedGroup.build(LieAlgebra.abelian(0), [], "pt")
     assert validate_presentation(trivial).valid
     endo = validate_endomorphism(trivial, [])
-    report = analyze(trivial, endo, TOL)
+    report = analyze(endo, TOL)
     assert report.entropy.exact_zero and report.entropy.value == 0.0
     assert report.torus.dim == 0
     assert report.li_yorke is not None
@@ -783,7 +782,7 @@ def test_direct_product_additivity():
     group = PresentedGroup.build(product, logs, "CstarxT2")
     d = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]]
     endo = validate_endomorphism(group, d)
-    report = topological_entropy(group, endo, TOL)
+    report = topological_entropy(endo, TOL)
     assert abs(report.entropy.value - (math.log(2) + 2 * math.log(3))) <= 2 * TOL
 
 
@@ -791,11 +790,10 @@ def test_direct_product_additivity():
 
 def test_toral_order_examples():
     group = e2_group()
-    assert check_toral_induced_finite_order(group, e2_endo(group, 1, 1, 1)).order == 1
-    assert check_toral_induced_finite_order(group, e2_endo(group, -1, 1, 0)).order == 2
+    assert check_toral_induced_finite_order(e2_endo(group, 1, 1, 1)).order == 1
+    assert check_toral_induced_finite_order(e2_endo(group, -1, 1, 0)).order == 2
     with pytest.raises(ValidationError, match="nilradical is not simply-connected"):
         check_toral_induced_finite_order(
-            heisenberg_group([(0, 0, 1)]),
             validate_endomorphism(heisenberg_group([(0, 0, 1)]),
                                   [[1, 0, 0], [0, 2, 0], [0, 0, 2]]))
 
@@ -805,14 +803,14 @@ def test_toral_order_requires_solvable():
     group = PresentedGroup.build(sl2, [])
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValidationError, match="not solvable"):
-        check_toral_induced_finite_order(group, endo)
+        check_toral_induced_finite_order(endo)
 
 
 def test_toral_order_requires_surjective():
     group = e2_group()
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValidationError, match="not surjective"):
-        check_toral_induced_finite_order(group, endo)
+        check_toral_induced_finite_order(endo)
 
 
 def test_toral_order_randomized_family_never_infinite():
@@ -828,7 +826,7 @@ def test_toral_order_randomized_family_never_infinite():
         w = (Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
              Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
         endo = e2_endo(group, h_sign, a, b, w)
-        check = check_toral_induced_finite_order(group, endo)
+        check = check_toral_induced_finite_order(endo)
         assert check.order == (1 if h_sign == 1 else 2)
 
 
@@ -873,18 +871,18 @@ def test_quotient_by_torus_randomized_triviality():
 def test_li_yorke_report_examples():
     t2 = abelian_group(2, [(1, 0), (0, 1)], "T2")
     squaring = validate_endomorphism(t2, [[2, 0], [0, 2]])
-    chain = li_yorke_report(squaring, topological_entropy(t2, squaring, TOL))
+    chain = li_yorke_report(squaring, topological_entropy(squaring, TOL))
     assert chain.verdict == LI_YORKE_ALL_POWERS
     assert POSITIVE_TORUS_ENTROPY_LI_YORKE in chain.citations
 
     e2 = e2_group()
     rotation = e2_endo(e2, 1, 3, 4)
-    chain = li_yorke_report(rotation, topological_entropy(e2, rotation, TOL))
+    chain = li_yorke_report(rotation, topological_entropy(rotation, TOL))
     assert chain.verdict == SOME_POWER_LI_YORKE_FREE
     assert chain.citations == (TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,)
 
     shear = validate_endomorphism(t2, [[1, 1], [0, 1]])
-    chain = li_yorke_report(shear, topological_entropy(t2, shear, TOL))
+    chain = li_yorke_report(shear, topological_entropy(shear, TOL))
     assert chain.verdict == SOME_POWER_LI_YORKE_FREE
     assert ZERO_ENTROPY_TORUS_SOME_POWER_FREE in chain.citations
     assert QUOTIENT_TORUS_TRIVIAL in chain.citations
@@ -894,13 +892,13 @@ def test_li_yorke_report_requires_surjectivity():
     t2 = abelian_group(2, [(1, 0), (0, 1)], "T2")
     degenerate = validate_endomorphism(t2, [[0, 0], [0, 0]])
     with pytest.raises(ValidationError, match="surjective"):
-        li_yorke_report(degenerate, topological_entropy(t2, degenerate, TOL))
+        li_yorke_report(degenerate, topological_entropy(degenerate, TOL))
 
 
 def test_analyze_combines_everything():
     group = e2_group()
     endo = e2_endo(group, -1, 1, 2)
-    report = analyze(group, endo, TOL)
+    report = analyze(endo, TOL)
     assert report.li_yorke is not None
     assert report.toral_order is not None and report.toral_order.order == 2
     assert ENTROPY_ON_CENTRAL_TORUS in report.citations
@@ -916,7 +914,7 @@ def test_analyze_aborts_on_unverifiable_nilradical():
     group = PresentedGroup.build(trap, [], "Trap")
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(InvariantViolationError):
-        analyze(group, endo, TOL)
+        analyze(endo, TOL)
 
 
 def test_analyze_skips_toral_check_when_central_torus_is_nontrivial():
@@ -929,7 +927,7 @@ def test_analyze_skips_toral_check_when_central_torus_is_nontrivial():
     assert validate_presentation(group).valid
     endo = validate_endomorphism(
         group, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])
-    report = analyze(group, endo, TOL)
+    report = analyze(endo, TOL)
     assert abs(report.entropy.value - math.log(2)) <= TOL
     assert report.li_yorke.verdict == LI_YORKE_ALL_POWERS
     assert report.toral_order is None
@@ -951,7 +949,7 @@ def test_analyze_computes_the_center_once(monkeypatch):
     # central torus of the image and the toral lattice of the group
     group = heisenberg_group([(0, 0, 1)])
     endo = validate_endomorphism(group, [[1, 0, 0], [0, 2, 0], [0, 0, 2]])
-    report = analyze(group, endo, TOL)
+    report = analyze(endo, TOL)
     assert report.eventual_image.dim == group.dim
     assert report.center_of_image == Subspace.from_vectors(3, [(0, 0, 1)])
     assert len(calls) == 1
@@ -1007,7 +1005,7 @@ def test_analyze_runs_each_stage_once(monkeypatch):
         group, derivative = cases[case]
         calls.clear()
         endo = validate_endomorphism(group, derivative)
-        report = analyze(group, endo, TOL)
+        report = analyze(endo, TOL)
         assert report.li_yorke is not None
         assert calls["eventual_image"] == 1, case
         for name, count in counts.items():
