@@ -8,9 +8,12 @@ imported only inside the functions that compute with it.  Dynamics run
 on the uniform rational grid (j_1/R, ..., j_d/R); an integer matrix maps the
 grid to itself, so every orbit point is exact (an integer vector mod R) and
 floats appear only when distances are compared against epsilon.  Half of
-each Bowen box (v -> -v gives the rest) and the pair orbits over all steps,
-built by doubling, run at once as exact integer arrays: int64 below 2^62,
-else `object` (pairs) or a refusal (balls).
+each Bowen box (v -> -v gives the rest) runs over all steps in blocks of
+_BALL_BLOCK points, and the pair orbits, built by doubling, run in blocks of
+_ORBIT_BLOCK steps, as exact integer arrays with the matrix reduced mod R or
+q first.  Pair orbits are int64 below 2^62 and `object` beyond; the Bowen
+box stays int64, and only a resolution beyond about 2^30 can overflow it,
+which is refused as a ParameterError.
 
 For a group endomorphism A the Bowen metric is translation invariant, so
 every Bowen ball is a translate of one difference set
@@ -40,6 +43,7 @@ from .torus import TorusEndo, entropy as exact_entropy
 
 _MAX_BALL_CELLS = 5 * 10**7
 _ORBIT_BLOCK = 256  # steps of the pair orbits held at once; a power of two
+_BALL_BLOCK = 1 << 14  # flat indices of a Bowen half box held at once
 
 
 GridDynamics = TorusEndo  # a public name, kept for the callers that use it
@@ -66,34 +70,55 @@ def _ball_sizes(dynamics: TorusEndo, resolution: int, inner: int, outer: int,
     in one pass over the outer box, as D_n(inner) lies in D_n(outer).  D_n is
     symmetric under v -> -v and holds 0, and C-order flat indices i and
     N - 1 - i of the box [-E, E]^d are negatives, so only the points after
-    the centre are kept, as int64 arrays of s = x + E mod R: circle|y| <= E is
-    (y + E) mod R <= 2E, and then circle|y| <= e is |s - E| <= e."""
+    the centre are run, as int64 arrays of s = x + E mod R: circle|y| <= E is
+    (y + E) mod R <= 2E, and then circle|y| <= e is |s - E| <= e.
+
+    Those points are walked in consecutive blocks of _BALL_BLOCK flat
+    indices, each run over every step and its survivor counts added, so
+    working memory is O(block * d) however large the box.  Grid arithmetic
+    is mod R, so the matrix is reduced first to residues of least absolute
+    value, |a| <= R//2; the step then stays in int64 when max|a| * (2E + 1)
+    * d and R are below 2^62, which only a resolution beyond about 2^30 can
+    break (a ParameterError)."""
     import numpy as np
 
     side, dim = 2 * outer + 1, dynamics.dim
-    if side**dim > _MAX_BALL_CELLS:
-        raise ParameterError("epsilon ball does not fit in memory at this resolution")
-    coords = np.unravel_index(np.arange((side**dim + 1) // 2, side**dim), (side,) * dim)
+    cells = side**dim
+    if cells > _MAX_BALL_CELLS:
+        raise ParameterError(f"Bowen box of {cells} cells exceeds the work bound of "
+                             f"{_MAX_BALL_CELLS} cells")
+    shift = resolution // 2
+    matrix = [[(a + shift) % resolution - shift for a in row] for row in dynamics.matrix]
+    largest = max(abs(a) for row in matrix for a in row)
+    if max(resolution, largest * side * dim) >= 1 << 62:
+        raise ParameterError(f"resolution {resolution} is too fine for exact int64 "
+                             f"grid arithmetic")
     # A(s - E) + E = A s + E (1 - row sum): one constant per row keeps images shifted
-    offsets = [outer * (1 - sum(row)) % resolution for row in dynamics.matrix]
+    offsets = [outer * (1 - sum(row)) % resolution for row in matrix]
     inside = np.abs(np.arange(side) - outer) <= inner  # s -> circle|s - E| <= e, s <= 2E
-    near = np.logical_and.reduce([inside[x] for x in coords])
-    small, large = [2 * int(near.sum()) + 1], [side**dim]
-    for _ in range(1, n_max):
-        images = []
-        for row, offset in zip(dynamics.matrix, offsets):
-            image = np.full(len(coords[0]), offset, dtype=np.int64)
-            for a, x in zip(row, coords):
-                if a:
-                    image += x if a == 1 else a * x
-            image %= resolution
-            images.append(image)
-        keep = np.logical_and.reduce([image <= 2 * outer for image in images])
-        coords = [image[keep] for image in images]
-        near = np.logical_and.reduce([near[keep]] + [inside[x] for x in coords])
-        small.append(2 * int(near.sum()) + 1)
-        large.append(2 * len(coords[0]) + 1)
-    return small, large
+    small, large = [0] * n_max, [0] * n_max
+    for start in range((cells + 1) // 2, cells, _BALL_BLOCK):
+        coords = np.unravel_index(np.arange(start, min(start + _BALL_BLOCK, cells)),
+                                  (side,) * dim)
+        near = np.logical_and.reduce([inside[x] for x in coords])
+        for n in range(n_max):
+            if n:
+                images = []
+                for row, offset in zip(matrix, offsets):
+                    image = np.full(len(coords[0]), offset, dtype=np.int64)
+                    for a, x in zip(row, coords):
+                        if a:
+                            image += x if a == 1 else a * x
+                    image %= resolution
+                    images.append(image)
+                keep = np.logical_and.reduce([image <= 2 * outer for image in images])
+                coords = [image[keep] for image in images]
+                near = np.logical_and.reduce([near[keep]] + [inside[x] for x in coords])
+            if not len(coords[0]):
+                break  # the block's survivors ran out: later steps add nothing
+            small[n] += int(near.sum())
+            large[n] += len(coords[0])
+    return [2 * count + 1 for count in small], [2 * count + 1 for count in large]
 
 
 def spanning_entropy_estimate(dynamics: TorusEndo, n_max: int, epsilon: float,
@@ -108,14 +133,14 @@ def spanning_entropy_estimate(dynamics: TorusEndo, n_max: int, epsilon: float,
     ceil(R^d / |D_n(2e)|).  Every greedy 2e cover, being also a
     2e-separated set, lies between the two, and both are nondecreasing in n.
     The fitted slope uses the upper counts over the last half of the time
-    range; the band is two standard errors of the fit.
+    range; the band is two standard errors of the fit.  Counts saturate once
+    the boxes stop shrinking, which flattens the slope: a matrix that
+    vanishes mod R (2^40 at R = 2^22) maps every point to 0 in one step, and
+    reads slope 0 whatever its entropy.
     """
     _check_parameters(dynamics, n_max, epsilon)
     if resolution <= 4 / epsilon:
         raise ParameterError("resolution too coarse: need resolution > 4/epsilon")
-    largest = max(abs(x) for row in dynamics.matrix for x in row)
-    if largest * resolution * dynamics.dim >= 1 << 62:
-        raise ParameterError("matrix entries too large for exact int64 grid arithmetic")
     eps_cells = int(epsilon * resolution)
     cells = resolution**dynamics.dim
     n_values = list(range(1, n_max + 1))

@@ -386,6 +386,32 @@ def test_cli_estimate_checks_epsilon_before_choosing_a_resolution(tmp_path):
         assert result.stderr == "invalid input: epsilon must lie in (0, 1/2)\n", extra
 
 
+def test_cli_estimate_reduces_the_matrix_mod_the_grid(tmp_path, capsys):
+    # x -> 2^40 x vanishes mod the 2^22-point grid: every point maps to 0, so
+    # the counts saturate and the slope reads 0 beside the exact 40 log 2
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"algebra": {"dim": 1, "brackets": []},
+                                "lattice": [["1"]], "endomorphism": [[str(2**40)]]}))
+    assert cli.main(["estimate", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact_entropy"] == 40 * math.log(2)
+    assert payload["resolution"] == 1 << 22 and payload["slope"] == 0.0
+
+
+def test_cli_estimate_refuses_a_resolution_too_fine_for_int64(tmp_path, capsys):
+    # 2^39 - 1 is its own least residue mod 2^40, and it times the
+    # 4.4 * 10^7-cell box at epsilon 1e-5 passes 2^62; a resolution of 2^62
+    # is refused whatever the matrix
+    for factor, resolution, epsilon in ((2**39 - 1, 2**40, "1e-5"), (2, 2**62, "1e-15")):
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"algebra": {"dim": 1, "brackets": []},
+                                    "lattice": [["1"]], "endomorphism": [[str(factor)]]}))
+        assert cli.main(["estimate", "--input", str(path), "--resolution", str(resolution),
+                         "--epsilon", epsilon]) == 1
+        assert capsys.readouterr().err == (f"invalid input: resolution {resolution} is too "
+                                           f"fine for exact int64 grid arithmetic\n")
+
+
 def test_cli_estimate_json():
     result = run_cli("estimate", "--catalog", "cstar-squaring",
                      "--n-max", "6", "--epsilon", "0.02", "--resolution", "4096")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from lieentropy.errors import DomainError, ParameterError, PipelineError
 from lieentropy.estimator import (
+    _BALL_BLOCK,
     _ORBIT_BLOCK,
     GridDynamics,
     _auto_resolution,
@@ -143,7 +145,8 @@ def test_fine_grid_is_bounded_by_the_ball_not_the_grid():
     check_count_invariants(est)
     assert est.spanning_counts[0] == 8192**2 // 17**2
     assert est.separated_counts[0] == -(-8192**2 // 33**2)
-    with pytest.raises(ParameterError, match="epsilon ball does not fit"):
+    with pytest.raises(ParameterError, match="Bowen box of 134217729 cells exceeds the work "
+                                             "bound of 50000000 cells"):
         spanning_entropy_estimate(GridDynamics.from_rows([[2]]),
                                   n_max=6, epsilon=0.25, resolution=1 << 27)
 
@@ -366,6 +369,36 @@ def test_ball_sizes_match_the_row_major_reference(rows):
             assert est.separated_counts == tuple(
                 -(-cells // size)
                 for size in ball_sizes_reference(rows, resolution, eps2_cells, 6))
+
+
+@pytest.mark.parametrize("rows", [[[2, 0], [0, 2]], [[1, 1], [0, 1]]])
+def test_ball_sizes_add_up_across_blocks(rows):
+    # half boxes of 1, 2 and 3 blocks, the last one partial; doubling empties
+    # the half box within the horizon, so every block stops early, while every
+    # block of the shear keeps points of its invariant axis
+    dynamics = GridDynamics.from_rows(rows)
+    for outer, blocks in ((50, 1), (100, 2), (150, 3)):
+        half = ((2 * outer + 1) ** 2 - 1) // 2
+        assert -(-half // _BALL_BLOCK) == blocks and half % _BALL_BLOCK
+        for resolution in (1023, 1024):
+            small, large = _ball_sizes(dynamics, resolution, outer // 2, outer, 10)
+            assert small == ball_sizes_reference(rows, resolution, outer // 2, 10)
+            assert large == ball_sizes_reference(rows, resolution, outer, 10)
+            assert (large[-1] == 1) == (rows[0][0] == 2), (outer, resolution)
+
+
+def test_ball_memory_is_bounded_by_the_block_not_the_box():
+    # a 2001^2 box of 4 * 10^6 cells, and the whole 257^3 box at the 3-dim grid
+    # cap of 2^8: held at once, their half boxes took about 90 and 700 MB
+    for rows, resolution, outer in (([[2, 1], [1, 1]], 4096, 1000),
+                                    ([[2, 1, 0], [1, 1, 1], [0, 1, 2]], 256, 128)):
+        tracemalloc.start()
+        try:
+            _ball_sizes(GridDynamics.from_rows(rows), resolution, outer // 2, outer, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (rows, peak)
 
 
 # (rows, n_max, epsilon, resolution, spanning_counts, separated_counts), counted
