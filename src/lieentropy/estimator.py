@@ -41,7 +41,7 @@ from fractions import Fraction
 from .errors import DomainError, ParameterError, PipelineError
 from .torus import TorusEndo, entropy as exact_entropy
 
-_MAX_BALL_CELLS = 5 * 10**7
+_MAX_BALL_CELLS = 5 * 10**7  # cells of a Bowen box: a bound on work, not on memory
 _ORBIT_BLOCK = 256  # steps of the pair orbits held at once; a power of two
 _BALL_BLOCK = 1 << 14  # flat indices of a Bowen half box held at once
 
