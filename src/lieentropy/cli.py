@@ -6,6 +6,10 @@ validation, parameter or usage error, 2 pipeline abort (input outside the
 supported class, a violated internal invariant, any other error raised
 inside a stage, such as a `DomainError`, or `estimate` on a valid group
 whose central torus has dimension 0 or above 3).
+
+`main` lifts Python's limit on int <-> str digits (`set_int_max_str_digits`),
+so no valid document is refused for the length of its numbers.  The setting
+is process-wide; the benchmark and the tests call `main` in process.
 """
 
 from __future__ import annotations
@@ -178,6 +182,8 @@ def _cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11, and 3.10.7 or later
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

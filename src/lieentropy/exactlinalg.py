@@ -386,9 +386,6 @@ class Subspace(_Echelon):
             raise DimensionError("ambient dimensions differ")
         return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
-
     def chain(self, step) -> list["Subspace"]:
         """[V, step(V), step(step(V)), ...] while the dimension falls; `step`
         maps a space into itself, so the last term is its first fixed point."""

@@ -549,9 +549,9 @@ def check_toral_induced_finite_order(endo: GroupEndomorphism) -> ToralOrderCheck
     Preconditions: solvable algebra, surjective endomorphism, and a
     simply-connected nilradical, certified by a trivial central torus T(G)
     and checked before the nilradical is computed.  The lattice meets the
-    nilradical exactly when T(G) is nontrivial: the center lies in the
-    nilradical (ad z = 0 gives kappa(z, .) = 0), and a lattice point in the
-    nilradical has a semisimple, nilpotent adjoint, hence is central.
+    nilradical N = ker kappa exactly when T(G) is nontrivial: the center
+    lies in N (ad z = 0 gives kappa(z, .) = 0), and a lattice point in N
+    has a semisimple, nilpotent adjoint, hence is central.
     Under these preconditions the induced toral map must have finite order;
     an infinite answer is a theorem violation, not a result.
     """

@@ -232,17 +232,12 @@ def is_ad_nilpotent(algebra: LieAlgebra, x) -> bool:
 
 def solvable_radical(algebra: LieAlgebra) -> Ideal:
     """Largest solvable ideal, via Cartan's criterion:
-    r = {x : kappa(x, [g,g]) = 0}.
+    r = {x : kappa(x, [g,g]) = 0}.  No pipeline stage calls it.
 
     Post-verified: the result is solvable and the quotient Killing form is
     nondegenerate (semisimple quotient).
     """
-    return _solvable_radical(algebra, killing_form(algebra))
-
-
-def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
-    """solvable_radical given the Killing form of the algebra: the points of
-    g where x -> (kappa(x, d) for d in a basis of [g,g]) vanishes."""
+    form = killing_form(algebra)
     full = Subspace.full(algebra.dim)
     derived = bracket_span(algebra, full, full)
     space = full.where([mat_vec(derived.basis, row) for row in form])
@@ -259,24 +254,21 @@ def _solvable_radical(algebra: LieAlgebra, form) -> Ideal:
 
 
 def nilradical(algebra: LieAlgebra) -> Ideal:
-    """Largest nilpotency ideal of the adjoint representation:
-    n = r intersect {x : kappa(x, g) = 0}, the points of the radical r where
-    x -> kappa(x, .) vanishes.
+    """Largest nilpotent ideal, as the kernel of the Killing form
+    n = {x : kappa(x, g) = 0}.  ker kappa is an ideal (kappa is invariant)
+    and holds every nilpotent ideal N: for x in N, ad x . ad y maps g into
+    N and each term of N's lower central series into the next, so it is
+    nilpotent and kappa(x, y) = 0.  Once Engel's series of ker kappa
+    reaches 0, ker kappa is a nilpotent ideal, hence the largest one.
 
-    Post-verified: an ideal, every element ad-nilpotent (its Engel series
-    reaches 0), and r' <= n <= r.  Inputs where the kappa-orthogonal
-    overshoots the true nilradical stall the series and raise.
+    Post-verified: an ideal, every element ad-nilpotent.  Where ker kappa
+    overshoots (the weights 1 +- i of R x R^2) the series stalls and raises.
     """
-    form = killing_form(algebra)
-    radical = _solvable_radical(algebra, form)
-    space = radical.space.where([mat_vec(form, v) for v in radical.space.basis])
+    space = Subspace.full(algebra.dim).where(killing_form(algebra))
     ideal = Ideal(algebra, space, "nilradical")
     if _engel_series(algebra, space)[-1].dim:
         raise InvariantViolationError(
             "nilradical", "computed nilradical contains a non-ad-nilpotent element")
-    derived_of_radical = bracket_span(algebra, radical.space, radical.space)
-    if not derived_of_radical.is_subspace_of(space) or not space.is_subspace_of(radical.space):
-        raise InvariantViolationError("nilradical", "chain r' <= n <= r fails")
     return ideal
 
 

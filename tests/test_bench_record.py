@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
@@ -27,3 +29,60 @@ def test_summarize_takes_inclusive_quartiles_per_workload_metric_and_tree():
     # one run: its value is the median and both quartiles
     assert summary["lie"] == {"rate": {"after": {"median": 7, "q1": 7, "q3": 7, "n": 1}}}
     assert bench_record.summarize([]) == {}
+
+
+def test_speed_modes_split_at_the_largest_gap_above_twenty_percent():
+    assert bench_record.speed_modes([1.0, 1.1, 1.15, 1.05]) == [("all", float("inf"))]
+    # 1.1 -> 1.6 is the largest gap, and it leaves two processes on each side
+    assert bench_record.speed_modes([1.6, 1.0, 1.7, 1.1, 1.65]) == [
+        ("fast", 1.1), ("slow", float("inf"))]
+    # a lone outlier is no mode
+    assert bench_record.speed_modes([1.0, 1.05, 1.1, 3.0]) == [("all", float("inf"))]
+
+
+def test_ab_verdict_compares_each_mode_with_itself():
+    def sample(tree, seconds):
+        return {"tree": tree, "workload": "lie", "best_pass_s": seconds}
+
+    samples = [sample("parent", t) for t in (1.0, 1.1, 2.0, 2.2)]
+    samples += [sample("change", t) for t in (0.9, 0.95, 1.0, 2.1)]
+    verdict = bench_record.ab_verdict(samples, ("parent", "change"))["lie"]
+    assert set(verdict) == {"fast", "slow"}
+    fast = verdict["fast"]
+    assert fast["trees"]["parent"]["n"] == 2 and fast["trees"]["change"]["n"] == 3
+    assert fast["ratio"] == 0.95 / 1.05
+    assert fast["trees"]["change"]["won"] == 3 and fast["trees"]["parent"]["won"] == 0
+    assert verdict["slow"]["trees"]["change"]["n"] == 1
+    assert verdict["slow"]["ratio"] == 2.1 / 2.1
+
+
+def test_parse_pytest_reads_counts_and_durations():
+    text = ("..F\n===== slowest 10 durations =====\n"
+            "1.50s call     tests/test_a.py::test_x[1-2]\n0.20s setup    tests/test_b.py::test_y\n"
+            "===== 2 passed, 1 failed in 3.10s =====\n")
+    assert bench_record.parse_pytest(text) == {
+        "passed": 2, "failed": 1,
+        "durations": [[1.5, "call", "tests/test_a.py::test_x[1-2]"],
+                      [0.2, "setup", "tests/test_b.py::test_y"]]}
+
+
+def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path):
+    root = _PATH.parents[1]
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_work", ".bench_out")
+    for name in ("a", "b"):
+        for part in ("src", "benchmarks"):
+            shutil.copytree(root / part, tmp_path / name / part, ignore=ignore)
+    out = tmp_path / "BENCH_t.json"
+    out.write_text(json.dumps({"runs": ["kept"]}))
+    assert bench_record.main(["--pr", "t", "--tree", f"parent={tmp_path / 'a'}",
+                              "--tree", f"change={tmp_path / 'b'}", "--mode", "ab",
+                              "--workload", "estimate-falsify", "--processes", "1",
+                              "--passes", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["runs"] == ["kept"]
+    ab = record["ab"]
+    assert [s["tree"] for s in ab["samples"]] == ["parent", "change"]
+    assert all(s["correct"] and s["failed"] == 0 for s in ab["samples"])
+    (mode,) = ab["verdict"]["estimate-falsify"].values()
+    assert mode["trees"]["parent"]["n"] == mode["trees"]["change"]["n"] == 1
+    assert mode["ratio"] > 0

@@ -272,6 +272,36 @@ def test_cli_numeric_inputs_are_answered(tmp_path, capsys):
             assert abs(upper["value"] - bound) <= upper["error_bound"] + 1e-12, name
 
 
+def test_cli_answers_numbers_past_the_default_digit_limit(tmp_path, capsys):
+    # Python refuses int <-> str conversions past 4300 digits by default;
+    # main lifts the limit, so these valid documents are answered: entries
+    # whose product prints a 5001-digit certificate, a 5001-digit string
+    # entry, and a 5001-digit JSON number literal
+    big, bigger = "1" + "0" * 2500, "1" + "0" * 5000  # 10^2500 and 10^5000
+    square = {"algebra": {"dim": 2, "brackets": []}, "lattice": [[1, 0], [0, 1]],
+              "endomorphism": [[big, "0"], ["0", big]]}
+    long_entry = dict(square, endomorphism=[[bigger, "0"], ["0", "1"]])
+    texts = [json.dumps(square), json.dumps(long_entry),
+             json.dumps(long_entry).replace(f'"{bigger}"', bigger)]
+    assert f'[{bigger}, ' in texts[2]
+    default = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        for index, text in enumerate(texts):
+            path = tmp_path / f"long-{index}.json"
+            path.write_text(text)
+            for command in ("validate", "entropy"):
+                if default is not None:
+                    sys.set_int_max_str_digits(4300)
+                assert cli.main([command, "--input", str(path)]) == 0, (index, command)
+                captured = capsys.readouterr()
+                assert captured.err == ""
+            entropy = json.loads(captured.out)["entropy"]
+            assert abs(entropy["value"] - 5000 * math.log(10)) <= entropy["error_bound"] + 1e-9
+    finally:
+        if default is not None:
+            sys.set_int_max_str_digits(default)
+
+
 def test_cli_numeric_aborts_name_their_stage(tmp_path, capsys, monkeypatch):
     # a log-Mahler sum that cannot be certified aborts with exit 2 and names
     # the stage that asked for it: the torus entropy where the whole group is

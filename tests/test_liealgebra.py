@@ -6,6 +6,7 @@ import pytest
 
 import lieentropy.exactlinalg
 import lieentropy.liealgebra
+from lieentropy.catalog import builtin_catalog
 from lieentropy.errors import DomainError, InvariantViolationError
 from lieentropy.exactlinalg import (
     Subspace,
@@ -17,7 +18,9 @@ from lieentropy.exactlinalg import (
     solve,
     transpose,
 )
+from lieentropy.formats import build_group
 from lieentropy.liealgebra import (
+    Ideal,
     LieAlgebra,
     bracket_span,
     center,
@@ -79,7 +82,72 @@ def sl2_power(k):
                                             for i, j, l, v in sl2().constants])
 
 
+def so3():
+    return LieAlgebra.from_brackets(3, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)],
+                                    ["X", "Y", "Z"])
+
+
+def direct_sum(a, b):
+    """a + b, with b's basis after a's."""
+    shifted = [(i + a.dim, j + a.dim, k + a.dim, c) for i, j, k, c in b.constants]
+    return LieAlgebra.from_brackets(a.dim + b.dim, list(a.constants) + shifted)
+
+
+def line_on(matrix):
+    """R x Q^m: [H, X_j] = sum_i matrix[i][j] X_i, on the basis H, X_1..X_m."""
+    m = len(matrix)
+    return LieAlgebra.from_brackets(m + 1, [(0, 1 + j, 1 + i, matrix[i][j])
+                                            for i in range(m) for j in range(m) if matrix[i][j]])
+
+
 CATALOG = [e2, heisenberg, sl2, sl2_plus_line, affine_line, lambda: LieAlgebra.abelian(2)]
+
+
+def nilradical_families():
+    """The algebras the nilradical is checked on: the fixtures above, the
+    catalog's algebras, the families of the `lie-analyze` benchmark (h(2k+1),
+    sl2^k + circle, E2), and 300 seeded R x Q^m (m <= 4, entries in
+    {0, +-1, 2, 1/2}), about 30% of them summed with sl2, so(3) or h(3)."""
+    algebras = [make() for make in CATALOG]
+    algebras += [build_group(entry.input_document())[0].algebra for entry in builtin_catalog()]
+    algebras += [heisenberg_k(k) for k in range(1, 6)]
+    algebras += [direct_sum(sl2_power(k), LieAlgebra.abelian(1)) for k in range(1, 5)]
+    algebras.append(e2())
+    rng = random.Random(43)
+    entries = (0, 0, 1, -1, 2, Fraction(1, 2))
+    for _ in range(300):
+        m = rng.randint(1, 4)
+        a = line_on([[rng.choice(entries) for _ in range(m)] for _ in range(m)])
+        if rng.random() < 0.3:
+            a = direct_sum(a, rng.choice((sl2, so3, heisenberg))())
+        algebras.append(a)
+    return algebras
+
+
+def _nilradical_via_radical(algebra):
+    """The nilradical by the route that builds the solvable radical first:
+    r by Cartan's criterion, cut by ker kappa, then the ideal check, Engel's
+    series and r' <= n <= r, each raising as the pipeline does."""
+    form = killing_form(algebra)
+    rad = solvable_radical(algebra).space
+    space = rad.where([mat_vec(form, v) for v in rad.basis])
+    Ideal(algebra, space, "nilradical")
+    if lieentropy.liealgebra._engel_series(algebra, space)[-1].dim:
+        raise InvariantViolationError(
+            "nilradical", "computed nilradical contains a non-ad-nilpotent element")
+    derived = bracket_span(algebra, rad, rad)
+    if not all(map(space.contains, derived.basis)) or not all(map(rad.contains, space.basis)):
+        raise InvariantViolationError("nilradical", "chain r' <= n <= r fails")
+    return space
+
+
+def _outcome(compute, algebra):
+    """("basis", the basis computed), or ("abort", the abort's type, stage
+    and message)."""
+    try:
+        return "basis", compute(algebra).basis
+    except InvariantViolationError as exc:
+        return "abort", type(exc), exc.stage, str(exc)
 
 
 def _is_ad_nilpotent_reference(algebra, x):
@@ -253,10 +321,12 @@ def test_solvable_radical_examples():
         4, [(0, 0, 0, 1)])
 
 
-def test_radical_post_check_rejects_a_non_solvable_result():
+def test_radical_post_check_rejects_a_non_solvable_result(monkeypatch):
     # a zero form makes every x orthogonal to [g,g]: all of sl2, not solvable
+    monkeypatch.setattr(lieentropy.liealgebra, "killing_form",
+                        lambda algebra: [[F(0)] * algebra.dim for _ in range(algebra.dim)])
     with pytest.raises(InvariantViolationError, match="not solvable"):
-        lieentropy.liealgebra._solvable_radical(sl2(), [[F(0)] * 3 for _ in range(3)])
+        solvable_radical(sl2())
 
 
 def test_nilradical_examples():
@@ -274,24 +344,42 @@ def test_nilradical_computes_killing_form_once(monkeypatch):
         return original(algebra)
 
     monkeypatch.setattr(lieentropy.liealgebra, "killing_form", counted)
-    # solvable algebras: the quotient by the radical is zero, so its Killing
-    # form is never needed and the algebra's own is the only one computed
-    for make in (e2, heisenberg, affine_line):
+    # the nilradical is the kernel of the algebra's own Killing form, and no
+    # quotient's form is computed, solvable or not
+    for make in CATALOG:
         calls.clear()
         nilradical(make())
         assert len(calls) == 1
 
 
+def test_nilradical_matches_the_route_through_the_radical():
+    outcomes = [(_outcome(lambda a: nilradical(a).space, a), _outcome(_nilradical_via_radical, a))
+                for a in nilradical_families()]
+    for new, old in outcomes:
+        assert new == old
+    # both routes answer most and abort on some, at stage nilradical
+    aborts = [new for new, _ in outcomes if new[0] == "abort"]
+    assert 0 < len(aborts) < len(outcomes) / 10
+    assert {stage for _, _, stage, _ in aborts} == {"nilradical"}
+
+
 def test_radical_chain_and_ideal_property():
-    for make in CATALOG:
-        a = make()
+    # r' <= n <= r and z(g) <= n, wherever the nilradical is certified
+    checked = 0
+    for a in nilradical_families():
         rad = solvable_radical(a)
-        nil = nilradical(a)
+        try:
+            nil = nilradical(a)
+        except InvariantViolationError:
+            continue
         assert is_ideal(a, rad.space)
         assert is_ideal(a, nil.space)
         derived_of_r = bracket_span(a, rad.space, rad.space)
-        assert derived_of_r.is_subspace_of(nil.space)
-        assert nil.space.is_subspace_of(rad.space)
+        assert all(map(nil.space.contains, derived_of_r.basis))
+        assert all(map(rad.space.contains, nil.space.basis))
+        assert all(map(nil.space.contains, center(a).space.basis))
+        checked += 1
+    assert checked > 300
 
 
 def test_quotient_by_radical_is_semisimple():

@@ -1,19 +1,42 @@
 """Record benchmark runs of several source trees into one BENCH_<pr>.json.
 
 Each tree is a checkout of the repository, for example a `git clone` of the
-parent commit beside the working tree.  For every seed and workload the
-recorder runs each tree's own `benchmarks/run.py` as a subprocess, from the
-root of that tree, and reads the one JSON object the run prints on its last
-stdout line.  The order of the trees alternates from seed to seed, so that a
-drift in the machine's speed does not fall on one tree only.
+parent commit beside the working tree.  Three modes write into the same
+file, each under its own keys, keeping what the others wrote:
+
+- `--mode runs` (the default): for every seed and workload the recorder runs
+  each tree's own `benchmarks/run.py` as a subprocess, from the root of that
+  tree, and reads the one JSON object the run prints on its last stdout
+  line.  The order of the trees alternates from seed to seed, so that a
+  drift in the machine's speed does not fall on one tree only.  It writes,
+  per run, the tree, its commit, the workload, the seed, the run's wall time
+  and its metrics (end to end under `--trace 0`, per layer under
+  `--trace 1`) into `runs`, and per workload, metric and tree the median
+  and quartiles over the seeds into `summary`.
+- `--mode ab`: a fresh-process A/B of exactly two trees, the first the
+  baseline.  Each sample is a new subprocess in one tree that sets the
+  workload up once with that tree's `benchmarks/run.py` (`setup`, then
+  `run_op` over the documents) at one seed, and reports the best of
+  `--passes` whole passes.  Trees alternate from process to process, and
+  so does the tree that goes first.  A process keeps one speed mode for its
+  whole life, so the processes are split into a fast and a slow mode at the
+  largest gap in their sorted best-pass times, when that gap exceeds
+  `MODE_GAP` and leaves two processes or more on each side; each mode is
+  compared with itself.  `ab` holds the samples
+  and, per workload and mode, the second/first ratio of the median best
+  pass, each tree's quartiles and process count, and the processes won
+  (those faster than the other tree's median in the same mode).
+- `--mode tier1`: the tier-1 suite, `python -m pytest -q --durations=10`,
+  once in each tree; `tier1` holds its wall time, pass and fail counts and
+  the ten slowest durations.
 
     python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. \\
         --seeds 1-10 --out BENCH_25.json
+    python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. \\
+        --mode ab --seeds 51 --processes 22 --passes 15
+    python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. --mode tier1
 
-The output holds, per run, the tree, its commit, the workload, the seed, the
-run's wall time and its metrics (end to end under `--trace 0`, per layer
-under `--trace 1`), and per workload, metric and tree the median and
-quartiles over the seeds.  Standard library only.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +45,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -29,6 +53,34 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("lie-analyze", "torus-entropy", "estimate-falsify")
+# the smallest ratio between neighbouring sorted best-pass times that splits
+# the processes of an A/B into a fast and a slow mode
+MODE_GAP = 1.2
+
+# One A/B sample, run from the root of a tree: set the workload up with the
+# tree's own benchmarks/run.py and print the best of N whole passes.
+_AB_CHILD = """
+import json, math, os, shutil, sys, time
+from pathlib import Path
+sys.path.insert(0, "benchmarks")
+sys.dont_write_bytecode = True
+import run
+sys.path.insert(0, str(run.SRC))
+workload, seed, passes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+workdir = run.ROOT / ".bench_work" / f"ab-{workload}-{os.getpid()}"
+try:
+    lib, ops = run.setup(workload, seed, workdir)
+    best = math.inf
+    for _ in range(passes):
+        start = time.perf_counter()
+        results = [run.run_op(lib, op) for op in ops]
+        best = min(best, time.perf_counter() - start)
+    wrong = run.check(results)
+finally:
+    shutil.rmtree(workdir, ignore_errors=True)
+print(json.dumps({"best_pass_s": best, "ops": len(ops), "correct": not wrong,
+                  "failed": sum(not r.answered for r in results)}))
+"""
 
 
 def _git(tree: Path, *args) -> str | None:
@@ -83,11 +135,101 @@ def summarize(runs: list[dict]) -> dict:
     for workload, metrics in values.items():
         for name, trees in metrics.items():
             for tree, xs in trees.items():
-                q1, q2, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
-                              if len(xs) > 1 else (xs[0],) * 3)
-                summary.setdefault(workload, {}).setdefault(name, {})[tree] = {
-                    "median": q2, "q1": q1, "q3": q3, "n": len(xs)}
+                summary.setdefault(workload, {}).setdefault(name, {})[tree] = _quartiles(xs)
     return summary
+
+
+def _quartiles(xs) -> dict:
+    q1, q2, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                  if len(xs) > 1 else (xs[0],) * 3)
+    return {"median": q2, "q1": q1, "q3": q3, "n": len(xs)}
+
+
+def run_ab_sample(tree: Path, workload: str, seed: int, passes: int) -> dict:
+    argv = [sys.executable, "-c", _AB_CHILD, workload, str(seed), str(passes)]
+    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = result.stdout.strip().splitlines()
+    if result.returncode != 0 or not lines:
+        raise RuntimeError(f"{tree}: A/B sample of {workload} exited {result.returncode}: "
+                           f"{result.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def speed_modes(times: list[float]) -> list[tuple[str, float]]:
+    """[(mode, upper limit)]: 'fast' up to the largest gap between
+    neighbouring sorted times and 'slow' beyond, when that gap is a ratio
+    above MODE_GAP and leaves at least two processes on each side (one
+    process is no mode); else the one mode 'all'."""
+    xs = sorted(times)
+    gaps = [(xs[i + 1] / xs[i], xs[i]) for i in range(1, len(xs) - 2) if xs[i] > 0]
+    ratio, below = max(gaps, default=(1.0, 0.0))
+    if ratio <= MODE_GAP:
+        return [("all", float("inf"))]
+    return [("fast", below), ("slow", float("inf"))]
+
+
+def ab_verdict(samples: list[dict], labels: tuple[str, str]) -> dict:
+    """workload -> mode -> the second/first ratio of the median best pass,
+    and per tree its quartiles, process count and processes won."""
+    verdict: dict = {}
+    for workload in dict.fromkeys(s["workload"] for s in samples):
+        times = {label: [s["best_pass_s"] for s in samples
+                         if s["workload"] == workload and s["tree"] == label]
+                 for label in labels}
+        lower = 0.0
+        for mode, upper in speed_modes(times[labels[0]] + times[labels[1]]):
+            inside = {label: [t for t in xs if lower < t <= upper] for label, xs in times.items()}
+            lower = upper
+            trees = {label: _quartiles(xs) for label, xs in inside.items() if xs}
+            for label, other in (labels, labels[::-1]):
+                if label in trees and other in trees:
+                    trees[label]["won"] = sum(t < trees[other]["median"] for t in inside[label])
+            ratio = (trees[labels[1]]["median"] / trees[labels[0]]["median"]
+                     if len(trees) == 2 else None)
+            verdict.setdefault(workload, {})[mode] = {"ratio": ratio, "trees": trees}
+    return verdict
+
+
+def record_ab(trees, workloads, seed: int, processes: int, passes: int) -> dict:
+    samples = []
+    for workload in workloads:
+        for index in range(processes):
+            order = trees if index % 2 == 0 else trees[::-1]
+            for position, (label, tree) in enumerate(order):
+                sample = run_ab_sample(tree, workload, seed, passes)
+                samples.append({"tree": label, "workload": workload, "process": index,
+                                "position": position, **sample})
+                print(f"ab {workload} process {index} {label}: best pass "
+                      f"{sample['best_pass_s'] * 1e3:.2f} ms", file=sys.stderr)
+    labels = (trees[0][0], trees[1][0])
+    return {"seed": seed, "passes": passes, "processes": processes, "mode_gap": MODE_GAP,
+            "ratio": f"{labels[1]}/{labels[0]}", "verdict": ab_verdict(samples, labels),
+            "samples": samples}
+
+
+def parse_pytest(stdout: str) -> dict:
+    """Pass and fail counts and the --durations lines of a `pytest -q` run."""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", stdout)}
+    durations = [[float(t), when, test] for t, when, test in
+                 re.findall(r"^(\d+\.\d+)s (call|setup|teardown) +(\S+)$", stdout, re.M)]
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0),
+            "durations": durations}
+
+
+def record_tier1(trees) -> dict:
+    out = {}
+    for label, tree in trees:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        argv = [sys.executable, "-m", "pytest", "-q", "--durations=10", "-p", "no:cacheprovider"]
+        start = time.perf_counter()
+        result = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
+        out[label] = {"wall_s": time.perf_counter() - start, "exit": result.returncode,
+                      **parse_pytest(result.stdout)}
+        print(f"tier1 {label}: {out[label]['wall_s']:.1f} s, {out[label]['passed']} passed, "
+              f"{out[label]['failed']} failed", file=sys.stderr)
+    return out
 
 
 def main(argv=None) -> int:
@@ -95,10 +237,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a labelled checkout to run; give one per tree, in order")
-    parser.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,5 (default 1-10)")
+    parser.add_argument("--mode", choices=("runs", "ab", "tier1"), default="runs")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="a workload to run (default all three)")
+    parser.add_argument("--seeds", help="e.g. 1-10 or 1,3,5 (default 1-10; "
+                                        "--mode ab takes one seed, default 1)")
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="run length passed to benchmarks/run.py (default 40)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--processes", type=int, default=22,
+                        help="A/B processes per tree and workload (default 22)")
+    parser.add_argument("--passes", type=int, default=15,
+                        help="whole passes per A/B process, the best one counts (default 15)")
     parser.add_argument("--out", help="output file (default BENCH_<pr>.json)")
     args = parser.parse_args(argv)
 
@@ -113,28 +263,38 @@ def main(argv=None) -> int:
         trees.append((label, tree))
     if len({label for label, _ in trees}) != len(trees):
         parser.error("tree labels must differ")
-    info = {label: _tree_info(tree) for label, tree in trees}
-    runs = []
-    for index, seed in enumerate(_seeds(args.seeds)):
-        order = trees if index % 2 == 0 else trees[::-1]
-        for workload in WORKLOADS:
-            for position, (label, tree) in enumerate(order):
-                run = run_once(tree, workload, seed, args.seconds, args.trace)
-                runs.append({"tree": label, "commit": info[label]["commit"],
-                             "workload": workload, "seed": seed, "position": position,
-                             **run})
-                print(f"{workload} seed {seed} {label}: {run['seconds']:.1f} s, "
-                      f"failed {run['failed']}/{run['attempted']}", file=sys.stderr)
-    record = {
+    workloads = args.workload or WORKLOADS
+    seeds = _seeds(args.seeds or ("1" if args.mode == "ab" else "1-10"))
+    out = Path(args.out or f"BENCH_{args.pr}.json")
+    record = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
+    record.update({
         "pr": args.pr,
-        "command": ["benchmarks/run.py", "--seconds", args.seconds, "--trace", args.trace],
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "trees": info,
-        "runs": runs,
-        "summary": summarize(runs),
-    }
-    out = Path(args.out or f"BENCH_{args.pr}.json")
+        "trees": {label: _tree_info(tree) for label, tree in trees},
+    })
+    if args.mode == "ab":
+        if len(trees) != 2 or len(seeds) != 1:
+            parser.error("--mode ab compares two trees at one seed")
+        record["ab"] = record_ab(trees, workloads, seeds[0], args.processes, args.passes)
+    elif args.mode == "tier1":
+        record["tier1"] = record_tier1(trees)
+    else:
+        runs = []
+        for index, seed in enumerate(seeds):
+            order = trees if index % 2 == 0 else trees[::-1]
+            for workload in workloads:
+                for position, (label, tree) in enumerate(order):
+                    run = run_once(tree, workload, seed, args.seconds, args.trace)
+                    runs.append({"tree": label, "commit": record["trees"][label]["commit"],
+                                 "workload": workload, "seed": seed, "position": position,
+                                 **run})
+                    print(f"{workload} seed {seed} {label}: {run['seconds']:.1f} s, "
+                          f"failed {run['failed']}/{run['attempted']}", file=sys.stderr)
+        record["command"] = ["benchmarks/run.py", "--seconds", args.seconds,
+                             "--trace", args.trace]
+        record["runs"] = runs
+        record["summary"] = summarize(runs)
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
