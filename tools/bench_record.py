@@ -22,10 +22,10 @@ file, each under its own keys, keeping what the others wrote:
   whole life, so the processes are split into a fast and a slow mode at the
   largest gap in their sorted best-pass times, when that gap exceeds
   `MODE_GAP` and leaves two processes or more on each side; each mode is
-  compared with itself.  `ab` holds the samples
-  and, per workload and mode, the second/first ratio of the median best
-  pass, each tree's quartiles and process count, and the processes won
-  (those faster than the other tree's median in the same mode).
+  compared with itself.  `ab` holds the samples and, per workload and mode,
+  the second/first ratio of the median best pass, each tree's quartiles and
+  process count, and the processes won (those faster than the other tree's
+  median in the same mode).
 - `--mode tier1`: the tier-1 suite, `python -m pytest -q --durations=10`,
   once in each tree; `tier1` holds its wall time, pass and fail counts and
   the ten slowest durations.
@@ -61,7 +61,6 @@ MODE_GAP = 1.2
 # tree's own benchmarks/run.py and print the best of N whole passes.
 _AB_CHILD = """
 import json, math, os, shutil, sys, time
-from pathlib import Path
 sys.path.insert(0, "benchmarks")
 sys.dont_write_bytecode = True
 import run
@@ -271,8 +270,8 @@ def main(argv=None) -> int:
         "pr": args.pr,
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "trees": {label: _tree_info(tree) for label, tree in trees},
     })
+    record.setdefault("trees", {}).update({label: _tree_info(tree) for label, tree in trees})
     if args.mode == "ab":
         if len(trees) != 2 or len(seeds) != 1:
             parser.error("--mode ab compares two trees at one seed")
