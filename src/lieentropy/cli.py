@@ -7,9 +7,9 @@ supported class, a violated internal invariant, any other error raised
 inside a stage, such as a `DomainError`, or `estimate` on a valid group
 whose central torus has dimension 0 or above 3).
 
-`main` lifts Python's limit on int <-> str digits (`set_int_max_str_digits`),
-so no valid document is refused for the length of its numbers.  The setting
-is process-wide; the benchmark and the tests call `main` in process.
+`main` lifts Python's int <-> str digit limit (`set_int_max_str_digits`), so
+no valid document is refused for the length of its numbers, and restores the
+process-wide setting on return: the benchmark and the tests call it in process.
 """
 
 from __future__ import annotations
@@ -182,8 +182,10 @@ def _cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.11, and 3.10.7 or later
-        sys.set_int_max_str_digits(0)
+    # Python 3.11, and 3.10.7 or later, limit the digits; on older ones,
+    # which have no limit, `int` stands in for the getter and the setter
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    getattr(sys, "set_int_max_str_digits", int)(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -206,6 +208,8 @@ def main(argv=None) -> int:
     except (PipelineError, ArithmeticError, ValueError) as exc:  # any other ValueError is internal
         print(f"pipeline abort: {exc}", file=sys.stderr)
         return EXIT_ABORT
+    finally:
+        getattr(sys, "set_int_max_str_digits", int)(limit)
 
 
 if __name__ == "__main__":

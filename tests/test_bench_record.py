@@ -32,28 +32,41 @@ def test_summarize_takes_inclusive_quartiles_per_workload_metric_and_tree():
 
 
 def test_speed_modes_split_at_the_largest_gap_above_twenty_percent():
-    assert bench_record.speed_modes([1.0, 1.1, 1.15, 1.05]) == [("all", float("inf"))]
+    assert bench_record.speed_modes([1.0, 1.1, 1.15, 1.05]) == {"all": [1.0, 1.05, 1.1, 1.15]}
     # 1.1 -> 1.6 is the largest gap, and it leaves two processes on each side
-    assert bench_record.speed_modes([1.6, 1.0, 1.7, 1.1, 1.65]) == [
-        ("fast", 1.1), ("slow", float("inf"))]
+    assert bench_record.speed_modes([1.6, 1.0, 1.7, 1.1, 1.65]) == {
+        "fast": [1.0, 1.1], "slow": [1.6, 1.65, 1.7]}
     # a lone outlier is no mode
-    assert bench_record.speed_modes([1.0, 1.05, 1.1, 3.0]) == [("all", float("inf"))]
+    assert bench_record.speed_modes([1.0, 1.05, 1.1, 3.0]) == {"all": [1.0, 1.05, 1.1, 3.0]}
 
 
-def test_ab_verdict_compares_each_mode_with_itself():
-    def sample(tree, seconds):
-        return {"tree": tree, "workload": "lie", "best_pass_s": seconds}
+def _samples(tree, times):
+    return [{"tree": tree, "workload": "lie", "best_pass_s": t} for t in times]
 
-    samples = [sample("parent", t) for t in (1.0, 1.1, 2.0, 2.2)]
-    samples += [sample("change", t) for t in (0.9, 0.95, 1.0, 2.1)]
+
+def test_ab_verdict_compares_fast_with_fast_and_slow_with_slow():
+    samples = _samples("parent", (1.0, 1.1, 2.0, 2.2)) + _samples("change", (0.9, 0.95, 1.9, 2.0))
     verdict = bench_record.ab_verdict(samples, ("parent", "change"))["lie"]
     assert set(verdict) == {"fast", "slow"}
-    fast = verdict["fast"]
-    assert fast["trees"]["parent"]["n"] == 2 and fast["trees"]["change"]["n"] == 3
-    assert fast["ratio"] == 0.95 / 1.05
-    assert fast["trees"]["change"]["won"] == 3 and fast["trees"]["parent"]["won"] == 0
-    assert verdict["slow"]["trees"]["change"]["n"] == 1
-    assert verdict["slow"]["ratio"] == 2.1 / 2.1
+    fast, slow = verdict["fast"], verdict["slow"]
+    assert fast["trees"]["parent"]["n"] == fast["trees"]["change"]["n"] == 2
+    assert fast["ratio"] == 0.925 / 1.05 and slow["ratio"] == 1.95 / 2.1
+    assert fast["trees"]["change"]["won"] == 2 and fast["trees"]["parent"]["won"] == 0
+    # when only one tree splits, each tree is one mode
+    samples = _samples("parent", (1.0, 1.1, 2.0, 2.2)) + _samples("change", (0.9, 0.95, 1.0, 2.1))
+    (mode,) = bench_record.ab_verdict(samples, ("parent", "change"))["lie"].items()
+    assert mode[0] == "all" and mode[1]["ratio"] == 0.975 / 1.55
+
+
+def test_ab_verdict_reads_a_uniform_gain_across_the_mode_gap():
+    # every change process is 1.5x faster, more than MODE_GAP apart from the
+    # parent's, and neither tree has two modes of its own
+    parent = [1.5, 1.52, 1.48, 1.55, 1.51, 1.49]
+    samples = _samples("parent", parent) + _samples("change", [t / 1.5 for t in parent])
+    (mode,) = bench_record.ab_verdict(samples, ("parent", "change"))["lie"].items()
+    assert mode[0] == "all"
+    assert abs(mode[1]["ratio"] - 2 / 3) < 1e-12
+    assert mode[1]["trees"]["change"]["won"] == 6 and mode[1]["trees"]["parent"]["won"] == 0
 
 
 def test_parse_pytest_reads_counts_and_durations():
@@ -66,7 +79,7 @@ def test_parse_pytest_reads_counts_and_durations():
                       [0.2, "setup", "tests/test_b.py::test_y"]]}
 
 
-def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path):
+def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path, monkeypatch):
     root = _PATH.parents[1]
     ignore = shutil.ignore_patterns("__pycache__", ".bench_work", ".bench_out")
     for name in ("a", "b"):
@@ -74,13 +87,16 @@ def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path):
             shutil.copytree(root / part, tmp_path / name / part, ignore=ignore)
     out = tmp_path / "BENCH_t.json"
     out.write_text(json.dumps({"runs": ["kept"]}))
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("estimate-falsify",))
+    monkeypatch.setattr(bench_record, "AB_PROCESSES", 1)
+    monkeypatch.setattr(bench_record, "AB_PASSES", 1)
     assert bench_record.main(["--pr", "t", "--tree", f"parent={tmp_path / 'a'}",
                               "--tree", f"change={tmp_path / 'b'}", "--mode", "ab",
-                              "--workload", "estimate-falsify", "--processes", "1",
-                              "--passes", "1", "--out", str(out)]) == 0
+                              "--out", str(out)]) == 0
     record = json.loads(out.read_text())
     assert record["runs"] == ["kept"]
     ab = record["ab"]
+    assert set(ab["trees"]) == {"parent", "change"}
     assert [s["tree"] for s in ab["samples"]] == ["parent", "change"]
     assert all(s["correct"] and s["failed"] == 0 for s in ab["samples"])
     (mode,) = ab["verdict"]["estimate-falsify"].values()

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -974,21 +973,20 @@ def test_analyze_runs_each_stage_once(monkeypatch):
     # conjugation certificate and the toral-order check; log_mahler and
     # char_poly: calls for the eigenvalue-sum bound, which on a whole torus
     # is the entropy itself; is_ideal: one per ideal built (the center, and
-    # the nilradical), none again for a quotient by one; solvable_radical:
-    # the nilradical is ker kappa, so no stage builds the radical;
-    # center_cut: Gamma cut by the center, for the torus of a surjective d
-    # and for the toral-order precondition alike
+    # the nilradical), none again for a quotient by one; center_cut: Gamma
+    # cut by the center, for the torus of a surjective d and for the
+    # toral-order precondition alike
     expected = {
         "heisenberg-central-circle": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
-                                      "is_ideal": 1, "solvable_radical": 0, "center_cut": 1},
+                                      "is_ideal": 1, "center_cut": 1},
         "cstar-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
-                           "is_ideal": 1, "solvable_radical": 0, "center_cut": 1},
+                           "is_ideal": 1, "center_cut": 1},
         "torus2-squaring": {"nilradical": 0, "log_mahler": 1, "char_poly": 1,
-                            "is_ideal": 1, "solvable_radical": 0, "center_cut": 1},
+                            "is_ideal": 1, "center_cut": 1},
         "euclidean-e2": {"nilradical": 1, "log_mahler": 1, "char_poly": 1,
-                         "is_ideal": 2, "solvable_radical": 0, "center_cut": 1},
+                         "is_ideal": 2, "center_cut": 1},
         "e2-shifted": {"nilradical": 1, "log_mahler": 1, "char_poly": 1,
-                       "is_ideal": 2, "solvable_radical": 0, "center_cut": 1},
+                       "is_ideal": 2, "center_cut": 1},
     }
     cases = {name: build_group(get_entry(name).input_document())
              for name in expected if name != "e2-shifted"}
@@ -1012,20 +1010,11 @@ def test_analyze_runs_each_stage_once(monkeypatch):
         assert calls["eventual_image"] == 1, case
         for name, count in counts.items():
             assert calls[name] == count, (case, name)
+        assert calls["solvable_radical"] == 0, case
     assert report.toral_order is not None  # e2-shifted ran both consumers
-
-
-def test_analyze_builds_no_solvable_radical(monkeypatch):
-    import lieentropy.liealgebra as liealgebra
-
-    calls = []
-    original = liealgebra.solvable_radical
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "lieentropy"]
-    for module in modules:
-        for alias, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, alias, lambda *args: calls.append(1) or original(*args))
+    # the nilradical is ker kappa, so no stage builds the solvable radical,
+    # on these cases or on any catalog entry
+    calls.clear()
     for entry in builtin_catalog():
-        report = analyze(validate_endomorphism(*build_group(entry.input_document())), TOL)
-        assert report.entropy is not None
-    assert calls == []
+        analyze(validate_endomorphism(*build_group(entry.input_document())), TOL)
+    assert calls["solvable_radical"] == 0

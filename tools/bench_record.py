@@ -2,7 +2,8 @@
 
 Each tree is a checkout of the repository, for example a `git clone` of the
 parent commit beside the working tree.  Three modes write into the same
-file, each under its own keys, keeping what the others wrote:
+file, each under its own keys and with the commits it ran, keeping what the
+others wrote:
 
 - `--mode runs` (the default): for every seed and workload the recorder runs
   each tree's own `benchmarks/run.py` as a subprocess, from the root of that
@@ -11,29 +12,31 @@ file, each under its own keys, keeping what the others wrote:
   drift in the machine's speed does not fall on one tree only.  It writes,
   per run, the tree, its commit, the workload, the seed, the run's wall time
   and its metrics (end to end under `--trace 0`, per layer under
-  `--trace 1`) into `runs`, and per workload, metric and tree the median
-  and quartiles over the seeds into `summary`.
+  `--trace 1`) into `runs`, per workload, metric and tree the median and
+  quartiles over the seeds into `summary`, and the trees into `trees`.
 - `--mode ab`: a fresh-process A/B of exactly two trees, the first the
-  baseline.  Each sample is a new subprocess in one tree that sets the
-  workload up once with that tree's `benchmarks/run.py` (`setup`, then
-  `run_op` over the documents) at one seed, and reports the best of
-  `--passes` whole passes.  Trees alternate from process to process, and
-  so does the tree that goes first.  A process keeps one speed mode for its
-  whole life, so the processes are split into a fast and a slow mode at the
-  largest gap in their sorted best-pass times, when that gap exceeds
-  `MODE_GAP` and leaves two processes or more on each side; each mode is
-  compared with itself.  `ab` holds the samples and, per workload and mode,
-  the second/first ratio of the median best pass, each tree's quartiles and
-  process count, and the processes won (those faster than the other tree's
-  median in the same mode).
+  baseline, over every workload.  Each sample is a new subprocess in one
+  tree that sets the workload up once with that tree's `benchmarks/run.py`
+  (`setup`, then `run_op` over the documents) at one seed, and reports the
+  best of `AB_PASSES` whole passes; each tree runs `AB_PROCESSES` of them.
+  Trees alternate from process to process, and so does the tree that goes
+  first.  A process keeps one speed mode for its whole life, so each tree's
+  processes are split into a fast and a slow mode at the largest gap in its
+  own sorted best-pass times, when that gap exceeds `MODE_GAP` and leaves
+  two processes or more on each side.  When both trees split, fast is
+  compared with fast and slow with slow; otherwise all processes form one
+  mode.  `ab` holds the trees, the samples and, per workload and mode, the
+  second/first ratio of the median best pass, each tree's quartiles and
+  process count, and the processes won (those faster than the other
+  tree's median in the same mode).
 - `--mode tier1`: the tier-1 suite, `python -m pytest -q --durations=10`,
-  once in each tree; `tier1` holds its wall time, pass and fail counts and
-  the ten slowest durations.
+  once in each tree; `tier1` holds per tree its commit, wall time, pass
+  and fail counts and the ten slowest durations.
 
     python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. \\
         --seeds 1-10 --out BENCH_25.json
     python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. \\
-        --mode ab --seeds 51 --processes 22 --passes 15
+        --mode ab --seeds 51
     python3 tools/bench_record.py --pr 25 --tree parent=../parent --tree change=. --mode tier1
 
 Standard library only.
@@ -53,8 +56,12 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("lie-analyze", "torus-entropy", "estimate-falsify")
+# fresh processes per tree and workload in an A/B, and whole passes per
+# process, of which the best one counts
+AB_PROCESSES = 22
+AB_PASSES = 15
 # the smallest ratio between neighbouring sorted best-pass times that splits
-# the processes of an A/B into a fast and a slow mode
+# one tree's A/B processes into a fast and a slow mode
 MODE_GAP = 1.2
 
 # One A/B sample, run from the root of a tree: set the workload up with the
@@ -154,55 +161,58 @@ def run_ab_sample(tree: Path, workload: str, seed: int, passes: int) -> dict:
     return json.loads(lines[-1])
 
 
-def speed_modes(times: list[float]) -> list[tuple[str, float]]:
-    """[(mode, upper limit)]: 'fast' up to the largest gap between
-    neighbouring sorted times and 'slow' beyond, when that gap is a ratio
+def speed_modes(times: list[float]) -> dict[str, list[float]]:
+    """One tree's sorted times by speed mode: 'fast' up to the largest gap
+    between neighbouring times and 'slow' beyond, when that gap is a ratio
     above MODE_GAP and leaves at least two processes on each side (one
     process is no mode); else the one mode 'all'."""
     xs = sorted(times)
-    gaps = [(xs[i + 1] / xs[i], xs[i]) for i in range(1, len(xs) - 2) if xs[i] > 0]
-    ratio, below = max(gaps, default=(1.0, 0.0))
+    gaps = [(xs[i + 1] / xs[i], i + 1) for i in range(1, len(xs) - 2) if xs[i] > 0]
+    ratio, cut = max(gaps, default=(1.0, 0))
     if ratio <= MODE_GAP:
-        return [("all", float("inf"))]
-    return [("fast", below), ("slow", float("inf"))]
+        return {"all": xs}
+    return {"fast": xs[:cut], "slow": xs[cut:]}
 
 
 def ab_verdict(samples: list[dict], labels: tuple[str, str]) -> dict:
     """workload -> mode -> the second/first ratio of the median best pass,
-    and per tree its quartiles, process count and processes won."""
+    and per tree its quartiles, process count and processes won.  Each tree
+    is split into speed modes by its own times, and fast is compared with
+    fast and slow with slow; when only one tree splits, each tree is one
+    mode 'all'."""
     verdict: dict = {}
     for workload in dict.fromkeys(s["workload"] for s in samples):
         times = {label: [s["best_pass_s"] for s in samples
                          if s["workload"] == workload and s["tree"] == label]
                  for label in labels}
-        lower = 0.0
-        for mode, upper in speed_modes(times[labels[0]] + times[labels[1]]):
-            inside = {label: [t for t in xs if lower < t <= upper] for label, xs in times.items()}
-            lower = upper
-            trees = {label: _quartiles(xs) for label, xs in inside.items() if xs}
+        modes = {label: speed_modes(xs) for label, xs in times.items()}
+        if modes[labels[0]].keys() != modes[labels[1]].keys():
+            modes = {label: {"all": sorted(xs)} for label, xs in times.items()}
+        for mode in modes[labels[0]]:
+            inside = {label: modes[label][mode] for label in labels}
+            trees = {label: _quartiles(xs) for label, xs in inside.items()}
             for label, other in (labels, labels[::-1]):
-                if label in trees and other in trees:
-                    trees[label]["won"] = sum(t < trees[other]["median"] for t in inside[label])
-            ratio = (trees[labels[1]]["median"] / trees[labels[0]]["median"]
-                     if len(trees) == 2 else None)
+                trees[label]["won"] = sum(t < trees[other]["median"] for t in inside[label])
+            ratio = trees[labels[1]]["median"] / trees[labels[0]]["median"]
             verdict.setdefault(workload, {})[mode] = {"ratio": ratio, "trees": trees}
     return verdict
 
 
-def record_ab(trees, workloads, seed: int, processes: int, passes: int) -> dict:
+def record_ab(trees, seed: int) -> dict:
+    info = {label: _tree_info(tree) for label, tree in trees}
     samples = []
-    for workload in workloads:
-        for index in range(processes):
+    for workload in WORKLOADS:
+        for index in range(AB_PROCESSES):
             order = trees if index % 2 == 0 else trees[::-1]
             for position, (label, tree) in enumerate(order):
-                sample = run_ab_sample(tree, workload, seed, passes)
+                sample = run_ab_sample(tree, workload, seed, AB_PASSES)
                 samples.append({"tree": label, "workload": workload, "process": index,
                                 "position": position, **sample})
                 print(f"ab {workload} process {index} {label}: best pass "
                       f"{sample['best_pass_s'] * 1e3:.2f} ms", file=sys.stderr)
     labels = (trees[0][0], trees[1][0])
-    return {"seed": seed, "passes": passes, "processes": processes, "mode_gap": MODE_GAP,
-            "ratio": f"{labels[1]}/{labels[0]}", "verdict": ab_verdict(samples, labels),
+    return {"trees": info, "seed": seed, "passes": AB_PASSES, "processes": AB_PROCESSES,
+            "mode_gap": MODE_GAP, "ratio": f"{labels[1]}/{labels[0]}", "verdict": ab_verdict(samples, labels),
             "samples": samples}
 
 
@@ -222,10 +232,11 @@ def record_tier1(trees) -> dict:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         argv = [sys.executable, "-m", "pytest", "-q", "--durations=10", "-p", "no:cacheprovider"]
+        info = _tree_info(tree)
         start = time.perf_counter()
         result = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
-        out[label] = {"wall_s": time.perf_counter() - start, "exit": result.returncode,
-                      **parse_pytest(result.stdout)}
+        out[label] = {**info, "wall_s": time.perf_counter() - start,
+                      "exit": result.returncode, **parse_pytest(result.stdout)}
         print(f"tier1 {label}: {out[label]['wall_s']:.1f} s, {out[label]['passed']} passed, "
               f"{out[label]['failed']} failed", file=sys.stderr)
     return out
@@ -237,17 +248,11 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH",
                         help="a labelled checkout to run; give one per tree, in order")
     parser.add_argument("--mode", choices=("runs", "ab", "tier1"), default="runs")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (default all three)")
     parser.add_argument("--seeds", help="e.g. 1-10 or 1,3,5 (default 1-10; "
                                         "--mode ab takes one seed, default 1)")
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="run length passed to benchmarks/run.py (default 40)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--processes", type=int, default=22,
-                        help="A/B processes per tree and workload (default 22)")
-    parser.add_argument("--passes", type=int, default=15,
-                        help="whole passes per A/B process, the best one counts (default 15)")
     parser.add_argument("--out", help="output file (default BENCH_<pr>.json)")
     args = parser.parse_args(argv)
 
@@ -262,7 +267,6 @@ def main(argv=None) -> int:
         trees.append((label, tree))
     if len({label for label, _ in trees}) != len(trees):
         parser.error("tree labels must differ")
-    workloads = args.workload or WORKLOADS
     seeds = _seeds(args.seeds or ("1" if args.mode == "ab" else "1-10"))
     out = Path(args.out or f"BENCH_{args.pr}.json")
     record = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
@@ -271,18 +275,18 @@ def main(argv=None) -> int:
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
     })
-    record.setdefault("trees", {}).update({label: _tree_info(tree) for label, tree in trees})
     if args.mode == "ab":
         if len(trees) != 2 or len(seeds) != 1:
             parser.error("--mode ab compares two trees at one seed")
-        record["ab"] = record_ab(trees, workloads, seeds[0], args.processes, args.passes)
+        record["ab"] = record_ab(trees, seeds[0])
     elif args.mode == "tier1":
         record["tier1"] = record_tier1(trees)
     else:
+        record["trees"] = {label: _tree_info(tree) for label, tree in trees}
         runs = []
         for index, seed in enumerate(seeds):
             order = trees if index % 2 == 0 else trees[::-1]
-            for workload in workloads:
+            for workload in WORKLOADS:
                 for position, (label, tree) in enumerate(order):
                     run = run_once(tree, workload, seed, args.seconds, args.trace)
                     runs.append({"tree": label, "commit": record["trees"][label]["commit"],
