@@ -272,7 +272,7 @@ def test_cli_numeric_inputs_are_answered(tmp_path, capsys):
             assert abs(upper["value"] - bound) <= upper["error_bound"] + 1e-12, name
 
 
-def test_cli_answers_numbers_past_the_default_digit_limit(tmp_path, capsys):
+def test_cli_answers_numbers_past_the_default_digit_limit(tmp_path, capsys, request):
     # Python refuses int <-> str conversions past 4300 digits by default;
     # main lifts the limit, so these valid documents are answered: entries
     # whose product prints a 5001-digit certificate, a 5001-digit string
@@ -285,6 +285,9 @@ def test_cli_answers_numbers_past_the_default_digit_limit(tmp_path, capsys):
              json.dumps(long_entry).replace(f'"{bigger}"', bigger)]
     assert f'[{bigger}, ' in texts[2]
     default = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if default is not None:  # the caller's own limit, which main must give back
+        request.addfinalizer(lambda: sys.set_int_max_str_digits(default))
+        sys.set_int_max_str_digits(4321)
     for index, text in enumerate(texts):
         path = tmp_path / f"long-{index}.json"
         path.write_text(text)
@@ -294,7 +297,7 @@ def test_cli_answers_numbers_past_the_default_digit_limit(tmp_path, capsys):
             assert captured.err == ""
             # the limit is lifted for the call only
             if default is not None:
-                assert sys.get_int_max_str_digits() == default
+                assert sys.get_int_max_str_digits() == 4321
         # the certificate has 5001 digits: read ints as strings, not past the limit
         entropy = json.loads(captured.out, parse_int=str)["entropy"]
         assert abs(entropy["value"] - 5000 * math.log(10)) <= entropy["error_bound"] + 1e-9
