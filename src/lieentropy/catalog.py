@@ -11,13 +11,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .formats import InputDocument, build_group, document_from_dict, format_rational
+from .formats import InputDocument, build_group, document_from_dict
 from .groups import (
     ENTROPY_ON_CENTRAL_TORUS,
     POSITIVE_TORUS_ENTROPY_LI_YORKE,
     TRIVIAL_CENTRAL_TORUS_NO_LI_YORKE,
     ZERO_ENTROPY_TORUS_SOME_POWER_FREE,
-    AnalysisReport,
     analyze,
     validate_endomorphism,
     validate_presentation,
@@ -41,7 +40,6 @@ class CatalogEntry:
 class CatalogResult:
     name: str
     failures: tuple[str, ...]
-    report: AnalysisReport | None
 
     @property
     def ok(self) -> bool:
@@ -66,16 +64,12 @@ def _e2_doc(name, h_sign, a, b, shift=(0, 0)):
     similitude (direct for sign +1, reflected for sign -1)."""
     a, b = Fraction(a), Fraction(b)
     plane = [[a, -b], [b, a]] if h_sign == 1 else [[a, b], [b, -a]]
-    fmt = format_rational
+    rows = [[h_sign, 0, 0], [shift[0], *plane[0]], [shift[1], *plane[1]]]
     return {
         "name": name,
         "algebra": {"dim": 3, "basis": ["H", "X", "Y"], "brackets": _E2_BRACKETS},
         "lattice": [["1", "0", "0"]],
-        "endomorphism": [
-            [fmt(Fraction(h_sign)), "0", "0"],
-            [fmt(Fraction(shift[0])), fmt(plane[0][0]), fmt(plane[0][1])],
-            [fmt(Fraction(shift[1])), fmt(plane[1][0]), fmt(plane[1][1])],
-        ],
+        "endomorphism": [[str(Fraction(x)) for x in row] for row in rows],
     }
 
 
@@ -243,8 +237,7 @@ def run_entry(entry: CatalogEntry, tol: float = DEFAULT_TOL) -> CatalogResult:
     presentation = validate_presentation(group)
     failures = []
     if not presentation.valid:
-        return CatalogResult(entry.name,
-                             tuple(f"presentation: {i}" for i in presentation.issues), None)
+        return CatalogResult(entry.name, tuple(f"presentation: {i}" for i in presentation.issues))
     endo = validate_endomorphism(group, derivative)
     report = analyze(endo, tol)
     expected = entry.expected
@@ -267,7 +260,7 @@ def run_entry(entry: CatalogEntry, tol: float = DEFAULT_TOL) -> CatalogResult:
     if "bowen_upper" in expected:
         if abs(report.bowen_upper_bound.value - expected["bowen_upper"]) > tol:
             failures.append("eigenvalue-sum upper bound mismatch")
-    return CatalogResult(entry.name, tuple(failures), report)
+    return CatalogResult(entry.name, tuple(failures))
 
 
 def run_all(tol: float = DEFAULT_TOL) -> list[CatalogResult]:

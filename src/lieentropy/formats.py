@@ -33,10 +33,6 @@ from .torus import TorusEndo
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def format_rational(x: Fraction | int) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_rational(value, where: str) -> Fraction | int:
     if isinstance(value, bool):
         raise InputError("expected a rational, got a boolean", where)
@@ -168,7 +164,7 @@ def build_group(document: InputDocument) -> tuple[PresentedGroup, list[list[Frac
 # report serialization
 
 def _vectors(rows) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in rows]
+    return [[str(x) for x in row] for row in rows]
 
 
 def entropy_value_to_dict(value: EntropyValue) -> dict:

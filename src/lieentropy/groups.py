@@ -169,8 +169,6 @@ def _compact_spectrum_certificate(minimal) -> str | None:
     it; acceptance rests on those divisions alone.
     """
     p = poly_trim(minimal)
-    if not p:
-        return "zero minimal polynomial"
     if p[0] == 0:
         p = p[1:]
         if not p or p[0] == 0:

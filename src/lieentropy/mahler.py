@@ -12,10 +12,11 @@ on integer balls (Cerlienco, Mignotte & Piras, "Computing the measure of a
 polynomial", J. Symbolic Comput. 4 (1987)): coefficient bounds on the
 iterates bracket its Mahler measure, and Pellet's test on them counts the
 roots outside the unit circle.  Roots on the circle are roots of the
-self-reciprocal gcd of p and its reversal, counted by Sturm's theorem.
-Floats enter only at the final logs, so no coefficient size, degree or
-root cluster leaves the float range; a bracket that stays too wide up to a
-fixed precision is an ArithmeticError.
+self-reciprocal gcd of p and its reversal (`poly_gcd`, which holds the
+coprimality certificate), counted by Sturm's theorem over Z.  Floats enter
+only at the final logs, so no coefficient size, degree or root cluster
+leaves the float range; a bracket that stays too wide up to a fixed
+precision is an ArithmeticError.
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -91,19 +92,24 @@ def poly_divmod(p, q):
     return poly_trim(quot), p
 
 
+def _pseudo_remainder(a, b):
+    """|lead b|^k a mod b for integer lists, k the number of steps: the
+    remainder over Q times a positive integer, computed over Z."""
+    b = b if b[-1] > 0 else [-y for y in b]
+    while len(a) >= len(b):
+        top, pad = a[-1], [0] * (len(a) - len(b))
+        a = poly_trim([x * b[-1] - top * y for x, y in zip(a, pad + b)])
+    return a
+
+
 def poly_gcd(p, q):
-    """Primitive integer gcd with a positive lead: a primitive remainder
-    sequence over Z (integer pseudo-remainders, content cleared)."""
+    """Primitive integer gcd, lead positive: [1] where the modular certificate
+    shows p and q coprime, else a primitive remainder sequence over Z."""
     a, b = poly_primitive_int(p), poly_primitive_int(q)
+    if a and _coprime_mod_prime(a, b):
+        return [1]
     while b:
-        r = a
-        while len(r) >= len(b):
-            shift, top = len(r) - len(b), r[-1]
-            r = [x * b[-1] for x in r]
-            for i, y in enumerate(b):
-                r[shift + i] -= top * y
-            r = poly_trim(r)
-        a, b = b, poly_primitive_int(r)
+        a, b = b, poly_primitive_int(_pseudo_remainder(a, b))
     return a
 
 
@@ -136,17 +142,14 @@ def squarefree_decomposition(p):
     """Yun decomposition [(q_1, 1), (q_2, 2), ...] with p ~ prod q_i^i.
 
     Factors are primitive integer polynomials, pairwise coprime and
-    squarefree; constant factors are dropped.  A p that a modular
-    certificate shows coprime to p' is squarefree, [(primitive p, 1)].
-    Otherwise Yun's algorithm (SYMSAC '76) runs on the primitive form: each
-    gcd is primitive, so every quotient is exact over Z (Gauss's lemma).
+    squarefree; constant factors are dropped.  Yun's algorithm (SYMSAC '76)
+    runs on the primitive form: each gcd is primitive, so every quotient is
+    exact over Z (Gauss's lemma).
     """
     p = poly_primitive_int(p)
     if len(p) < 2:
         return []
     d = poly_derivative(p)
-    if _coprime_mod_prime(p, d):
-        return [(p, 1)]
     a = poly_gcd(p, d)
     b, _ = poly_divmod(p, a)
     c, _ = poly_divmod(d, a)
@@ -247,12 +250,8 @@ def cyclotomic_factors(p) -> tuple[list[tuple[int, int]], list]:
 
 def cyclotomic_part(p) -> tuple[list, list]:
     """Split p = cyclo * rest with cyclo the full cyclotomic content."""
-    found, rest = cyclotomic_factors(p)
-    cyclo = [1]
-    for m, mult in found:
-        for _ in range(mult):
-            cyclo = poly_mul(cyclo, list(cyclotomic(m)))
-    return cyclo, rest
+    rest = cyclotomic_factors(p)[1]
+    return poly_divmod(p, rest)[0], rest
 
 
 def noncyclotomic_part(p):
@@ -281,7 +280,8 @@ def _circle_count(h):
     z^i + z^-i = D_i(z + 1/z) with D_0 = 2, D_1 = w and D_(i+1) = w D_i -
     D_(i-1).  A root w of q in (-2, 2) of multiplicity mu gives the two roots
     of z^2 - wz + 1, both on the circle with multiplicity mu, and Sturm's
-    theorem counts the distinct roots of each squarefree part of q there.
+    theorem counts the distinct roots of each squarefree part of q there, on
+    integer pseudo-remainders: positive multiples of the chain over Q.
     """
     m = (len(h) - 1) // 2
     q, low, high = [h[m]] + [0] * m, [2], [0, 1]
@@ -292,7 +292,9 @@ def _circle_count(h):
     for part, mult in squarefree_decomposition(q):
         chain = [part, poly_derivative(part)]
         while len(chain[-1]) > 1:
-            chain.append([-x for x in poly_divmod(chain[-2], chain[-1])[1]])
+            r = _pseudo_remainder(chain[-2], chain[-1])
+            content = math.gcd(*r)
+            chain.append([-x // content for x in r])
         changes = []
         for w in (-2, 2):
             signs = [v > 0 for v in (poly_eval(s, w) for s in chain) if v]
@@ -308,8 +310,6 @@ def _circle_split(f):
     other roots of h pair off as z, 1/z, one of each pair outside.  So f
     stays whole unless h has a root on the circle; then it splits into h,
     whose count is known, and f/h, which has no root on the circle."""
-    if _coprime_mod_prime(f, f[::-1]):
-        return [(f, None)]
     h = poly_gcd(f, f[::-1])
     circle = _circle_count(h)
     if not circle:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -546,6 +547,83 @@ def test_cli_catalog_list_and_run_all():
     result = run_cli("catalog", "--run-all")
     assert result.returncode == 0
     assert f"{len(names)}/{len(names)} catalog entries passed" in result.stdout
+
+
+def _boundary_documents():
+    """Seeded documents at the edges of the input class: entries 10^k and
+    1/10^k up to k = 10^4 on tori and on a plane with no lattice, tori of
+    dimension 0-4, and the cat map.  Each with the commands to run on it."""
+    rng = random.Random(25)
+
+    def document(rows, lattice):
+        n = len(rows)
+        lattice = [[int(i == j) for j in range(n)] for i in range(n)] if lattice else []
+        return {"algebra": {"dim": n, "brackets": []}, "lattice": lattice,
+                "endomorphism": [[str(x) for x in row] for row in rows]}
+
+    def seeded(n):
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+    entropy = [["validate"], ["entropy"], ["analyze"]]
+    tols = [["entropy", "--tol", tol] for tol in ("1e-13", "1e-14", "1e-300")]
+    out = []
+    for k in (1, 30, 300, 4400, 10000):
+        power = "1" + "0" * k  # 10^k, written without an int past the digit limit
+        out.append((document([[power]], True), entropy + tols[:1] + [["estimate"]]))
+        out.append((document([["1/" + power]], True), entropy))
+        out.append((document([["1/" + power, "0"], ["0", "3"]], False), entropy))
+        if k <= 300:
+            rows = [[x * 10**k for x in row] for row in seeded(2)]
+            out.append((document(rows, True), entropy))
+            out.append((document([[f"{x}/{10**k}" for x in row] for row in seeded(2)], False),
+                        entropy))
+    for n in range(5):
+        out.append((document(seeded(n), True), entropy + [["estimate"]]))
+        out.append((document(seeded(n), False), [["entropy"], ["estimate"]]))
+    out.append((document([[2, 1], [1, 1]], True), entropy + tols + [["estimate"]]))
+    return out
+
+
+def test_cli_boundary_sweep_keeps_one_exit_rule(tmp_path, capsys):
+    # every exit 1 is a document that validate refuses (the parser's
+    # InputError included), and every exit 2 names its stage
+    seen = Counter()
+    for index, (document, commands) in enumerate(_boundary_documents()):
+        path = tmp_path / f"boundary-{index}.json"
+        path.write_text(json.dumps(document))
+        codes = {}
+        for argv in [["validate"]] + commands:
+            code = cli.main([argv[0], "--input", str(path), *argv[1:]])
+            err = capsys.readouterr().err
+            codes[" ".join(argv)] = code
+            seen[code] += 1
+            assert code in (0, 1, 2), (index, argv)
+            if code == 1:
+                assert codes["validate"] == 1, (index, argv, err)
+            if code == 2:
+                assert err.startswith("pipeline abort: stage '"), (index, argv, err)
+    assert set(seen) == {0, 1, 2}
+
+
+def test_cli_failing_catalog_is_a_stage_abort(monkeypatch, capsys):
+    # catalog --run-all reads no input: an entry that disagrees with its
+    # record is exit 2 at stage 'catalog', after the per-entry lines
+    import dataclasses
+
+    from lieentropy import catalog
+
+    entries = builtin_catalog()
+    wrong = dataclasses.replace(entries[-1], expected=dict(entries[-1].expected, entropy=1.5))
+    monkeypatch.setattr(catalog, "builtin_catalog", lambda: entries[:-1] + (wrong,))
+    assert cli.main(["catalog", "--run-all"]) == 2
+    captured = capsys.readouterr()
+    n = len(entries)
+    assert captured.err == (f"pipeline abort: stage 'catalog': 1 of {n} entries disagree "
+                            "with their records\n")
+    lines = captured.out.splitlines()
+    assert len(lines) == n + 1 and lines[-1] == f"{n - 1}/{n} catalog entries passed"
+    assert [line.split()[1] for line in lines[:-1]] == ["pass"] * (n - 1) + ["FAIL"]
+    assert lines[-2].startswith(wrong.name) and "!= expected 1.5)" in lines[-2]
 
 
 def test_cli_usage_errors_exit_one():

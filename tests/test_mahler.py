@@ -158,6 +158,50 @@ def test_cyclotomic_part_with_multiplicity():
     assert rest == [-2, 1]
 
 
+def _workload_documents(monkeypatch):
+    """The documents of the benchmark's three workloads at seeds 1-3, their
+    reference answers left out."""
+    import importlib.util
+    import sys
+    import types
+    from pathlib import Path
+
+    import lieentropy.catalog
+    import lieentropy.groups
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in ("mignotte_entropy", "_eigen_entropy", "li_yorke_reference"):
+        monkeypatch.setattr(workloads, name, lambda *args: None)
+    lib = types.SimpleNamespace(groups=lieentropy.groups, catalog=lieentropy.catalog)
+    return [item[0] for make in workloads.WORKLOADS.values() for seed in (1, 2, 3)
+            for family in make(seed, lib) for item in family]
+
+
+def test_cyclotomic_part_multiplies_back_on_every_certificate(monkeypatch):
+    # the entropy and eigenvalue-sum certificates of the catalog and of every
+    # benchmark document: cyclo * rest is the certificate, with cyclo monic
+    from lieentropy.catalog import builtin_catalog
+    from lieentropy.formats import build_group, document_from_dict
+    from lieentropy.groups import topological_entropy, validate_endomorphism
+
+    documents = [entry.document for entry in builtin_catalog()] + _workload_documents(monkeypatch)
+    certificates = set()
+    for document in documents:
+        endo = validate_endomorphism(*build_group(document_from_dict(document)))
+        report = topological_entropy(endo)
+        certificates |= {report.entropy.certificate, report.bowen_upper_bound.certificate}
+    assert len(documents) > 150 and len(certificates) > 100
+    for certificate in certificates:
+        cyclo, rest = cyclotomic_part(certificate)
+        assert poly_mul(cyclo, rest) == list(certificate), certificate
+        assert cyclo[-1] == 1 and all(type(x) is int for x in cyclo + rest), certificate
+        assert rest == cyclotomic_factors(certificate)[1]
+
+
 def test_cyclotomic_part_rejects_zero():
     with pytest.raises(DomainError):
         cyclotomic_part([])
@@ -340,9 +384,10 @@ def test_modular_certificates_match_yun_and_trial_division():
 
 
 def test_certified_polynomials_skip_yun_and_trial_division(monkeypatch):
-    # the coprimality certificate skips Yun's gcds, and the value gate at
-    # 2^64 skips every trial division that fails: a random 12x12 char(d)
-    # divides by nothing, and times Phi_5^2 Phi_12 by exactly three Phi_m
+    # the coprimality certificate in poly_gcd skips every remainder
+    # sequence, and the value gate at 2^64 skips every trial division that
+    # fails: a random 12x12 char(d) divides by nothing, and times
+    # Phi_5^2 Phi_12 by exactly three Phi_m
     import sys
 
     import lieentropy.mahler as mahler
@@ -362,7 +407,7 @@ def test_certified_polynomials_skip_yun_and_trial_division(monkeypatch):
     rich = poly_mul(poly_mul(p, list(cyclotomic(5))), poly_mul(list(cyclotomic(5)),
                                                                 list(cyclotomic(12))))
     expected = squarefree_decomposition(p), cyclotomic_factors(p), cyclotomic_factors(rich)
-    monkeypatch.setattr(mahler, "poly_gcd", forbidden)
+    monkeypatch.setattr(mahler, "_pseudo_remainder", forbidden)
     monkeypatch.setattr(mahler, "poly_divmod", counted)
     assert (squarefree_decomposition(p), cyclotomic_factors(p)) == expected[:2]
     assert expected[:2] == ([(p, 1)], ([], p))
@@ -398,6 +443,42 @@ def test_poly_gcd_matches_euclid_over_q():
         got = poly_gcd(p, q)
         assert got == _primitive_reference(_poly_gcd_reference(p, q)), (p, q)
         assert all(type(x) is int for x in got)
+
+
+def test_poly_gcd_certificate_decides_or_runs_the_remainder_sequence(monkeypatch):
+    # certified-coprime pairs give [1] with no pseudo-remainder; where 2^61 - 1
+    # divides the first lead the certificate is silent and the remainder
+    # sequence decides, common factor or not
+    import lieentropy.mahler as mahler
+
+    steps = []
+    pseudo_remainder = mahler._pseudo_remainder
+
+    def counted(a, b):
+        steps.append(1)
+        return pseudo_remainder(a, b)
+
+    monkeypatch.setattr(mahler, "_pseudo_remainder", counted)
+    rng = random.Random(1961)
+    certified = 0
+    for _ in range(80):
+        p = [rng.randint(-6, 6) for _ in range(rng.randint(2, 7))]
+        q = [rng.randint(-6, 6) for _ in range(rng.randint(2, 7))]
+        if not p[-1] or not q[-1] or len(_poly_gcd_reference(p, q)) > 1:
+            continue
+        steps.clear()
+        assert poly_gcd(p, q) == [1], (p, q)
+        assert not steps, (p, q)
+        certified += 1
+    assert certified >= 40
+    silent = [([1, 1, ELL], [1, 2]),
+              (poly_mul([1, ELL], [-2, 1]), poly_mul([3, 1], [-2, 1])),
+              (poly_mul([-1, ELL], [1, 0, 1]), poly_mul([1, 0, 1], [1, 1, 1]))]
+    for p, q in silent:
+        steps.clear()
+        assert poly_gcd(p, q) == _primitive_reference(_poly_gcd_reference(p, q)), (p, q)
+        assert steps, (p, q)
+    assert poly_gcd(*silent[1]) == [-2, 1] and poly_gcd(*silent[2]) == [1, 0, 1]
 
 
 # --- log-Mahler sums -----------------------------------------------------------
@@ -627,6 +708,108 @@ def test_circle_count_with_multiplicity():
     assert _circle_count([1, -3, 1]) == 0
     assert _circle_count(_product([[2, 3, 2], [2, 3, 2], [1, -3, 1], [5, -6, 5]])) == 6
     assert _circle_count(_product([LEHMER, LEHMER, [1, -3, 1]])) == 16
+
+
+SALEM_4 = [1, -1, -1, -1, 1]         # t^4 - t^3 - t^2 - t + 1
+SALEM_6 = [1, 0, -1, -1, -1, 0, 1]   # t^6 - t^4 - t^3 - t^2 + 1
+
+
+def _circle_count_reference(h):
+    """_circle_count with its Sturm chains divided over Q, as it stood before
+    the chains moved to Z: each term minus the remainder of the two before."""
+    m = (len(h) - 1) // 2
+    q, low, high = [h[m]] + [0] * m, [2], [0, 1]
+    for c in h[m + 1:]:
+        q[:len(high)] = [x + c * y for x, y in zip(q, high)]
+        low, high = high, [a - b for a, b in itertools.zip_longest([0] + high, low, fillvalue=0)]
+    count = 0
+    for part, mult in _squarefree_reference(q):
+        chain = [part, _derivative(part)]
+        while len(chain[-1]) > 1:
+            chain.append([-x for x in _divmod_reference(chain[-2], chain[-1])[1]])
+        changes = []
+        for w in (-2, 2):
+            signs = [v > 0 for v in (poly_eval(s, w) for s in chain) if v]
+            changes.append(sum(a != b for a, b in zip(signs, signs[1:])))
+        count += 2 * mult * (changes[0] - changes[1])
+    return count
+
+
+def _self_reciprocal_polynomials(count):
+    """Seeded self-reciprocal polynomials h with h(1) h(-1) != 0, of either
+    sign of lead, half of them sparse, some times a quadratic with both
+    roots on the circle, or squared, or times one another.  Sparse ones
+    often have a degree gap in their Sturm chain, where a pseudo-remainder
+    takes an odd number of steps."""
+    rng = random.Random(1933)
+    circle = ([2, 3, 2], [5, -6, 5], [1, 1, 1], [3, -1, 3], [1, 0, 1], [-4, 1, -4])
+    out = []
+    while len(out) < count:
+        m, zeros = rng.randint(1, 7), rng.choice((0, 2))
+        half = [rng.choice((-1, 1)) * rng.randint(1, 4)] + [
+            rng.choice([rng.randint(-4, 4)] + [0] * zeros) for _ in range(m)]
+        h = half + half[-2::-1]
+        roll = rng.random()
+        if roll < 0.25:
+            h = poly_mul(h, rng.choice(circle))
+        elif roll < 0.4:
+            h = poly_mul(h, h)
+        elif roll < 0.55 and out:
+            h = poly_mul(h, rng.choice(out))
+        if poly_eval(h, 1) and poly_eval(h, -1):
+            out.append(h)
+    return out
+
+
+def test_pseudo_remainder_is_a_positive_multiple_of_the_remainder():
+    # |lead b|^k times the remainder over Q, so a Sturm chain built from it
+    # keeps its signs: divisors of either sign, k odd or even
+    from lieentropy.mahler import _pseudo_remainder
+
+    rng = random.Random(1837)
+    odd = 0
+    for _ in range(300):
+        a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 9))]
+        b = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))] + [rng.choice((-3, -1, 1, 2))]
+        got, rem = _pseudo_remainder(poly_trim(a), b), _divmod_reference(a, b)[1]
+        assert len(got) == len(rem) and all(type(x) is int for x in got), (a, b)
+        if rem:
+            scale = Fraction(got[-1], rem[-1])
+            assert scale > 0 and got == [scale * x for x in rem], (a, b)
+            odd += b[-1] < 0 and (len(poly_trim(a)) - len(b)) % 2 == 0
+    assert odd > 20
+
+
+def test_circle_count_matches_sturm_over_q(monkeypatch):
+    # the integer chains count what the chains over Q count, and no
+    # division over Q is left in _circle_count
+    import sys
+
+    import lieentropy.mahler as mahler
+
+    called_from = Counter()
+
+    def counted(name):
+        inner = getattr(mahler, name)
+
+        def wrapper(*args):
+            called_from[name, sys._getframe(1).f_code.co_name] += 1
+            return inner(*args)
+        monkeypatch.setattr(mahler, name, wrapper)
+
+    counted("poly_divmod")
+    counted("_pseudo_remainder")
+    # the last has a degree gap in its chain, at a term with a negative lead
+    named = [LEHMER, poly_mul(LEHMER, LEHMER), poly_mul(LEHMER, [1, -3, 1]),
+             _product([LEHMER, SALEM_4, SALEM_6]), _product([LEHMER, SALEM_4, SALEM_4]),
+             [-1, 0, 0, 0, -2, 0, -2, 0, 0, 0, -1]]
+    polys = named + _self_reciprocal_polynomials(240)
+    for h in polys:
+        assert h == h[::-1] and poly_eval(h, 1) and poly_eval(h, -1)
+        assert mahler._circle_count(h) == _circle_count_reference(h), h
+    assert [mahler._circle_count(h) for h in named] == [8, 16, 8, 14, 12, 2]
+    assert called_from["poly_divmod", "_circle_count"] == 0
+    assert called_from["_pseudo_remainder", "_circle_count"] > 500
 
 
 def test_pellet_test_is_strict():
