@@ -5,9 +5,8 @@ catalog.  Exit codes distinguish what went wrong: 0 success, 1 input,
 validation, parameter or usage error, 2 pipeline abort (input outside the
 supported class, a violated internal invariant, any other error raised
 inside a stage, such as a `DomainError`, `estimate` on a valid group whose
-central torus has dimension 0 or above 3, or a `catalog --run-all` whose
-entries disagree with their records: it reads no input, so its failure is
-an abort at stage 'catalog', after the per-entry lines and the summary).
+central torus has dimension 0 or above 3, or a failing `catalog --run-all`,
+which reads no input: it aborts at stage 'catalog' after its summary).
 
 `main` lifts Python's int <-> str digit limit (`set_int_max_str_digits`), so
 no valid document is refused for the length of its numbers, and restores the

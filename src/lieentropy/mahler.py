@@ -11,12 +11,11 @@ p(2^64).  The rest is bracketed without roots, by Graeffe's root squaring
 on integer balls (Cerlienco, Mignotte & Piras, "Computing the measure of a
 polynomial", J. Symbolic Comput. 4 (1987)): coefficient bounds on the
 iterates bracket its Mahler measure, and Pellet's test on them counts the
-roots outside the unit circle.  Roots on the circle are roots of the
-self-reciprocal gcd of p and its reversal (`poly_gcd`, which holds the
-coprimality certificate), counted by Sturm's theorem over Z.  Floats enter
-only at the final logs, so no coefficient size, degree or root cluster
-leaves the float range; a bracket that stays too wide up to a fixed
-precision is an ArithmeticError.
+roots outside the unit circle.  Roots on the circle, those of gcd(p, p
+reversed) (`poly_gcd`, which holds the coprimality certificate), are
+counted by Sturm's theorem over Z.  Floats enter only at the final logs, so
+no coefficient size, degree or root cluster leaves the float range; a
+bracket that stays too wide up to a fixed precision is an ArithmeticError.
 
 Polynomials are dense ascending coefficient lists; the zero polynomial is [].
 """
@@ -142,7 +141,8 @@ def squarefree_decomposition(p):
     """Yun decomposition [(q_1, 1), (q_2, 2), ...] with p ~ prod q_i^i.
 
     Factors are primitive integer polynomials, pairwise coprime and
-    squarefree; constant factors are dropped.  Yun's algorithm (SYMSAC '76)
+    squarefree; constant factors are dropped.  A p coprime to p' is
+    squarefree, [(primitive p, 1)].  Otherwise Yun's algorithm (SYMSAC '76)
     runs on the primitive form: each gcd is primitive, so every quotient is
     exact over Z (Gauss's lemma).
     """
@@ -151,6 +151,8 @@ def squarefree_decomposition(p):
         return []
     d = poly_derivative(p)
     a = poly_gcd(p, d)
+    if len(a) == 1:
+        return [(p, 1)]
     b, _ = poly_divmod(p, a)
     c, _ = poly_divmod(d, a)
     out = []
