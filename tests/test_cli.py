@@ -564,23 +564,23 @@ def _boundary_documents():
     def seeded(n):
         return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
 
-    entropy = [["validate"], ["entropy"], ["analyze"]]
+    reports = [["entropy"], ["analyze"]]
     tols = [["entropy", "--tol", tol] for tol in ("1e-13", "1e-14", "1e-300")]
     out = []
     for k in (1, 30, 300, 4400, 10000):
         power = "1" + "0" * k  # 10^k, written without an int past the digit limit
-        out.append((document([[power]], True), entropy + tols[:1] + [["estimate"]]))
-        out.append((document([["1/" + power]], True), entropy))
-        out.append((document([["1/" + power, "0"], ["0", "3"]], False), entropy))
+        out.append((document([[power]], True), reports + tols[:1] + [["estimate"]]))
+        out.append((document([["1/" + power]], True), reports))
+        out.append((document([["1/" + power, "0"], ["0", "3"]], False), reports))
         if k <= 300:
             rows = [[x * 10**k for x in row] for row in seeded(2)]
-            out.append((document(rows, True), entropy))
+            out.append((document(rows, True), reports))
             out.append((document([[f"{x}/{10**k}" for x in row] for row in seeded(2)], False),
-                        entropy))
+                        reports))
     for n in range(5):
-        out.append((document(seeded(n), True), entropy + [["estimate"]]))
+        out.append((document(seeded(n), True), reports + [["estimate"]]))
         out.append((document(seeded(n), False), [["entropy"], ["estimate"]]))
-    out.append((document([[2, 1], [1, 1]], True), entropy + tols + [["estimate"]]))
+    out.append((document([[2, 1], [1, 1]], True), reports + tols + [["estimate"]]))
     return out
 
 
@@ -591,15 +591,15 @@ def test_cli_boundary_sweep_keeps_one_exit_rule(tmp_path, capsys):
     for index, (document, commands) in enumerate(_boundary_documents()):
         path = tmp_path / f"boundary-{index}.json"
         path.write_text(json.dumps(document))
-        codes = {}
-        for argv in [["validate"]] + commands:
+        refused = cli.main(["validate", "--input", str(path)]) == 1
+        capsys.readouterr()
+        for argv in commands:
             code = cli.main([argv[0], "--input", str(path), *argv[1:]])
             err = capsys.readouterr().err
-            codes[" ".join(argv)] = code
             seen[code] += 1
             assert code in (0, 1, 2), (index, argv)
             if code == 1:
-                assert codes["validate"] == 1, (index, argv, err)
+                assert refused, (index, argv, err)
             if code == 2:
                 assert err.startswith("pipeline abort: stage '"), (index, argv, err)
     assert set(seen) == {0, 1, 2}
