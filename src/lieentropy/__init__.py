@@ -5,6 +5,11 @@ action on the maximal torus in the center of the eventual image, where it is
 the classical eigenvalue formula.  This package mechanizes that reduction
 over exact rational arithmetic and pairs it with a numerical spanning-set
 estimator that can falsify (never certify) the exact pipeline.
+
+Records that hold plain values are `typing.NamedTuple`s: immutable, equal
+and hashed by value, changed with `_replace`.  A record is a frozen
+dataclass only when it caches derived state with `cached_property`, which
+needs an instance dict, or checks an invariant in `__post_init__`.
 """
 
 from .exactlinalg import Lattice, Subspace, char_poly, lattice_intersect_subspace, min_poly

@@ -8,8 +8,8 @@ the pipeline on the document must reproduce the record within tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .formats import InputDocument, build_group, document_from_dict
 from .groups import (
@@ -25,8 +25,7 @@ from .mahler import DEFAULT_TOL
 from .torus import LI_YORKE_ALL_POWERS, SOME_POWER_LI_YORKE_FREE
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     document: dict
     expected: dict
@@ -36,8 +35,7 @@ class CatalogEntry:
         return document_from_dict(self.document)
 
 
-@dataclass(frozen=True)
-class CatalogResult:
+class CatalogResult(NamedTuple):
     name: str
     failures: tuple[str, ...]
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError, PipelineError
 from .torus import TorusEndo, entropy as exact_entropy
@@ -49,8 +49,7 @@ _BALL_BLOCK = 1 << 14  # flat indices of a Bowen half box held at once
 GridDynamics = TorusEndo  # a public name, kept for the callers that use it
 
 
-@dataclass(frozen=True)
-class SpanningEstimate:
+class SpanningEstimate(NamedTuple):
     n_values: tuple[int, ...]
     spanning_counts: tuple[int, ...]    # floor(R^d / |D_n(e)|): upper bracket
     separated_counts: tuple[int, ...]   # ceil(R^d / |D_n(2e)|): lower bracket
@@ -188,8 +187,7 @@ def _fit_log_growth(ns, counts) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # bundle inequality
 
-@dataclass(frozen=True)
-class BundleInequalityReport:
+class BundleInequalityReport(NamedTuple):
     total_slope: float
     base_slope: float
     fiber_entropy: float
@@ -270,8 +268,7 @@ def _auto_resolution(dynamics: TorusEndo, n_max: int, epsilon: float, h: float) 
 # ---------------------------------------------------------------------------
 # Li-Yorke pair search
 
-@dataclass(frozen=True)
-class PairCandidate:
+class PairCandidate(NamedTuple):
     """Heuristic evidence only: empirical orbit-distance extremes of one
     sampled pair, never a proof of a Li-Yorke pair."""
 

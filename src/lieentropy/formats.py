@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .estimator import SpanningEstimate
@@ -48,8 +48,7 @@ def parse_rational(value, where: str) -> Fraction | int:
     raise InputError(f"expected a rational string or integer, got {type(value).__name__}", where)
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(NamedTuple):
     name: str
     dim: int
     basis_names: tuple[str, ...] | None

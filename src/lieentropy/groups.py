@@ -26,10 +26,11 @@ Each stage takes the validated endomorphism alone (its presentation is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -141,8 +142,7 @@ class PresentedGroup:
         return lattice_intersect_subspace(self.lattice, self.center)
 
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     issues: tuple[str, ...]
 
     @property
@@ -402,8 +402,7 @@ def toral_lattice(group: PresentedGroup) -> CentralTorus:
     return CentralTorus(group.central_lattice)
 
 
-@dataclass(frozen=True)
-class LiYorkeChain:
+class LiYorkeChain(NamedTuple):
     """Verdict plus the reduction chain justifying it; each link is a
     (result-tag, statement) pair."""
 
@@ -419,8 +418,7 @@ class LiYorkeChain:
         return tuple(tag for tag, _ in self.links)
 
 
-@dataclass(frozen=True)
-class ToralOrderCheck:
+class ToralOrderCheck(NamedTuple):
     order: int
     action: TorusEndo
 
@@ -429,8 +427,7 @@ class ToralOrderCheck:
         return self.action.dim
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the entropy pipeline produced, stage by stage."""
 
     group_name: str
@@ -630,4 +627,4 @@ def analyze(endo: GroupEndomorphism, tol: float = DEFAULT_TOL) -> AnalysisReport
         citations = citations + tuple(t for t in li.citations if t not in citations)
     if toral is not None:
         citations = citations + (INDUCED_TORAL_MAP_FINITE_ORDER,)
-    return replace(report, li_yorke=li, toral_order=toral, citations=citations)
+    return report._replace(li_yorke=li, toral_order=toral, citations=citations)

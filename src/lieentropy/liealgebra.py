@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, InvariantViolationError
 from .exactlinalg import Subspace, exact, identity_matrix, mat_vec, rank, transpose
@@ -23,8 +24,7 @@ from .exactlinalg import Subspace, exact, identity_matrix, mat_vec, rank, transp
 Vec = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(NamedTuple):
     dim: int
     basis_names: tuple[str, ...]
     # sorted nonzero (i, j, k, c): [e_i, e_j] has coefficient c on e_k
@@ -83,8 +83,7 @@ class LieAlgebra:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class AlgebraValidation:
+class AlgebraValidation(NamedTuple):
     violations: tuple[tuple[str, tuple, str], ...]  # (kind, witness, detail)
 
     @property

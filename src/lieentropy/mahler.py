@@ -103,10 +103,15 @@ def _pseudo_remainder(a, b):
 
 def poly_gcd(p, q):
     """Primitive integer gcd, lead positive: [1] where the modular certificate
-    shows p and q coprime, else a primitive remainder sequence over Z."""
-    a, b = poly_primitive_int(p), poly_primitive_int(q)
+    shows p and q coprime, else a primitive remainder sequence over Z.  The
+    certificate reads integer lists as given, since a common factor over Z
+    divides them with or without their content, and rational ones cleared."""
+    a, b = poly_trim(p), poly_trim(q)
+    if not all(isinstance(x, int) for x in a + b):
+        a, b = poly_primitive_int(a), poly_primitive_int(b)
     if a and _coprime_mod_prime(a, b):
         return [1]
+    a, b = poly_primitive_int(a), poly_primitive_int(b)
     while b:
         a, b = b, poly_primitive_int(_pseudo_remainder(a, b))
     return a
@@ -313,7 +318,7 @@ def _circle_split(f):
     stays whole unless h has a root on the circle; then it splits into h,
     whose count is known, and f/h, which has no root on the circle."""
     h = poly_gcd(f, f[::-1])
-    circle = _circle_count(h)
+    circle = _circle_count(h) if len(h) > 1 else 0
     if not circle:
         return [(f, None)]
     rest, _ = poly_divmod(f, h)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, ValidationError
 from .exactlinalg import (
@@ -35,8 +35,7 @@ from .mahler import (
 )
 
 
-@dataclass(frozen=True)
-class TorusEndo:
+class TorusEndo(NamedTuple):
     """Integer matrix acting on the lattice Z^n of a torus R^n/Z^n."""
 
     matrix: tuple[tuple[int, ...], ...]

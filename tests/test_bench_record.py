@@ -69,6 +69,22 @@ def test_ab_verdict_reads_a_uniform_gain_across_the_mode_gap():
     assert mode[1]["trees"]["change"]["won"] == 6 and mode[1]["trees"]["parent"]["won"] == 0
 
 
+def test_ab_verdict_reads_set_up_seconds_by_their_own_modes():
+    # set-up seconds get their own speed modes, ratio and processes won, by
+    # the same routine as the best pass
+    samples = [{"tree": tree, "workload": "lie", "best_pass_s": 1.0, "setup_s": t}
+               for tree, times in (("parent", (0.05, 0.052, 0.09, 0.095)),
+                                   ("change", (0.04, 0.041, 0.072, 0.08)))
+               for t in times]
+    verdict = bench_record.ab_verdict(samples, ("parent", "change"), "setup_s")["lie"]
+    assert set(verdict) == {"fast", "slow"}
+    assert abs(verdict["fast"]["ratio"] - 0.0405 / 0.051) < 1e-12
+    assert verdict["fast"]["trees"]["change"]["won"] == 2
+    assert verdict["slow"]["trees"]["parent"]["won"] == 0
+    (mode,) = bench_record.ab_verdict(samples, ("parent", "change"))["lie"].items()
+    assert mode[0] == "all" and mode[1]["ratio"] == 1.0
+
+
 def test_parse_pytest_reads_counts_and_durations():
     text = ("..F\n===== slowest 10 durations =====\n"
             "1.50s call     tests/test_a.py::test_x[1-2]\n0.20s setup    tests/test_b.py::test_y\n"
@@ -79,12 +95,17 @@ def test_parse_pytest_reads_counts_and_durations():
                       [0.2, "setup", "tests/test_b.py::test_y"]]}
 
 
-def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path, monkeypatch):
+def _two_copies(tmp_path):
+    """Copies a and b of this checkout's src and benchmarks, with no caches."""
     root = _PATH.parents[1]
     ignore = shutil.ignore_patterns("__pycache__", ".bench_work", ".bench_out")
     for name in ("a", "b"):
         for part in ("src", "benchmarks"):
             shutil.copytree(root / part, tmp_path / name / part, ignore=ignore)
+
+
+def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path, monkeypatch):
+    _two_copies(tmp_path)
     out = tmp_path / "BENCH_t.json"
     out.write_text(json.dumps({"runs": ["kept"]}))
     monkeypatch.setattr(bench_record, "WORKLOADS", ("estimate-falsify",))
@@ -98,7 +119,35 @@ def test_ab_mode_records_a_ratio_for_two_copies_of_one_tree(tmp_path, monkeypatc
     ab = record["ab"]
     assert set(ab["trees"]) == {"parent", "change"}
     assert [s["tree"] for s in ab["samples"]] == ["parent", "change"]
-    assert all(s["correct"] and s["failed"] == 0 for s in ab["samples"])
-    (mode,) = ab["verdict"]["estimate-falsify"].values()
-    assert mode["trees"]["parent"]["n"] == mode["trees"]["change"]["n"] == 1
-    assert mode["ratio"] > 0
+    assert all(s["correct"] and s["failed"] == 0 and s["setup_s"] > 0 for s in ab["samples"])
+    assert set(ab["verdict"]) == {"best_pass", "setup"}
+    for verdict in ab["verdict"].values():
+        (mode,) = verdict["estimate-falsify"].values()
+        assert mode["trees"]["parent"]["n"] == mode["trees"]["change"]["n"] == 1
+        assert mode["ratio"] > 0
+
+
+def test_cold_mode_records_commands_over_the_floor_for_two_copies_of_one_tree(
+        tmp_path, monkeypatch):
+    _two_copies(tmp_path)
+    commands = {name: bench_record.COLD_COMMANDS[name]
+                for name in ("floor", "import", "entropy-cat-map")}
+    monkeypatch.setattr(bench_record, "COLD_COMMANDS", commands)
+    monkeypatch.setattr(bench_record, "COLD_REPEATS", 2)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_record.main(["--pr", "t", "--tree", f"parent={tmp_path / 'a'}",
+                              "--tree", f"change={tmp_path / 'b'}", "--mode", "cold",
+                              "--out", str(out)]) == 0
+    cold = json.loads(out.read_text())["cold"]
+    # the unmeasured warm-up run wrote each tree's bytecode cache
+    assert (tmp_path / "b" / "src" / "lieentropy" / "__pycache__").is_dir()
+    assert [(s["round"], s["tree"]) for s in cold["samples"] if s["command"] == "import"] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    assert set(cold["summary"]) == set(commands)
+    for command, by_tree in cold["summary"].items():
+        for label, entry in by_tree.items():
+            assert entry["n"] == 2 and entry["q1"] <= entry["median"] <= entry["q3"]
+            floor = cold["summary"]["floor"][label]["median"]
+            assert entry["over_floor"] == entry["median"] - floor
+    assert set(cold["over_floor_ratio"]) == {"import", "entropy-cat-map"}
+    assert cold["summary"]["entropy-cat-map"]["parent"]["over_floor"] > 0

@@ -38,9 +38,21 @@ def test_importing_the_cli_loads_every_traced_layer():
     # reads each wrapped layer's module there: a layer the CLI imported
     # lazily would fail every benchmark set-up with KeyError
     layers = sorted(set(_wrapped()) | {"catalog", "groups", "estimator"})
-    code = ("import sys, lieentropy.cli\n"
-            f"print([m for m in {layers!r} if 'lieentropy.' + m not in sys.modules])")
+    # the same interpreter lists the package's dataclasses: value records are
+    # NamedTuples, and only the records that cache derived state or check an
+    # invariant when built stay dataclasses
+    code = ("import dataclasses, sys, lieentropy.cli\n"
+            f"print([m for m in {layers!r} if 'lieentropy.' + m not in sys.modules])\n"
+            "print(sorted(f'{n[11:]}.{k}' for n, m in list(sys.modules.items())\n"
+            "             if n.startswith('lieentropy.') for k, c in vars(m).items()\n"
+            "             if isinstance(c, type) and c.__module__ == n\n"
+            "             and dataclasses.is_dataclass(c)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    missing, dataclasses = result.stdout.splitlines()
+    assert missing == "[]"
+    assert dataclasses == str([
+        "exactlinalg.Lattice", "exactlinalg.Subspace", "groups.CentralTorus",
+        "groups.GroupEndomorphism", "groups.PresentedGroup", "liealgebra.Ideal",
+        "mahler.EntropyValue"])

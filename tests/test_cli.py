@@ -608,12 +608,10 @@ def test_cli_boundary_sweep_keeps_one_exit_rule(tmp_path, capsys):
 def test_cli_failing_catalog_is_a_stage_abort(monkeypatch, capsys):
     # catalog --run-all reads no input: an entry that disagrees with its
     # record is exit 2 at stage 'catalog', after the per-entry lines
-    import dataclasses
-
     from lieentropy import catalog
 
     entries = builtin_catalog()
-    wrong = dataclasses.replace(entries[-1], expected=dict(entries[-1].expected, entropy=1.5))
+    wrong = entries[-1]._replace(expected=dict(entries[-1].expected, entropy=1.5))
     monkeypatch.setattr(catalog, "builtin_catalog", lambda: entries[:-1] + (wrong,))
     assert cli.main(["catalog", "--run-all"]) == 2
     captured = capsys.readouterr()

@@ -1018,3 +1018,50 @@ def test_analyze_runs_each_stage_once(monkeypatch):
     for entry in builtin_catalog():
         analyze(validate_endomorphism(*build_group(entry.input_document())), TOL)
     assert calls["solvable_radical"] == 0
+
+
+def test_value_records_refuse_assignment_and_replace_keeps_the_rest():
+    # the value records are NamedTuples: each refuses attribute assignment,
+    # and _replace on an analyze report changes only the fields it names
+    from lieentropy.catalog import run_entry
+    from lieentropy.estimator import (
+        GridDynamics,
+        bundle_inequality_check,
+        li_yorke_search,
+        spanning_entropy_estimate,
+    )
+    from lieentropy.liealgebra import validate_algebra
+
+    entry = get_entry("euclidean-e2")
+    document = entry.input_document()
+    group, derivative = build_group(document)
+    report = analyze(validate_endomorphism(group, derivative), TOL)
+    doubling, tripling = GridDynamics.from_rows([[2]]), GridDynamics.from_rows([[3]])
+    product = GridDynamics.from_rows([[2, 0], [0, 3]])
+    records = {
+        "CatalogEntry": entry,
+        "CatalogResult": run_entry(entry),
+        "InputDocument": document,
+        "LieAlgebra": group.algebra,
+        "AlgebraValidation": validate_algebra(group.algebra),
+        "PresentationReport": validate_presentation(group),
+        "AnalysisReport": report,
+        "LiYorkeChain": report.li_yorke,
+        "ToralOrderCheck": report.toral_order,
+        "TorusEndo": doubling,
+        "SpanningEstimate": spanning_entropy_estimate(doubling, 3, 0.1, 64),
+        "BundleInequalityReport": bundle_inequality_check(
+            product, doubling, tripling, n_max=3, epsilon=0.1, resolution=64),
+        "PairCandidate": li_yorke_search(doubling, pair_budget=4)[0],
+    }
+    for name, record in records.items():
+        assert type(record).__name__ == name and isinstance(record, tuple)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert record == type(record)(*record)
+    replaced = report._replace(li_yorke=None, citations=())
+    assert replaced.li_yorke is None and replaced.citations == ()
+    assert all(getattr(replaced, field) is getattr(report, field)
+               for field in report._fields if field not in ("li_yorke", "citations"))
+    assert report.li_yorke is not None and report.citations
