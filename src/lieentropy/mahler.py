@@ -374,9 +374,7 @@ def _expanding_sum(f, budget, count):
             if count == 0:
                 break
             if count is not None:
-                if budget < 2.0**-48 * (log_lead + 1.0):
-                    raise ArithmeticError(f"tolerance {budget:.3e} is below the rounding of the logs")
-                lower = max(math.log(a - rad) - b for a, b in zip(mags, log_binom) if a > rad)
+                lower =max(math.log(a - rad) - b for a, b in zip(mags, log_binom) if a > rad)
                 if pellet:
                     lower = max(lower, math.log(top - rad - others))
                 upper = math.log(sum((a + rad) ** 2 for a in mags)) / 2
@@ -385,6 +383,18 @@ def _expanding_sum(f, budget, count):
                 # 16 units in the last place of every term, for the logs and sums
                 slack = 2.0**-48 * (math.ldexp(abs(lower) + abs(upper) + n, -k)
                                     + abs(unit) + log_lead + 1.0)
+                # Give up when no precision can meet the budget.  Every slack
+                # s' is at least 2^-48 (max(|lo'|, |hi'|) + log_lead + 1), and
+                # log M(f) lies in every bracket [lo' - s', hi' + s'], so its
+                # distance d from 0 (at least delta, the distance from 0 to
+                # this bracket) is at most max(|lo'|, |hi'|) + s'.  Hence
+                # s' (1 + 2^-48) >= 2^-48 (delta + log_lead + 1), and when that
+                # exceeds budget (1 + 2^-48), every bracket, this one too, is
+                # wider than the budget.  The rule changes when an abort
+                # happens, never whether it happens.
+                delta = max(lo - slack, -(hi + slack), 0.0)
+                if 2.0**-48 * (delta + log_lead + 1.0) > budget * (1.0 + 2.0**-48):
+                    raise ArithmeticError(f"tolerance {budget:.3e} is below the rounding of the logs")
                 if (hi - lo) / 2 + slack <= budget:
                     return (lo + hi) / 2 - log_lead, (hi - lo) / 2 + slack, count
             mids, rad, shift = _graeffe_step(mids, rad, p)

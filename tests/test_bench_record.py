@@ -151,3 +151,70 @@ def test_cold_mode_records_commands_over_the_floor_for_two_copies_of_one_tree(
             assert entry["over_floor"] == entry["median"] - floor
     assert set(cold["over_floor_ratio"]) == {"import", "entropy-cat-map"}
     assert cold["summary"]["entropy-cat-map"]["parent"]["over_floor"] > 0
+
+
+def test_runs_mode_records_each_run_and_its_summary_for_two_copies_of_one_tree(
+        tmp_path, monkeypatch):
+    _two_copies(tmp_path)
+    monkeypatch.setattr(bench_record, "WORKLOADS", ("estimate-falsify",))
+    monkeypatch.setattr(bench_record, "RUN_SECONDS", 1)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_record.main(["--pr", "t", "--tree", f"parent={tmp_path / 'a'}",
+                              "--tree", f"change={tmp_path / 'b'}", "--seeds", "1",
+                              "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    # the copies are no git checkouts, so they have no commit
+    assert record["trees"] == {label: {"commit": None, "src_tree": None, "dirty": None}
+                               for label in ("parent", "change")}
+    assert record["command"] == ["benchmarks/run.py", "--seconds", 1, "--trace", 0]
+    runs = record["runs"]
+    assert [(r["tree"], r["position"]) for r in runs] == [("parent", 0), ("change", 1)]
+    for run in runs:
+        assert (run["commit"], run["workload"], run["seed"]) == (None, "estimate-falsify", 1)
+        assert run["correct"] and run["failed"] == 0 and run["seconds"] > 0
+        assert run["metrics"]["answers_per_s"] > 0 and run["metrics"]["answered_share"] == 1.0
+    summary = record["summary"]["estimate-falsify"]
+    assert set(summary) == set(runs[0]["metrics"])
+    for name, by_tree in summary.items():
+        for run in runs:
+            value = run["metrics"][name]
+            assert by_tree[run["tree"]] == {"median": value, "q1": value, "q3": value, "n": 1}
+
+
+def _git(repo, *args):
+    import subprocess
+    return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                           *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_tree_info_reads_the_id_of_the_sources_that_run(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("A = 1\n")
+    (repo / "notes.txt").write_text("outside src\n")
+    _git(tmp_path, "init", "-q", str(repo))
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "start")
+    clean = bench_record._tree_info(repo)
+    assert clean == {"commit": _git(repo, "rev-parse", "HEAD"),
+                     "src_tree": _git(repo, "rev-parse", "HEAD:src"), "dirty": False}
+    clone = tmp_path / "clone"
+    _git(tmp_path, "clone", "-q", str(repo), str(clone))
+    assert bench_record._tree_info(clone)["src_tree"] == clean["src_tree"]
+    # an edit outside src/ leaves the id alone
+    (repo / "notes.txt").write_text("edited\n")
+    assert bench_record._tree_info(repo)["src_tree"] == clean["src_tree"]
+    # an uncommitted edit under src/ changes it, and so does an untracked file
+    (repo / "src" / "a.py").write_text("A = 2\n")
+    edited = bench_record._tree_info(repo)
+    assert edited["dirty"] and edited["src_tree"] != clean["src_tree"]
+    (repo / "src" / "a.py").write_text("A = 1\n")
+    (repo / "src" / "b.py").write_text("B = 1\n")
+    untracked = bench_record._tree_info(repo)["src_tree"]
+    assert untracked not in (clean["src_tree"], edited["src_tree"])
+    # the same files in the clone give the same id, and neither index moved
+    (clone / "src" / "b.py").write_text("B = 1\n")
+    assert bench_record._tree_info(clone)["src_tree"] == untracked
+    for tree in (repo, clone):
+        assert _git(tree, "status", "--porcelain").splitlines()[-1] == "?? src/b.py"
+        assert _git(tree, "diff", "--cached", "--name-only") == ""

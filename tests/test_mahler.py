@@ -846,3 +846,23 @@ def test_bracket_holds_at_coarse_tolerances():
             ev = log_mahler(p, tol)
             assert abs(ev.value - truth) <= ev.error_bound + 1e-12, (p, tol)
             assert ev.error_bound <= tol and ev.expanding_count == len(outside), (p, tol)
+
+
+def test_budget_below_the_rounding_of_the_logs_aborts_before_any_graeffe_step(monkeypatch):
+    # log M(t - 10^10000) = 10^4 log 10, and 2^-48 of that alone exceeds
+    # tol/8 at tol 1e-10: the first bracket shows that no precision can
+    # meet the budget; 10^300 at the same tol is answered
+    from lieentropy import mahler
+
+    steps = Counter()
+    def counted(*args):
+        steps["graeffe"] += 1
+        return _graeffe_step(*args)
+
+    monkeypatch.setattr(mahler, "_graeffe_step", counted)
+    with pytest.raises(ArithmeticError, match="tolerance 1.250e-11 is below the rounding"):
+        log_mahler([-10**10000, 1], 1e-10)
+    assert steps["graeffe"] == 0
+    ev = log_mahler([-10**300, 1], 1e-10)
+    assert ev.expanding_count == 1 and ev.error_bound <= 1e-10
+    assert abs(ev.value - 300 * math.log(10)) <= ev.error_bound

@@ -1,48 +1,46 @@
 """Record benchmark runs of several source trees into one BENCH_<pr>.json.
 
 Each tree is a checkout of the repository, for example a `git clone` of the
-parent commit beside the working tree.  Four modes write into the same
-file, each under its own keys and with the commits it ran, keeping what the
-others wrote:
+parent commit beside the working tree.  Every sample is a fresh interpreter
+started at the root of one tree.  Samples run round by round, and in a
+round item by item, each item once in every tree; the tree that goes first
+alternates from round to round, so that a drift in the machine's speed does
+not fall on one tree only.  Four modes write into the same file, each under
+its own keys and with the commits it ran, keeping what the others wrote:
 
-- `--mode runs` (the default): for every seed and workload the recorder runs
-  each tree's own `benchmarks/run.py` as a subprocess, from the root of that
-  tree, and reads the one JSON object the run prints on its last stdout
-  line.  The order of the trees alternates from seed to seed, so that a
-  drift in the machine's speed does not fall on one tree only.  It writes,
-  per run, the tree, its commit, the workload, the seed, the run's wall time
-  and its metrics (end to end under `--trace 0`, per layer under
-  `--trace 1`) into `runs`, per workload, metric and tree the median and
-  quartiles over the seeds into `summary`, and the trees into `trees`.
+- `--mode runs` (the default): per seed (the rounds) and workload, each
+  tree's own `benchmarks/run.py`, whose last stdout line is one JSON object.
+  Run length and workloads are `run_seconds` and `workloads` of this
+  checkout's `BENCHMARK.json`.  `runs` holds per run the tree, its commit,
+  the workload, the seed, the wall time and the metrics (end to end under
+  `--trace 0`, per layer under `--trace 1`); `summary` per workload, metric
+  and tree the median and quartiles over the seeds; `trees` the trees.
 - `--mode ab`: a fresh-process A/B of exactly two trees, the first the
-  baseline, over every workload.  Each sample is a new subprocess in one
-  tree that sets the workload up with that tree's `benchmarks/run.py` at
-  one seed, as `run.py` does: numpy imported once, then `run.SETUP_REPEATS`
-  calls to `run.setup`, whose median is the sample's set-up seconds.  It
-  then reports the best of `AB_PASSES` whole passes of `run_op` over the
-  documents; each tree runs `AB_PROCESSES` of them.
-  Trees alternate from process to process, and so does the tree that goes
-  first.  A process keeps one speed mode for its whole life, so each tree's
-  processes are split into a fast and a slow mode at the largest gap in its
-  own sorted best-pass times, when that gap exceeds `MODE_GAP` and leaves
-  two processes or more on each side.  When both trees split, fast is
-  compared with fast and slow with slow; otherwise all processes form one
+  baseline, workload by workload.  Each sample sets the workload up at one
+  seed with its tree's `benchmarks/run.py`, as `run.py` does (numpy imported
+  once, then `run.SETUP_REPEATS` calls to `run.setup`, whose median is the
+  sample's set-up seconds), and reports the best of `AB_PASSES` whole passes
+  of `run_op` over the documents; each tree runs `AB_PROCESSES` of them (the
+  rounds).  A process keeps one speed mode for its whole life, so each
+  tree's processes are split into a fast and a slow mode at the largest gap
+  in its own sorted best-pass times, when that gap exceeds `MODE_GAP` and
+  leaves two processes or more on each side.  When both trees split, fast
+  is compared with fast and slow with slow; else all processes form one
   mode.  Set-up seconds are split and compared the same way, by their own
   times.  `ab` holds the trees, the samples and, under `verdict`, for the
   best pass (`best_pass`) and the set-up (`setup`), per workload and mode,
-  the second/first ratio of the medians, each tree's quartiles and process
-  count, and the processes won (those faster than the other tree's median
-  in the same mode).
-- `--mode tier1`: the tier-1 suite, `python -m pytest -q --durations=10`,
-  once in each tree; `tier1` holds per tree its commit, wall time, pass
-  and fail counts and the ten slowest durations.
-- `--mode cold`: cold-process wall times of the commands in
-  `COLD_COMMANDS` (importing `lieentropy.cli`, CLI runs on catalog
-  entries, and `python -c pass` as the interpreter's floor), each a fresh
-  subprocess with the tree's `src` alone on `PYTHONPATH`.  One unmeasured
-  run of each command warms the tree's bytecode cache; then `COLD_REPEATS`
-  rounds run every command in every tree, the order of the trees
-  alternating from round to round.  `cold` holds per command and tree the
+  the second/first ratio of the medians, each tree's quartiles, process
+  count and processes won (those faster than the other tree's median in
+  the same mode).
+- `--mode tier1`: the tier-1 suite as CI runs it, `python -m pytest -q
+  --continue-on-collection-errors --durations=10`, once in each tree;
+  `tier1` holds per tree its commit, wall time, exit status, pass and fail
+  counts and the ten slowest durations.
+- `--mode cold`: the commands in `COLD_COMMANDS` (importing `lieentropy.cli`,
+  CLI runs on catalog entries, and `python -c pass` as the interpreter's
+  floor), with the tree's `src` alone on `PYTHONPATH`.  One unmeasured run
+  of each warms the tree's bytecode cache; then `COLD_REPEATS` rounds run
+  every command in every tree.  `cold` holds per command and tree the
   commit, the median and quartiles of the wall time, and the median less
   the floor's median; and per command the second/first ratio of those
   differences.
@@ -67,10 +65,13 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("lie-analyze", "torus-entropy", "estimate-falsify")
+_BENCHMARK = json.loads(Path(__file__).resolve().parents[1].joinpath("BENCHMARK.json").read_text())
+RUN_SECONDS = float(_BENCHMARK["run_seconds"])
+WORKLOADS = tuple(workload["name"] for workload in _BENCHMARK["workloads"])
 # fresh processes per tree and workload in an A/B, and whole passes per
 # process, of which the best one counts
 AB_PROCESSES = 22
@@ -123,17 +124,21 @@ print(json.dumps({"best_pass_s": best, "setup_s": statistics.median(setups),
 """
 
 
-def _git(tree: Path, *args) -> str | None:
-    result = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
-    return result.stdout.strip() if result.returncode == 0 else None
+def _git(tree: Path, *args, env=None) -> str | None:
+    done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True, env=env)
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _tree_info(tree: Path) -> dict:
-    """The commit a tree is at, the git tree id of its `src/` (equal for two
-    commits with the same sources), and whether it has uncommitted changes."""
+    """The commit a tree is at, the git tree id of the `src/` that runs, by
+    a temporary index (equal for two trees with the same sources, committed
+    or not), and whether it has uncommitted changes to tracked files."""
     status = _git(tree, "status", "--porcelain", "--untracked-files=no")
-    return {"commit": _git(tree, "rev-parse", "HEAD"),
-            "src_tree": _git(tree, "rev-parse", "HEAD:src"),
+    with tempfile.TemporaryDirectory() as scratch:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(scratch, "index"))
+        _git(tree, "add", "-A", "src", env=env)  # on failure the index lacks src/
+        src_tree = _git(tree, "write-tree", "--prefix=src/", env=env)
+    return {"commit": _git(tree, "rev-parse", "HEAD"), "src_tree": src_tree,
             "dirty": bool(status) if status is not None else None}
 
 
@@ -146,36 +151,46 @@ def _seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+def run_child(tree: Path, argv: list[str], env=None, check: bool = True):
+    """(wall seconds, finished process) of a fresh interpreter running argv at
+    the tree's root; with `check`, a failing exit raises with stderr's tail."""
     start = time.perf_counter()
-    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    lines = result.stdout.strip().splitlines()
-    if result.returncode != 0 or not lines:
-        raise RuntimeError(f"{tree}: {' '.join(argv[1:])} exited {result.returncode}: "
+    result = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True,
+                            text=True, errors="replace")
+    seconds = time.perf_counter() - start
+    if check and result.returncode != 0:
+        raise RuntimeError(f"{tree}: {' '.join(argv)} exited {result.returncode}: "
                            f"{result.stderr.strip()[-500:]}")
-    record = json.loads(lines[-1])
-    return {"seconds": wall,
-            "correct": record["correct"],
-            "attempted": record["attempted"],
-            "failed": record["failed"],
-            "metrics": {name: m["value"] for name, m in record["metrics"].items()}}
+    return seconds, result
+
+
+def sampler(trees, rounds, items, argv, env=None, check: bool = True):
+    """(round, item, position, label, *run_child(tree, argv(round, item),
+    env(tree))) per round, item and tree, in that nesting; the tree that
+    goes first alternates from round to round."""
+    for index, round_ in enumerate(rounds):
+        order = trees if index % 2 == 0 else trees[::-1]
+        for item in items:
+            for position, (label, tree) in enumerate(order):
+                yield (round_, item, position, label,
+                       *run_child(tree, argv(round_, item), env and env(tree), check))
+
+
+def by_tree(triples) -> dict:
+    """group -> tree -> values from (group, tree, value) triples, in order."""
+    grouped: dict = {}
+    for group, tree, value in triples:
+        grouped.setdefault(group, {}).setdefault(tree, []).append(value)
+    return grouped
 
 
 def summarize(runs: list[dict]) -> dict:
     """workload -> metric -> tree -> median, quartiles and run count."""
-    values: dict = {}
-    for run in runs:
-        for name, value in run["metrics"].items():
-            values.setdefault(run["workload"], {}).setdefault(name, {}).setdefault(
-                run["tree"], []).append(value)
     summary: dict = {}
-    for workload, metrics in values.items():
-        for name, trees in metrics.items():
-            for tree, xs in trees.items():
-                summary.setdefault(workload, {}).setdefault(name, {})[tree] = _quartiles(xs)
+    for (workload, name), by_label in by_tree(((run["workload"], name), run["tree"], value)
+                                              for run in runs
+                                              for name, value in run["metrics"].items()).items():
+        summary.setdefault(workload, {})[name] = {k: _quartiles(xs) for k, xs in by_label.items()}
     return summary
 
 
@@ -185,14 +200,21 @@ def _quartiles(xs) -> dict:
     return {"median": q2, "q1": q1, "q3": q3, "n": len(xs)}
 
 
-def run_ab_sample(tree: Path, workload: str, seed: int, passes: int) -> dict:
-    argv = [sys.executable, "-c", _AB_CHILD, workload, str(seed), str(passes)]
-    result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    lines = result.stdout.strip().splitlines()
-    if result.returncode != 0 or not lines:
-        raise RuntimeError(f"{tree}: A/B sample of {workload} exited {result.returncode}: "
-                           f"{result.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+def record_runs(trees, info, seeds: list[int], trace: int) -> dict:
+    runs = []
+    for seed, workload, position, label, seconds, process in sampler(
+            trees, seeds, WORKLOADS, lambda seed, workload: [
+                "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+                "--seconds", str(RUN_SECONDS), "--trace", str(trace)]):
+        out = json.loads(process.stdout.splitlines()[-1])
+        runs.append({"tree": label, "commit": info[label]["commit"], "workload": workload,
+                     "seed": seed, "position": position, "seconds": seconds,
+                     **{key: out[key] for key in ("correct", "attempted", "failed")},
+                     "metrics": {name: m["value"] for name, m in out["metrics"].items()}})
+        print(f"{workload} seed {seed} {label}: {seconds:.1f} s, "
+              f"failed {out['failed']}/{out['attempted']}", file=sys.stderr)
+    return {"trees": info, "command": ["benchmarks/run.py", "--seconds", RUN_SECONDS, "--trace",
+                                       trace], "runs": runs, "summary": summarize(runs)}
 
 
 def speed_modes(times: list[float]) -> dict[str, list[float]]:
@@ -215,13 +237,10 @@ def ab_verdict(samples: list[dict], labels: tuple[str, str], key: str = "best_pa
     and fast is compared with fast and slow with slow; when only one tree
     splits, each tree is one mode 'all'."""
     verdict: dict = {}
-    for workload in dict.fromkeys(s["workload"] for s in samples):
-        times = {label: [s[key] for s in samples
-                         if s["workload"] == workload and s["tree"] == label]
-                 for label in labels}
-        modes = {label: speed_modes(xs) for label, xs in times.items()}
+    for workload, times in by_tree((s["workload"], s["tree"], s[key]) for s in samples).items():
+        modes = {label: speed_modes(times[label]) for label in labels}
         if modes[labels[0]].keys() != modes[labels[1]].keys():
-            modes = {label: {"all": sorted(xs)} for label, xs in times.items()}
+            modes = {label: {"all": sorted(times[label])} for label in labels}
         for mode in modes[labels[0]]:
             inside = {label: modes[label][mode] for label in labels}
             trees = {label: _quartiles(xs) for label, xs in inside.items()}
@@ -232,19 +251,18 @@ def ab_verdict(samples: list[dict], labels: tuple[str, str], key: str = "best_pa
     return verdict
 
 
-def record_ab(trees, seed: int) -> dict:
-    info = {label: _tree_info(tree) for label, tree in trees}
+def record_ab(trees, info, seed: int) -> dict:
     samples = []
     for workload in WORKLOADS:
-        for index in range(AB_PROCESSES):
-            order = trees if index % 2 == 0 else trees[::-1]
-            for position, (label, tree) in enumerate(order):
-                sample = run_ab_sample(tree, workload, seed, AB_PASSES)
-                samples.append({"tree": label, "workload": workload, "process": index,
-                                "position": position, **sample})
-                print(f"ab {workload} process {index} {label}: best pass "
-                      f"{sample['best_pass_s'] * 1e3:.2f} ms, set-up "
-                      f"{sample['setup_s'] * 1e3:.2f} ms", file=sys.stderr)
+        for index, _, position, label, _, process in sampler(
+                trees, range(AB_PROCESSES), [workload],
+                lambda _, workload: ["-c", _AB_CHILD, workload, str(seed), str(AB_PASSES)]):
+            sample = json.loads(process.stdout.splitlines()[-1])
+            samples.append({"tree": label, "workload": workload, "process": index,
+                            "position": position, **sample})
+            print(f"ab {workload} process {index} {label}: best pass "
+                  f"{sample['best_pass_s'] * 1e3:.2f} ms, set-up "
+                  f"{sample['setup_s'] * 1e3:.2f} ms", file=sys.stderr)
     labels = (trees[0][0], trees[1][0])
     verdict = {name: ab_verdict(samples, labels, f"{name}_s") for name in ("best_pass", "setup")}
     return {"trees": info, "seed": seed, "passes": AB_PASSES, "processes": AB_PROCESSES,
@@ -252,49 +270,31 @@ def record_ab(trees, seed: int) -> dict:
             "samples": samples}
 
 
-def run_cold(tree: Path, argv: list[str]) -> float:
-    """Wall seconds of one fresh interpreter running argv in the tree, with
-    its `src` alone on PYTHONPATH and bytecode written and read."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    start = time.perf_counter()
-    result = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True)
-    seconds = time.perf_counter() - start
-    if result.returncode != 0:
-        raise RuntimeError(f"{tree}: {' '.join(argv)} exited {result.returncode}: "
-                           f"{result.stderr.decode(errors='replace').strip()[-500:]}")
-    return seconds
-
-
-def record_cold(trees) -> dict:
-    info = {label: _tree_info(tree) for label, tree in trees}
-    for _, tree in trees:  # warm each tree's bytecode cache, unmeasured
-        for argv in COLD_COMMANDS.values():
-            run_cold(tree, argv)
-    samples = []
-    for index in range(COLD_REPEATS):
-        order = trees if index % 2 == 0 else trees[::-1]
-        for command, argv in COLD_COMMANDS.items():
-            for position, (label, tree) in enumerate(order):
-                samples.append({"tree": label, "command": command, "round": index,
-                                "position": position, "seconds": run_cold(tree, argv)})
+def record_cold(trees, info) -> dict:
+    argv = lambda _, name: COLD_COMMANDS[name]
+    # the tree's src alone on PYTHONPATH, and bytecode written and read (an
+    # empty PYTHONDONTWRITEBYTECODE is unset)
+    env = lambda tree: dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="")
+    list(sampler(trees, [None], COLD_COMMANDS, argv, env))  # warm the bytecode caches
+    samples = [{"tree": label, "command": name, "round": index, "position": position,
+                "seconds": seconds}
+               for index, name, position, label, seconds, _ in sampler(
+                   trees, range(COLD_REPEATS), COLD_COMMANDS, argv, env)]
     labels = (trees[0][0], trees[1][0])
-    summary: dict = {}
-    for command in COLD_COMMANDS:
-        for label in labels:
-            xs = [s["seconds"] for s in samples if s["command"] == command and s["tree"] == label]
-            summary.setdefault(command, {})[label] = {"commit": info[label]["commit"],
-                                                      **_quartiles(xs)}
+    summary = {command: {label: {"commit": info[label]["commit"], **_quartiles(xs)}
+                         for label, xs in by_label.items()}
+               for command, by_label in by_tree(
+                   (s["command"], s["tree"], s["seconds"]) for s in samples).items()}
     floor = {label: summary["floor"][label]["median"] for label in labels}
-    for command, by_tree in summary.items():
-        for label, entry in by_tree.items():
+    for command, by_label in summary.items():
+        for label, entry in by_label.items():
             entry["over_floor"] = entry["median"] - floor[label]
             print(f"cold {command} {label}: median {entry['median'] * 1e3:.1f} ms, "
                   f"{entry['over_floor'] * 1e3:.1f} ms over the floor", file=sys.stderr)
     # a difference at or below the floor's noise has no meaningful ratio
-    ratios = {command: (by_tree[labels[1]]["over_floor"] / by_tree[labels[0]]["over_floor"]
-                        if by_tree[labels[0]]["over_floor"] > 0 else None)
-              for command, by_tree in summary.items() if command != "floor"}
+    ratios = {command: (by_label[labels[1]]["over_floor"] / by_label[labels[0]]["over_floor"]
+                        if by_label[labels[0]]["over_floor"] > 0 else None)
+              for command, by_label in summary.items() if command != "floor"}
     return {"trees": info, "repeats": COLD_REPEATS, "commands": COLD_COMMANDS,
             "ratio": f"{labels[1]}/{labels[0]} of the medians over the floor",
             "over_floor_ratio": ratios, "summary": summary, "samples": samples}
@@ -310,18 +310,15 @@ def parse_pytest(stdout: str) -> dict:
             "durations": durations}
 
 
-def record_tier1(trees) -> dict:
+def record_tier1(trees, info) -> dict:
+    argv = lambda *_: ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10"]
+    env = lambda tree: dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = {}
-    for label, tree in trees:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        argv = [sys.executable, "-m", "pytest", "-q", "--durations=10", "-p", "no:cacheprovider"]
-        info = _tree_info(tree)
-        start = time.perf_counter()
-        result = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
-        out[label] = {**info, "wall_s": time.perf_counter() - start,
-                      "exit": result.returncode, **parse_pytest(result.stdout)}
-        print(f"tier1 {label}: {out[label]['wall_s']:.1f} s, {out[label]['passed']} passed, "
+    for _, _, _, label, seconds, process in sampler(trees, [0], [None], argv, env, check=False):
+        out[label] = {**info[label], "wall_s": seconds, "exit": process.returncode,
+                      **parse_pytest(process.stdout)}
+        print(f"tier1 {label}: {seconds:.1f} s, {out[label]['passed']} passed, "
               f"{out[label]['failed']} failed", file=sys.stderr)
     return out
 
@@ -334,8 +331,6 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("runs", "ab", "tier1", "cold"), default="runs")
     parser.add_argument("--seeds", help="e.g. 1-10 or 1,3,5 (default 1-10; "
                                         "--mode ab takes one seed, default 1)")
-    parser.add_argument("--seconds", type=float, default=40.0,
-                        help="run length passed to benchmarks/run.py (default 40)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="output file (default BENCH_<pr>.json)")
     args = parser.parse_args(argv)
@@ -354,38 +349,21 @@ def main(argv=None) -> int:
     seeds = _seeds(args.seeds or ("1" if args.mode == "ab" else "1-10"))
     out = Path(args.out or f"BENCH_{args.pr}.json")
     record = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
-    record.update({
-        "pr": args.pr,
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
-    })
+    record.update(pr=args.pr, host={"python": platform.python_version(),
+                                    "machine": platform.machine(), "cpus": os.cpu_count()})
     if args.mode in ("ab", "cold") and len(trees) != 2:
         parser.error(f"--mode {args.mode} compares two trees")
+    if args.mode == "ab" and len(seeds) != 1:
+        parser.error("--mode ab takes one seed")
+    info = {label: _tree_info(tree) for label, tree in trees}
     if args.mode == "ab":
-        if len(seeds) != 1:
-            parser.error("--mode ab takes one seed")
-        record["ab"] = record_ab(trees, seeds[0])
+        record["ab"] = record_ab(trees, info, seeds[0])
     elif args.mode == "tier1":
-        record["tier1"] = record_tier1(trees)
+        record["tier1"] = record_tier1(trees, info)
     elif args.mode == "cold":
-        record["cold"] = record_cold(trees)
+        record["cold"] = record_cold(trees, info)
     else:
-        record["trees"] = {label: _tree_info(tree) for label, tree in trees}
-        runs = []
-        for index, seed in enumerate(seeds):
-            order = trees if index % 2 == 0 else trees[::-1]
-            for workload in WORKLOADS:
-                for position, (label, tree) in enumerate(order):
-                    run = run_once(tree, workload, seed, args.seconds, args.trace)
-                    runs.append({"tree": label, "commit": record["trees"][label]["commit"],
-                                 "workload": workload, "seed": seed, "position": position,
-                                 **run})
-                    print(f"{workload} seed {seed} {label}: {run['seconds']:.1f} s, "
-                          f"failed {run['failed']}/{run['attempted']}", file=sys.stderr)
-        record["command"] = ["benchmarks/run.py", "--seconds", args.seconds,
-                             "--trace", args.trace]
-        record["runs"] = runs
-        record["summary"] = summarize(runs)
+        record.update(record_runs(trees, info, seeds, args.trace))
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
